@@ -47,14 +47,14 @@ class DelayConfig:
 class CrawlerConfig:
     """Parallelism knobs; reference defaults config.go:79-105."""
 
-    workers: int = 10           # media fetch actor pool size
-    parser_count: int = 10      # page fetch+parse actor pool size
+    workers: int = 10           # media fetches in flight per fetch slice task
+    parser_count: int = 10      # page fetches in flight per fetch slice task
     delays: DelayConfig = field(default_factory=DelayConfig)
     http: HTTPConfig = field(default_factory=HTTPConfig)
     # Ray-engine additions (no reference equivalent):
     frontier_shards: int = 8         # frontier actor shards (hash by host+board)
     batch_urls: int = 256            # frontier rows pulled per driver round
-    fetch_batch_size: int = 64       # rows per map_batches batch in fetch stage
+    fetch_batch_size: int = 64       # rows per fetch slice task (one task each)
     max_depth: int = 3               # index(0) → article(1) → media(2)
     seen_capacity: int = 1 << 16     # per-shard cuckoo filter slots
     checkpoint_dir: str = ""         # empty = no checkpointing

@@ -1,14 +1,23 @@
-"""The crawl loop: frontier actor shards feeding streaming Ray Data rounds.
+"""The crawl loop: frontier actor shards feeding rounds of fused slice tasks.
 
-Per round (SURVEY §3.1 Ray-Data shape):
+Per round:
 
-    take_global(shards, B)                       # B globally-smallest (priority, seq)
-    → ray.data.from_arrow(frontier batch)
-    → map_batches(Fetcher, concurrency=pool)     # actor pool, T1/T2/T3/S4
-    → map_batches(ParseStage)                    # P1-P9, union output
-    → split: candidates → offer back to shards (sorted by (priority, seq),
-             first-wins dedup D2); docs/media → per-round partitioned
-             Parquet (resumable output) or in-memory tables (tests).
+    take_global(shards, B)             # B globally-smallest (priority, seq)
+    → one Ray task per fetch_batch_size slice of the B rows, each running
+        fetch_batch_task               # parser_count pages / workers media
+                                       # in flight at once, T1/T2/T3/S4
+        → ParseStage                   # P1-P9, union output
+        → _process_block               # split: candidates → buffered offers
+                                       # to their shards; docs/media →
+                                       # per-round partitioned Parquet
+                                       # (resumable output) or returned
+                                       # tables (tests)
+    → ray.get barrier, then commit_offers on every shard (applied in
+      (priority, seq) order, first-wins dedup D2).
+
+A round is a bounded batch behind a barrier, so it is plain tasks rather
+than a streaming Dataset: there is no backpressure to buy, and each slice's
+rows travel once, as a task argument.
 
 Crawl-ordering contract (O2, well-posed version of the reference's racy
 per-kind FIFO): each round dispatches the globally smallest (priority, seq)
@@ -40,7 +49,7 @@ from ..functions.parse import (
 )
 from ..schemas import CHECKPOINT_SCHEMA, FRONTIER_SCHEMA
 from ..sources import storage
-from ..stages.fetch import Fetcher, fetch_batch_task, fetch_with_retry
+from ..stages.fetch import _no_sleep, fetch_batch_task, fetch_with_retry
 from ..stages.parse_stages import ParseStage
 from ..state.frontier import SALT_K, FrontierShard, frontier_row, shard_for
 
@@ -67,10 +76,6 @@ class CrawlResult:
     loop_seconds: float = 0.0    # fetch/parse/offer rounds only
 
 
-def _no_sleep(_s: float) -> None:
-    return None
-
-
 _DOC_COLS = ["doc_id", "title", "url", "board", "author", "push_rate", "seq", "spans"]
 _MEDIA_COLS = ["doc_id", "span_idx", "url", "board", "n_bytes", "media_ok", "body", "seq"]
 
@@ -83,9 +88,9 @@ def _process_block(tbl: pa.Table, out_dir: str, epoch: int, part: int,
     (``offer_buffered``; applied in deterministic order at the driver's
     per-round ``commit_offers`` barrier). The driver receives only doc/media
     metadata (or full tables in test mode) and error counts — no per-URL
-    Python ever crosses one driver thread. Runs as a Ray task on the node
-    holding the block, so span payloads, media bodies and candidate rows
-    never funnel through the driver in production."""
+    Python ever crosses one driver thread. Runs inside the slice task that
+    fetched and parsed the block, so span payloads, media bodies and
+    candidate rows never funnel through the driver in production."""
     import ray
 
     def split(rt: str, drop: list[str]) -> pa.Table | None:
@@ -143,6 +148,16 @@ def _process_block(tbl: pa.Table, out_dir: str, epoch: int, part: int,
         "err_by_kind": err_by_kind,
         "hosts_429": hosts_429,
     }
+
+
+def _exec_slice(tbl: pa.Table, fetch, parse, process, fetch_kwargs: dict,
+                out_dir: str, epoch: int, part: int, shards, n_shards: int,
+                max_depth: int) -> dict:
+    """One round slice, fused into one task: fetch its rows (concurrently,
+    see ``fetch_batch_task``), parse them, then split/write/offer the union
+    block. The three stages arrive as arguments, resolved by the driver."""
+    return process(parse(fetch(tbl, **fetch_kwargs)), out_dir, epoch, part,
+                   shards=shards, n_shards=n_shards, max_depth=max_depth)
 
 
 def seed_rows_board(transport, board: str, pages: int, seed_offset: int = 0) -> list[dict]:
@@ -279,7 +294,7 @@ def run_crawl(
     pipeline_depth: int = 2,
 ) -> CrawlResult:
     """Run (or resume) a crawl. ``transport_factory`` must be a picklable
-    zero-arg callable (ships to fetch actors). ``max_rounds`` bounds the run
+    zero-arg callable (ships to the fetch tasks). ``max_rounds`` bounds the run
     for kill/resume tests. ``deterministic=True`` disables real politeness
     sleeping (rate 0) so ordering tests are exact.
 
@@ -300,19 +315,17 @@ def run_crawl(
     bounded chunks (identical seq numbering / crawl ordering), for seed
     lists too large to hold on the driver.
 
-    ``fetch_via``: "tasks" (default) fetches through plain Ray tasks with a
-    per-worker-process transport cache — sessions stay pooled AND warm
-    workers are reused across rounds. "actors" builds a
-    ``map_batches(Fetcher, concurrency=…)`` pool instead; Ray Data tears
-    that pool down with each round's dataset, so every round pays actor
-    spin-up (~2 s/round on the test box; 569 vs 1,853 urls/s measured at
-    1,000 pages) — keep it for environments where fetch state must NOT be
-    shared across concurrent crawls in one process (the task cache is
-    per-worker-global, keyed by transport factory).
+    ``fetch_via``: only "tasks" is accepted (callers still name it). Each
+    round runs one plain Ray task per ``fetch_batch_size`` slice; the task
+    fetches the slice with up to ``parser_count`` pages and ``workers``
+    media in flight at once, parses it and processes the result (see
+    ``_exec_slice``). Workers keep one transport per process, keyed by the
+    factory's pickle, so sessions stay pooled and warm across rounds.
 
     ``relaxed_ordering``: pipeline rounds ``pipeline_depth`` deep (default
-    2) — round N+1's take/fetch overlaps round N's parse/offer (the
-    reference's own ordering is racy per-kind FIFO, so this is faithful).
+    2) — round N+1's take and slice tasks run while round N's tasks finish
+    (the reference's own ordering is racy per-kind FIFO, so this is
+    faithful).
     Discoveries dispatch up to depth−1 rounds later than strict mode; the
     seen-set, no-refetch, and output-content invariants are identical, and
     checkpoints land only at quiescent points so kill/resume stays exact.
@@ -325,9 +338,12 @@ def run_crawl(
     push_threshold, fetch_media, transport) as the original run — the
     checkpoint stores frontier state, not job parameters."""
     import ray
+    from ray import cloudpickle
 
     import time as _time
 
+    if fetch_via != "tasks":
+        raise ValueError(f"fetch_via={fetch_via!r}: only 'tasks' is supported")
     cfg = cfg or Config()
     cc = cfg.crawler
     n_shards = cc.frontier_shards
@@ -397,7 +413,7 @@ def run_crawl(
 
     # robots gating happens at OFFER time inside each shard (see
     # FrontierShard._robots_allowed) — candidates and seeds alike; the fetch
-    # stages skip their own per-actor robots cache.
+    # tasks do no robots check of their own.
     if seeds_to_offer is not None:
         _offer_sorted(shards, seeds_to_offer, n_shards)
     elif not resume and file_path:
@@ -405,18 +421,27 @@ def run_crawl(
         # driver holds one chunk of frontier rows at a time (S2 at scale)
         stream_seed_file(shards, file_path, board or "beauty", n_shards)
 
+    # the three stages of a slice task are read from this module here, at
+    # call time, so a caller may swap them (the benchmark's tracer does)
+    fetch = fetch_batch_task
     parse_stage = ParseStage(
         push_threshold=0 if file_mode else push_threshold,
         file_mode=file_mode,
         fetch_media=fetch_media,
     )
+    process = _process_block
     fetch_kwargs = {
-        "transport_factory": transport_factory,
-        "check_robots": False,  # gated at offer time above
-        "sleep": _no_sleep if deterministic else None,
+        # cloudpickle, NOT stdlib pickle: a factory defined in a script's
+        # __main__ (the CLI's mock_transport) must serialize BY VALUE —
+        # stdlib pickle ships a dangling __main__ reference that fails to
+        # resolve inside Ray workers
+        "factory_bytes": cloudpickle.dumps(transport_factory),
+        "deterministic": deterministic,
+        # the reference's fetch concurrency (config.go:79-105)
+        "page_cap": cc.parser_count,
+        "media_cap": cc.workers,
     }
-    if fetch_kwargs["sleep"] is None:
-        del fetch_kwargs["sleep"]
+    exec_slice = ray.remote(num_cpus=1)(_exec_slice)
 
     docs_tables: list[pa.Table] = []
     media_tables: list[pa.Table] = []
@@ -424,74 +449,15 @@ def run_crawl(
     fetch_errors_by_kind: dict[str, int] = {}
     rounds_this_run = 0
     finished = True
-    # per-block round-output processor (worker-side write/split — see
-    # _process_block); num_cpus=1: it runs after the round's fetch/parse
-    # stages have drained, so there is no pool to starve
-    process_block = ray.remote(num_cpus=1)(_process_block)
-
-    import functools
-
-    from ray import cloudpickle
-
-    # cloudpickle, NOT stdlib pickle: a factory defined in a script's
-    # __main__ (the CLI's mock_transport) must serialize BY VALUE —
-    # stdlib pickle ships a dangling __main__ reference that fails to
-    # resolve inside Ray workers
-    factory_bytes = cloudpickle.dumps(transport_factory)
 
     def _exec_round(tbl: pa.Table, round_epoch: int) -> list[dict]:
-        """Fetch → parse → worker-side split/write → buffered offers →
-        commit barrier for ONE dispatched round. Pure function of (tbl,
-        round_epoch) plus the shared actors, so relaxed mode can run two
-        rounds concurrently from driver threads."""
-        # one block per fetch batch: from_arrow(single table) would give ONE
-        # block = one task = a serial round; zero-copy slices parallelize it
-        bs = max(1, cc.fetch_batch_size)
-        slices = [tbl.slice(i, bs) for i in range(0, tbl.num_rows, bs)]
-        ds = ray.data.from_arrow(slices)
-        if fetch_via == "tasks":
-            # Task-mode fast path: reuses warm Ray workers (per-process
-            # transport cache) instead of spinning an actor pool per round.
-            # Robots gating already happened at offer time (driver cache), so
-            # both fetch paths honor cc.robots.
-            fetched = ds.map_batches(
-                functools.partial(fetch_batch_task, factory_bytes=factory_bytes,
-                                  deterministic=deterministic),
-                batch_size=cc.fetch_batch_size,
-                batch_format="pyarrow",
-            )
-        else:
-            # kind-aware pool sizing (reference parity: `workers` download
-            # goroutines vs `parserCount` page fetch+parse goroutines,
-            # crawler/crawler.go:204-230); priority ordering makes rounds
-            # near-homogeneous in kind
-            is_media_round = pc.unique(tbl["kind"]).to_pylist() == ["media"]
-            pool = cc.workers if is_media_round else cc.parser_count
-            fetched = ds.map_batches(
-                Fetcher,
-                fn_constructor_kwargs=fetch_kwargs,
-                concurrency=(1, max(1, pool)),
-                batch_size=cc.fetch_batch_size,
-                batch_format="pyarrow",
-            )
-        union = fetched.map_batches(parse_stage, batch_format="pyarrow")
-
-        # ONE pass over the round's (bounded) output: the union blocks stay in
-        # the object store; per-block _process_block tasks split by row_type,
-        # write doc/media partitions worker-side (when out_dir is set), and
-        # ship the driver only candidates + metadata. Span payloads and media
-        # bodies (≤50 MB each) cross to the driver ONLY in test mode
-        # (out_dir="") — production driver memory stays O(round metadata).
-        # NOTE: deliberately NOT Dataset.to_arrow_refs() — its schema probe
-        # re-executes the plan with limit=1, re-fetching a batch of URLs
-        # every round; our blocks are already Arrow (map_batches pyarrow).
-        refs = [
-            br for bundle in union.iter_internal_ref_bundles()
-            for br in bundle.block_refs
-        ]
+        """Slice tasks (fetch → parse → worker-side split/write → buffered
+        offers) → commit barrier for ONE dispatched round. Pure function of
+        (tbl, round_epoch) plus the shared actors, so relaxed mode can run
+        two rounds concurrently from driver threads."""
         if out_dir:
             # Resume re-executes rounds since the last checkpoint; if the
-            # rerun yields fewer blocks than the crashed attempt, leftover
+            # rerun yields fewer slices than the crashed attempt, leftover
             # part-i files from the first attempt would survive and duplicate
             # rows on read — clear the round partition before its writes.
             import shutil as _shutil
@@ -501,16 +467,18 @@ def run_crawl(
                     os.path.join(out_dir, _name, f"round={round_epoch}"),
                     ignore_errors=True,
                 )
-        outs = ray.get(
-            [
-                process_block.remote(
-                    ref, out_dir, round_epoch, i,
-                    shards=shards, n_shards=n_shards, max_depth=cc.max_depth,
-                )
-                for i, ref in enumerate(refs)
-            ]
-        )
-        # round barrier: every block's offers are buffered (acked inside
+        # Span payloads and media bodies (≤50 MB each) come back to the
+        # driver ONLY in test mode (out_dir="") — production driver memory
+        # stays O(round metadata).
+        bs = max(1, cc.fetch_batch_size)
+        outs = ray.get([
+            exec_slice.remote(
+                tbl.slice(start, bs), fetch, parse_stage, process, fetch_kwargs,
+                out_dir, round_epoch, part, shards, n_shards, cc.max_depth,
+            )
+            for part, start in enumerate(range(0, tbl.num_rows, bs))
+        ])
+        # round barrier: every slice's offers are buffered (acked inside
         # _process_block before it returns) — apply them in deterministic
         # (priority, seq) order. One tiny RPC per shard; the driver never
         # touches a candidate row.

@@ -117,8 +117,7 @@ def hashed_set_jaccard(a: np.ndarray, b: np.ndarray) -> float:
 # The MinHasher's per-actor state is two small numpy arrays (~1 KB), so an
 # actor pool's spawn cost (~1-2 s/actor on this box) buys nothing; plain
 # tasks reuse warm Ray workers and this cache gives the same init-once
-# semantics per process. (Contrast: Fetcher keeps the actor-pool pattern —
-# its state is a live HTTP session + politeness buckets.)
+# semantics per process (the fetch stage caches its transports the same way).
 _HASHER_CACHE: dict[tuple, "MinHasher"] = {}
 
 

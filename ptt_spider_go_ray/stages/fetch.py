@@ -1,9 +1,10 @@
-"""Fetch stage: a callable CLASS for ``map_batches(Fetcher, concurrency=N)``
-— one long-lived session per actor (T1, ptt/client.go:14-98), application-
-level 429 retry (T2, crawler/retry.go:20-93), per-image size cap (S4,
-constants/constants.go:42 + crawler/crawler.go:691-738), and robots gating
-(north-rule addition). Failures become status columns, never exceptions —
-skip-and-continue like the reference (crawler/crawler.go:384-404,510-531).
+"""Fetch stage: ``fetch_batch_task`` fetches one slice of frontier rows
+inside one Ray task, with the slice's requests in flight together — one
+long-lived session per worker process (T1, ptt/client.go:14-98),
+application-level 429 retry (T2, crawler/retry.go:20-93) and a per-body
+size cap (S4, constants/constants.go:42 + crawler/crawler.go:691-738).
+Failures become status columns, never exceptions — skip-and-continue like
+the reference (crawler/crawler.go:384-404,510-531).
 
 The transport is injectable: ``RequestsTransport`` for the real network,
 ``MockTransport`` over a :class:`SyntheticSite` for tests/bench (mirrors
@@ -13,6 +14,7 @@ the deterministic bench never real-sleep.
 
 from __future__ import annotations
 
+import threading
 import time
 from email.utils import parsedate_to_datetime
 
@@ -28,7 +30,6 @@ from ..config import (
     USER_AGENT,
 )
 from ..errors import classify_fetch
-from ..state.robots import RobotsCache
 
 
 class TransportError(Exception):
@@ -72,7 +73,8 @@ class MockTransport:
     """Deterministic transport over a SyntheticSite with scripted behaviors
     (FIXTURES.md F6). Tracks per-URL hit counts so tests can assert
     no-refetch-after-resume; counting is exact because each test/bench run
-    owns its transport instances.
+    owns its transport instances, and thread-safe because one task's fetch
+    threads share the instance.
 
     Connection-pool model for the reference's optimized-vs-unoptimized
     HTTP-client A/B (benchmark.sh:24-121: pooled keep-alive client 28 s vs
@@ -93,23 +95,26 @@ class MockTransport:
         self.pool_size = pool_size
         self._warm: dict[str, None] = {}  # host → (LRU order via dict)
         self.handshakes = 0
+        self._lock = threading.Lock()  # guards hits, _warm, handshakes
 
     def _connect(self, url: str) -> None:
         host = url.split("/", 3)[2] if "://" in url else ""
-        if self.pool_size > 0 and host in self._warm:
-            self._warm.pop(host)  # refresh LRU position
-            self._warm[host] = None
-            return
-        self.handshakes += 1
+        with self._lock:
+            if self.pool_size > 0 and host in self._warm:
+                self._warm.pop(host)  # refresh LRU position
+                self._warm[host] = None
+                return
+            self.handshakes += 1
+            if self.pool_size > 0:
+                self._warm[host] = None
+                while len(self._warm) > self.pool_size:
+                    self._warm.pop(next(iter(self._warm)))
         if self.handshake_s:
             time.sleep(self.handshake_s)
-        if self.pool_size > 0:
-            self._warm[host] = None
-            while len(self._warm) > self.pool_size:
-                self._warm.pop(next(iter(self._warm)))
 
     def __call__(self, url: str) -> tuple[int, dict, bytes]:
-        self.hits[url] = self.hits.get(url, 0) + 1
+        with self._lock:
+            hit = self.hits[url] = self.hits.get(url, 0) + 1
         if any(sub in url for sub in self.transport_error_urls):
             raise TransportError(f"connection refused: {url}")
         if self.handshake_s or self.pool_size == 0:
@@ -120,7 +125,7 @@ class MockTransport:
         if any(sub in url for sub in spec.always_429):
             return 429, {}, b""
         if any(sub in url for sub in spec.status_429_then_200):
-            if self.hits[url] == 1:
+            if hit == 1:
                 return 429, {"Retry-After": "1"}, b""
         status, body = self.site.html_for(url)
         return status, {}, body
@@ -171,43 +176,69 @@ def fetch_with_retry(transport, url: str, sleep=time.sleep) -> tuple[int, bytes,
 
 # Per-worker-process transport cache for task-mode fetching: tasks reuse the
 # warm Ray worker processes, so caching by factory pickle gives each worker
-# one long-lived session without actor-pool spin-up (bench fast path; the
-# actor pool remains the default for stateful politeness/robots).
+# one long-lived session (shared by the fetch threads of every task the
+# process runs) without actor spin-up.
 _TASK_TRANSPORTS: dict[bytes, object] = {}
+
+
+def _no_sleep(_s: float) -> None:
+    return None
+
+
+def fetch_one(transport, url: str, sleep=time.sleep,
+              max_body_bytes: int = MAX_IMAGE_BYTES) -> tuple[int, bytes, int, str, bool]:
+    """One row's fetch outcome: (status, body, attempts, error, ok)."""
+    status, body, attempts, err = fetch_with_retry(transport, url, sleep)
+    ok = status == 200 and not err
+    if ok and len(body) > max_body_bytes:
+        # S4: oversize body ⇒ row not emitted (cleaner than partial-file
+        # delete). Applied to ALL kinds: a transport may truncate at the
+        # cap, and a silently truncated HTML page must not be parsed as
+        # if complete (the reference only caps images, but never
+        # truncates pages — we surface truncation as an error instead).
+        return status, b"", attempts, "oversize", False
+    if not ok and not err:
+        err = f"http {status}"
+    return status, body if ok else b"", attempts, err, ok
 
 
 def fetch_batch_task(batch: pa.Table, factory_bytes: bytes,
                      max_body_bytes: int = MAX_IMAGE_BYTES,
-                     deterministic: bool = True) -> pa.Table:
-    """``deterministic=True`` (ordering tests / bench): no real sleeping
+                     deterministic: bool = True,
+                     page_cap: int = 1, media_cap: int = 1) -> pa.Table:
+    """Fetch every row of ``batch`` with up to ``page_cap`` page (index /
+    article) and ``media_cap`` media requests in flight at once — the
+    reference's ``parserCount`` and ``workers`` goroutines
+    (crawler/crawler.go:204-230). Output rows keep input order.
+
+    ``deterministic=True`` (ordering tests / bench): no real sleeping
     between 429 retries. Non-deterministic runs honor Retry-After/backoff
-    pacing exactly like the actor path (crawler/retry.go doWithRetry)."""
+    pacing (crawler/retry.go doWithRetry)."""
+    from concurrent.futures import ThreadPoolExecutor
+
     from ray import cloudpickle
 
-    sleep = (lambda s: None) if deterministic else time.sleep
     transport = _TASK_TRANSPORTS.get(factory_bytes)
     if transport is None:
         transport = cloudpickle.loads(factory_bytes)()
         _TASK_TRANSPORTS[factory_bytes] = transport
-    urls = batch["url"].to_pylist()
-    kinds = batch["kind"].to_pylist()
-    statuses, oks, errors, bodies, attempts_l = [], [], [], [], []
-    for url, kind in zip(urls, kinds):
-        status, body, attempts, err = fetch_with_retry(transport, url, sleep=sleep)
-        ok = status == 200 and not err
-        if ok and len(body) > max_body_bytes:
-            status, body, err, ok = status, b"", "oversize", False
-        if not ok and not err:
-            err = f"http {status}"
-        statuses.append(status)
-        oks.append(ok)
-        errors.append(err)
-        bodies.append(body if ok else b"")
-        attempts_l.append(attempts)
-    return _append_fetch_columns(batch, statuses, oks, errors, bodies, attempts_l)
-
-
-def _append_fetch_columns(batch, statuses, oks, errors, bodies, attempts_l):
+    sleep = _no_sleep if deterministic else time.sleep
+    is_media = [k == "media" for k in batch["kind"].to_pylist()]
+    pools = {
+        media: ThreadPoolExecutor(min(is_media.count(media), max(1, cap)))
+        for media, cap in ((False, page_cap), (True, media_cap))
+        if media in is_media
+    }
+    try:
+        futs = [
+            pools[media].submit(fetch_one, transport, url, sleep, max_body_bytes)
+            for url, media in zip(batch["url"].to_pylist(), is_media)
+        ]
+        rows = [f.result() for f in futs]
+    finally:
+        for pool in pools.values():
+            pool.shutdown()
+    statuses, bodies, attempts, errors, oks = zip(*rows) if rows else ((),) * 5
     kinds = [classify_fetch(s, e) for s, e in zip(statuses, errors)]
     return (
         batch.append_column("status", pa.array(statuses, pa.int32()))
@@ -215,60 +246,5 @@ def _append_fetch_columns(batch, statuses, oks, errors, bodies, attempts_l):
         .append_column("error", pa.array(errors, pa.string()))
         .append_column("error_kind", pa.array(kinds, pa.string()))
         .append_column("body", pa.array(bodies, pa.large_binary()))
-        .append_column("attempts", pa.array(attempts_l, pa.int32()))
+        .append_column("attempts", pa.array(attempts, pa.int32()))
     )
-
-
-class Fetcher:
-    """Actor-pool batch fn: frontier rows in → rows + status/body columns out.
-
-    ``__init__`` runs once per actor (session/state setup); ``__call__`` per
-    batch. Use as::
-
-        ds.map_batches(Fetcher, fn_constructor_kwargs={...},
-                       concurrency=(1, N), batch_size=B, batch_format="pyarrow")
-    """
-
-    def __init__(self, transport_factory=None, check_robots: bool = True,
-                 sleep=time.sleep, max_body_bytes: int = MAX_IMAGE_BYTES):
-        self.transport = transport_factory() if transport_factory else RequestsTransport()
-        self.sleep = sleep
-        self.max_body_bytes = max_body_bytes
-        self.robots = None
-        if check_robots:
-            self.robots = RobotsCache(
-                lambda url: self._raw_fetch(url)
-            )
-
-    def _raw_fetch(self, url: str) -> tuple[int, bytes]:
-        status, body, _, _ = fetch_with_retry(self.transport, url, self.sleep)
-        return status, body
-
-    def fetch_one(self, url: str, is_media: bool) -> tuple[int, bytes, int, str, bool]:
-        if self.robots is not None and not self.robots.allowed(url):
-            return -2, b"", 0, "robots disallowed", False
-        status, body, attempts, err = fetch_with_retry(self.transport, url, self.sleep)
-        ok = status == 200 and not err
-        if ok and len(body) > self.max_body_bytes:
-            # S4: oversize body ⇒ row not emitted (cleaner than partial-file
-            # delete). Applied to ALL kinds: a transport may truncate at the
-            # cap, and a silently truncated HTML page must not be parsed as
-            # if complete (the reference only caps images, but never
-            # truncates pages — we surface truncation as an error instead).
-            return status, b"", attempts, "oversize", False
-        if not ok and not err:
-            err = f"http {status}"
-        return status, body if ok else b"", attempts, err, ok
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch["url"].to_pylist()
-        kinds = batch["kind"].to_pylist()
-        statuses, oks, errors, bodies, attempts_l = [], [], [], [], []
-        for url, kind in zip(urls, kinds):
-            status, body, attempts, err, ok = self.fetch_one(url, kind == "media")
-            statuses.append(status)
-            oks.append(ok)
-            errors.append(err)
-            bodies.append(body)
-            attempts_l.append(attempts)
-        return _append_fetch_columns(batch, statuses, oks, errors, bodies, attempts_l)

@@ -3,7 +3,7 @@
 Minimal, deterministic robots parser: ``User-agent`` groups, ``Disallow`` /
 ``Allow`` prefix rules, longest-match-wins (the de-facto standard from the
 public robots.txt RFC 9309). Cached per host inside whatever holds it (the
-Fetcher actor or the frontier shard)."""
+frontier shard)."""
 
 from __future__ import annotations
 

@@ -40,7 +40,6 @@ def board_crawl(ray_session):
         board="Beauty",
         pages=3,
         push_threshold=10,
-        fetch_via="actors",  # keep the actor-pool fetch path e2e-covered
     )
     want = oracle_crawl(
         SyntheticSite(SPEC), "Beauty", 3, push_threshold=10, batch_urls=16

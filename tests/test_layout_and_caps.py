@@ -1,12 +1,12 @@
 """Layout (T4/D4) distributed assignment vs the pure-fn oracle, plus the
-S4 size cap and F6 429-then-200 retry behavior through the Fetcher."""
+S4 size cap and F6 429-then-200 retry behavior through fetch_one."""
 
 import pyarrow as pa
 import pytest
 
 from ptt_spider_go_ray.functions.parse import unique_dir_names
 from ptt_spider_go_ray.sources.synthetic import SiteSpec, SyntheticSite
-from ptt_spider_go_ray.stages.fetch import Fetcher, MockTransport
+from ptt_spider_go_ray.stages.fetch import MockTransport, fetch_one
 from ptt_spider_go_ray.stages.layout import assign_layout
 
 
@@ -61,28 +61,25 @@ def test_assign_layout_idempotent_same_url(ray_session):
     assert len(dirs) == 2 and len(set(dirs)) == 1
 
 
-# --- S4 size cap + F6 retry scenarios through the Fetcher ------------------
+# --- S4 size cap + F6 retry scenarios through fetch_one --------------------
 
 def test_fetcher_oversize_row_not_emitted():
     spec = SiteSpec(boards={"B": 2}, oversize={"big"})
     site = SyntheticSite(spec)
     transport = MockTransport(site)
-    f = Fetcher.__new__(Fetcher)
-    f.transport = transport
-    f.sleep = lambda s: None
-    f.robots = None
-    f.max_body_bytes = 1000
-    status, body, attempts, err, ok = f.fetch_one("https://x.com/big_image.jpg", True)
+    no_sleep = lambda s: None  # noqa: E731
+    status, body, attempts, err, ok = fetch_one(
+        transport, "https://x.com/big_image.jpg", no_sleep, max_body_bytes=1000
+    )
     assert not ok and err == "oversize" and body == b""
     # over-cap bodies fail for ANY kind (a truncated HTML page must not be
     # parsed as if complete); under-cap pages pass
-    status, body, attempts, err, ok = f.fetch_one(
-        "https://www.ptt.cc/bbs/B/index1.html", False
+    status, body, attempts, err, ok = fetch_one(
+        transport, "https://www.ptt.cc/bbs/B/index1.html", no_sleep, max_body_bytes=1000
     )
     assert not ok and err == "oversize"
-    f.max_body_bytes = 10**6
-    status, body, attempts, err, ok = f.fetch_one(
-        "https://www.ptt.cc/bbs/B/index1.html", False
+    status, body, attempts, err, ok = fetch_one(
+        transport, "https://www.ptt.cc/bbs/B/index1.html", no_sleep, max_body_bytes=10**6
     )
     assert ok
 
@@ -91,13 +88,9 @@ def test_fetcher_429_then_200_retries():
     spec = SiteSpec(boards={"B": 2}, status_429_then_200={"index1"})
     transport = MockTransport(SyntheticSite(spec))
     slept = []
-    f = Fetcher.__new__(Fetcher)
-    f.transport = transport
-    f.sleep = slept.append
-    f.robots = None
-    f.max_body_bytes = 10**9
-    status, body, attempts, err, ok = f.fetch_one(
-        "https://www.ptt.cc/bbs/B/index1.html", False
+    status, body, attempts, err, ok = fetch_one(
+        transport, "https://www.ptt.cc/bbs/B/index1.html", slept.append,
+        max_body_bytes=10**9,
     )
     assert ok and status == 200 and attempts == 2
     assert slept == [1.0]  # honored Retry-After: 1

@@ -25,9 +25,9 @@ from ptt_spider_go_ray.config import (  # noqa: E402
 )
 from ptt_spider_go_ray.stages import fetch as fetch_mod  # noqa: E402
 from ptt_spider_go_ray.stages.fetch import (  # noqa: E402
-    Fetcher,
     RequestsTransport,
     TransportError,
+    fetch_one,
     fetch_with_retry,
 )
 
@@ -123,18 +123,18 @@ def test_reads_one_byte_past_cap_for_oversize_detection(monkeypatch):
 
 
 def test_oversize_row_not_emitted_through_real_transport(monkeypatch):
-    """End-to-end through Fetcher.fetch_one: a body past the cap surfaces
+    """End-to-end through fetch_one: a body past the cap surfaces
     as error='oversize', ok=False — same contract the mock-based e2e pins
     (crawler/crawler.go:691-738)."""
     monkeypatch.setattr(fetch_mod, "MAX_IMAGE_BYTES", 64)
     t, _ = make_transport(
         {IMGUR_URL: (200, {}, b"j" * 500), PTT_URL: (200, {}, b"<html/>")}
     )
-    f = Fetcher(transport_factory=lambda: t, check_robots=False,
-                sleep=lambda s: None, max_body_bytes=64)
-    status, body, _attempts, err, ok = f.fetch_one(IMGUR_URL, is_media=True)
+    status, body, _attempts, err, ok = fetch_one(t, IMGUR_URL, sleep=lambda s: None,
+                                                 max_body_bytes=64)
     assert (status, body, err, ok) == (200, b"", "oversize", False)
-    status, body, _attempts, err, ok = f.fetch_one(PTT_URL, is_media=False)
+    status, body, _attempts, err, ok = fetch_one(t, PTT_URL, sleep=lambda s: None,
+                                                 max_body_bytes=64)
     assert (status, err, ok) == (200, "", True)
 
 
