@@ -2,7 +2,9 @@
 
 Per round:
 
-    take_global(shards, B)             # B globally-smallest (priority, seq)
+    take_global(shards, B)             # B globally-smallest (priority, seq):
+                                       # shards return rows, the driver
+                                       # merges them into one Arrow table
     → one Ray task per fetch_batch_size slice of the B rows, each running
         fetch_batch_task               # parser_count pages / workers media
                                        # in flight at once, T1/T2/T3/S4
@@ -29,6 +31,9 @@ Checkpoint/resume (north rule): after every round each shard's heap + cuckoo
 segment + lineage/metrics are written to Parquet together with the driver
 ledger; ``run_crawl(resume=True)`` reloads the latest epoch and continues
 without refetching or duplicating URLs.
+
+Shard actors stay pure Python: every Arrow conversion of frontier rows (the
+round table, the checkpoint's heap IPC bytes) happens here, on the driver.
 """
 
 from __future__ import annotations
@@ -240,37 +245,25 @@ def _offer_sorted(shards, rows: list[dict], n_shards: int) -> None:
 
 
 def _take_global(shards, n: int, n_shards: int) -> pa.Table:
-    """Global (priority, seq) merge over ARROW tables: each shard yields its
-    n smallest as a table, the driver vector-sorts the concatenation, keeps
-    the global n, and pushes each shard's leftovers back to the SAME shard
-    (provenance column — no re-routing, no per-row Python). Politeness
-    tokens consumed by pushed-back rows are refunded by the shard (the
-    requests were never made)."""
+    """Global (priority, seq) merge on the driver: each shard yields its n
+    smallest rows, the driver stable-sorts the union (ties keep shard
+    order), keeps the global n as the round's ``FRONTIER_SCHEMA`` table and
+    pushes each shard's leftovers back to the SAME shard (no re-routing).
+    Politeness tokens consumed by pushed-back rows are refunded by the shard
+    (the requests were never made). Shards exchange plain rows only, so no
+    shard process ever loads Arrow."""
     import ray
 
-    taken = ray.get([s.take_arrow.remote(n) for s in shards])
-    parts = [
-        t.append_column("_shard", pa.array([i] * t.num_rows, pa.int32()))
-        for i, t in enumerate(taken)
-        if t.num_rows
-    ]
-    if not parts:
-        return FRONTIER_SCHEMA.empty_table()
-    merged = pa.concat_tables(parts)
-    merged = merged.take(
-        pc.sort_indices(
-            merged, sort_keys=[("priority", "ascending"), ("seq", "ascending")]
-        )
+    taken = ray.get([s.take.remote(n) for s in shards])
+    merged = sorted(
+        ((i, r) for i, rows in enumerate(taken) for r in rows),
+        key=lambda e: (e[1]["priority"], e[1]["seq"]),
     )
-    rest = merged.slice(n)
-    if rest.num_rows:
-        refs = []
-        for i in range(len(shards)):
-            sub = rest.filter(pc.equal(rest["_shard"], i))
-            if sub.num_rows:
-                refs.append(shards[i].push_back_arrow.remote(sub.drop_columns(["_shard"])))
-        ray.get(refs)
-    return merged.slice(0, n).drop_columns(["_shard"])
+    rest: dict[int, list[dict]] = {}
+    for i, r in merged[n:]:
+        rest.setdefault(i, []).append(r)
+    ray.get([shards[i].push_back.remote(rows) for i, rows in rest.items()])
+    return pa.Table.from_pylist([r for _, r in merged[:n]], schema=FRONTIER_SCHEMA)
 
 
 def run_crawl(
@@ -694,6 +687,8 @@ def _checkpoint(shards, ckpt_dir: str, epoch: int, ledger_delta: list[tuple]) ->
     os.makedirs(ckpt_dir, exist_ok=True)
     states = ray.get([s.checkpoint_state.remote(epoch) for s in shards])
     deltas = [st.pop("seen_delta") for st in states]
+    for st in states:
+        st["heap"] = _heap_to_ipc(st["heap"])
     tbl = pa.Table.from_pylist(states, schema=CHECKPOINT_SCHEMA)
     pq.write_table(tbl, f"{ckpt_dir}/shards_epoch{epoch}.parquet")
     seen_tbl = pa.table(
@@ -727,6 +722,24 @@ def _checkpoint(shards, ckpt_dir: str, epoch: int, ledger_delta: list[tuple]) ->
         m = _re.search(r"shards_epoch(\d+)\.parquet$", p)
         if m and int(m.group(1)) < epoch:
             os.remove(p)
+
+
+def _heap_to_ipc(rows: list[dict]) -> bytes:
+    """A shard's pending rows as the checkpoint's ``heap`` bytes: one Arrow
+    IPC stream of ``FRONTIER_SCHEMA`` rows, or empty bytes for no rows."""
+    if not rows:
+        return b""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, FRONTIER_SCHEMA) as w:
+        w.write_table(pa.Table.from_pylist(rows, schema=FRONTIER_SCHEMA))
+    return sink.getvalue().to_pybytes()
+
+
+def _heap_from_ipc(heap: bytes) -> list[dict]:
+    """Inverse of ``_heap_to_ipc``."""
+    if not heap:
+        return []
+    return pa.ipc.open_stream(pa.BufferReader(heap)).read_all().to_pylist()
 
 
 def _clear_stale_rounds(out_dir: str, epoch: int) -> None:
@@ -765,7 +778,8 @@ def _restore(shards, ckpt_dir: str, retain: bool) -> tuple[int, list[tuple], int
         return sorted(out)
 
     tbl = pq.read_table(f"{ckpt_dir}/shards_epoch{epoch}.parquet")
-    states = {s["shard_id"]: s for s in tbl.to_pylist()}
+    states = {s["shard_id"]: {**s, "heap": _heap_from_ipc(s["heap"])}
+              for s in tbl.to_pylist()}
     # exact seen set = union of every epoch's per-shard delta file
     # (checkpoints store deltas so each epoch's write stays O(round))
     seen_by_shard: dict[int, set] = {}

@@ -17,15 +17,17 @@ correctness) while a hot host/board is spread over ``salt_k`` shards (skew
 handling: salted repartition of hot boards).
 
 Shards are plain Python objects wrapped in ``ray.remote`` by the pipeline —
-keeping the class testable without Ray.
+keeping the class testable without Ray. Shards hold and exchange plain rows
+(dicts in ``FRONTIER_SCHEMA`` field order) and never touch Arrow: the driver
+merges takes and encodes checkpoints, so a fresh shard actor pays neither
+pyarrow's pandas import nor Ray's Arrow serializer (only robots gating
+loads pyarrow, through the fetch stage it imports).
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-
-import pyarrow as pa
 
 from ..functions.parse import canonicalize_url, url_host
 from .cuckoo import CuckooFilter, hash64
@@ -309,17 +311,6 @@ class FrontierShard:
         self._maybe_spill()
         return accepted
 
-    def take_arrow(self, n: int) -> pa.Table:
-        """``take`` with an Arrow result: the driver's global merge then
-        handles zero-copy tables instead of per-row Python dicts (the
-        row→Arrow conversion happens here, worker-side)."""
-        from ..schemas import FRONTIER_SCHEMA
-
-        return pa.Table.from_pylist(self.take(n), schema=FRONTIER_SCHEMA)
-
-    def push_back_arrow(self, tbl: pa.Table) -> None:
-        self.push_back(tbl.to_pylist())
-
     def push_back(self, rows: list[dict]) -> None:
         """Re-enqueue rows the driver pulled but did not dispatch (global
         merge leftovers). No seen-set check — they are already seen. The
@@ -388,26 +379,19 @@ class FrontierShard:
     # -- checkpoint (north rule: head + filter segment + lineage/metrics) ---
 
     def checkpoint_state(self, epoch: int) -> dict:
-        """Snapshot for the per-epoch checkpoint. The exact seen set is
-        embedded as the DELTA since the previous checkpoint (cleared here),
-        so a restore unions the deltas of all epochs — per-epoch cost stays
-        O(round). Call at most once per epoch (delta-clearing side effect)."""
-        from ..schemas import FRONTIER_SCHEMA
-
-        rows = [row for _, _, row in self._all_rows_sorted()]
-        heap_tbl = pa.Table.from_pylist(rows, schema=FRONTIER_SCHEMA) if rows else None
-        sink = pa.BufferOutputStream()
-        if heap_tbl is not None:
-            with pa.ipc.new_stream(sink, heap_tbl.schema) as w:
-                w.write_table(heap_tbl)
-        heap_bytes = sink.getvalue().to_pybytes()
+        """Snapshot for the per-epoch checkpoint; ``heap`` is every pending
+        row (spilled ones included) in (priority, seq) order, which the
+        caller encodes. The exact seen set is embedded as the DELTA since the
+        previous checkpoint (cleared here), so a restore unions the deltas of
+        all epochs — per-epoch cost stays O(round). Call at most once per
+        epoch (delta-clearing side effect)."""
         delta = sorted(self.seen_delta) if self.seen_delta is not None else None
         if self.seen_delta is not None:
             self.seen_delta = set()
         return {
             "shard_id": self.shard_id,
             "epoch": epoch,
-            "heap": heap_bytes,
+            "heap": [row for _, _, row in self._all_rows_sorted()],
             "filter": self.filter.to_bytes(),
             "next_seq": 0,
             "metrics": json.dumps(self.metrics),
@@ -417,15 +401,13 @@ class FrontierShard:
         }
 
     def restore_state(self, state: dict, seen_union: list[str] | None = None) -> None:
-        """Restore from the LATEST epoch's snapshot; ``seen_union`` is the
-        union of all epochs' seen-URL deltas (computed by the caller from the
-        checkpoint files)."""
+        """Restore from the LATEST epoch's snapshot (``heap`` as rows, as
+        ``checkpoint_state`` returns it); ``seen_union`` is the union of all
+        epochs' seen-URL deltas (computed by the caller from the checkpoint
+        files)."""
         self.filter = CuckooFilter.from_bytes(state["filter"])
-        self.heap = []
-        if state["heap"]:
-            tbl = pa.ipc.open_stream(pa.BufferReader(state["heap"])).read_all()
-            for row in tbl.to_pylist():
-                heapq.heappush(self.heap, (row["priority"], row["seq"], row))
+        self.heap = [(row["priority"], row["seq"], row) for row in state["heap"]]
+        heapq.heapify(self.heap)
         self._maybe_spill()
         # merge over current defaults: a checkpoint written by an older
         # version may lack newer counters (e.g. robots_denied) and a bare
