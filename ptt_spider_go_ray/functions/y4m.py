@@ -5,8 +5,9 @@ markers and raw planes. Trivially parseable with no codec work, which makes
 it the honest real-video branch for FrameSampler in a sandbox without
 ffmpeg.
 
-Scope: Cmono (Y only) and the C420 family (Y plane kept, chroma skipped),
-integer frame rates F<num>:<den>. Raises ValueError on anything else.
+Scope: Cmono (Y only) and the C420 family at even W and H (Y plane kept,
+chroma skipped), integer frame rates F<num>:<den>. Raises ValueError on
+anything else.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ def decode_y4m(data: bytes) -> tuple[int, int, np.ndarray]:
     if colorspace == "Cmono":
         frame_len = w * h
     elif colorspace.startswith("C420"):
+        # odd sizes have ceil(w/2)*ceil(h/2) chroma planes; w*h*3//2 would
+        # mis-slice every frame after the first
+        if w % 2 or h % 2:
+            raise ValueError(f"unsupported y4m C420 with odd size {w}x{h}")
         frame_len = w * h * 3 // 2
     else:
         raise ValueError(f"unsupported y4m colorspace {colorspace}")

@@ -21,6 +21,11 @@ A round is a bounded batch behind a barrier, so it is plain tasks rather
 than a streaming Dataset: there is no backpressure to buy, and each slice's
 rows travel once, as a task argument.
 
+One round loop, no driver threads: slice tasks are already asynchronous,
+so the driver queues up to ``depth`` submitted rounds and drains the oldest
+(ray.get → commit → harvest) when the queue is full. Strict ordering is
+depth 1; ``relaxed_ordering`` keeps ``pipeline_depth`` rounds in flight.
+
 Crawl-ordering contract (O2, well-posed version of the reference's racy
 per-kind FIFO): each round dispatches the globally smallest (priority, seq)
 pending rows; the ledger records them round by round. A plain-Python oracle
@@ -38,7 +43,11 @@ round table, the checkpoint's heap IPC bytes) happens here, on the driver.
 
 from __future__ import annotations
 
+import glob
 import os
+import re
+import shutil
+from collections import deque
 from dataclasses import dataclass, field
 
 import pyarrow as pa
@@ -183,11 +192,9 @@ def seed_rows_board(transport, board: str, pages: int, seed_offset: int = 0) -> 
 
 
 def seed_rows_boards(transport, boards: list[str], pages: int) -> list[dict]:
-    """Seed board LIST (north star): boards seeded in list order, seq offsets
-    stride-separated so (priority, seq) ordering interleaves deterministically
-    board-major (board i's page k before board i+1's page k? No — strictly
-    list order: all of board 0's pages first, matching one-producer-per-board
-    FIFO intent)."""
+    """Seed board LIST (north star) in list order: each board's seq numbers
+    continue from the previous board's, so every page of board 0 dispatches
+    before any page of board 1 (one-producer-per-board FIFO intent)."""
     seeds: list[dict] = []
     offset = 0
     for board in boards:
@@ -315,17 +322,18 @@ def run_crawl(
     ``_exec_slice``). Workers keep one transport per process, keyed by the
     factory's pickle, so sessions stay pooled and warm across rounds.
 
-    ``relaxed_ordering``: pipeline rounds ``pipeline_depth`` deep (default
-    2) — round N+1's take and slice tasks run while round N's tasks finish
-    (the reference's own ordering is racy per-kind FIFO, so this is
-    faithful).
+    ``relaxed_ordering``: keep ``pipeline_depth`` rounds in flight (default
+    2, must be ≥ 1) — round N+1's take and slice tasks run while round N's
+    tasks finish (the reference's own ordering is racy per-kind FIFO, so
+    this is faithful). Strict mode (default; ``pipeline_depth`` ignored) is
+    the same single round loop at depth 1, which keeps the ledger-equality
+    contract for the ordering oracle; the loop starts no driver threads.
     Discoveries dispatch up to depth−1 rounds later than strict mode; the
     seen-set, no-refetch, and output-content invariants are identical, and
     checkpoints land only at quiescent points so kill/resume stays exact.
-    Strict (default) keeps the ledger-equality contract for the ordering
-    oracle. Depth bounds driver metadata in flight to O(depth × batch);
-    measured on the 82k-URL capstone, depth 2 captures nearly all the win
-    (BASELINE.md) — raise it only when parse/offer wall dominates fetch.
+    Depth bounds driver metadata in flight to O(depth × batch); measured on
+    the 82k-URL capstone, depth 2 captures nearly all the win (BASELINE.md)
+    — raise it only when parse/offer wall dominates fetch.
 
     Resume contract: pass the SAME mode arguments (board/file_lines,
     push_threshold, fetch_media, transport) as the original run — the
@@ -337,6 +345,9 @@ def run_crawl(
 
     if fetch_via != "tasks":
         raise ValueError(f"fetch_via={fetch_via!r}: only 'tasks' is supported")
+    if relaxed_ordering and pipeline_depth < 1:
+        raise ValueError(f"pipeline_depth={pipeline_depth!r}: must be >= 1")
+    depth = pipeline_depth if relaxed_ordering else 1
     cfg = cfg or Config()
     cc = cfg.crawler
     n_shards = cc.frontier_shards
@@ -443,58 +454,25 @@ def run_crawl(
     rounds_this_run = 0
     finished = True
 
-    def _exec_round(tbl: pa.Table, round_epoch: int) -> list[dict]:
-        """Slice tasks (fetch → parse → worker-side split/write → buffered
-        offers) → commit barrier for ONE dispatched round. Pure function of
-        (tbl, round_epoch) plus the shared actors, so relaxed mode can run
-        two rounds concurrently from driver threads."""
-        if out_dir:
-            # Resume re-executes rounds since the last checkpoint; if the
-            # rerun yields fewer slices than the crashed attempt, leftover
-            # part-i files from the first attempt would survive and duplicate
-            # rows on read — clear the round partition before its writes.
-            import shutil as _shutil
-
-            for _name in ("docs", "media"):
-                _shutil.rmtree(
-                    os.path.join(out_dir, _name, f"round={round_epoch}"),
-                    ignore_errors=True,
-                )
-        # Span payloads and media bodies (≤50 MB each) come back to the
-        # driver ONLY in test mode (out_dir="") — production driver memory
-        # stays O(round metadata).
+    def _submit_round(tbl: pa.Table, round_epoch: int) -> list:
+        """Launch one round's slice tasks; returns their refs unwaited. Span
+        payloads and media bodies (≤50 MB each) come back to the driver ONLY
+        in test mode (out_dir="") — production driver memory stays
+        O(round metadata)."""
         bs = max(1, cc.fetch_batch_size)
-        outs = ray.get([
+        return [
             exec_slice.remote(
                 tbl.slice(start, bs), fetch, parse_stage, process, fetch_kwargs,
                 out_dir, round_epoch, part, shards, n_shards, cc.max_depth,
             )
             for part, start in enumerate(range(0, tbl.num_rows, bs))
-        ])
-        # round barrier: every slice's offers are buffered (acked inside
-        # _process_block before it returns) — apply them in deterministic
-        # (priority, seq) order. One tiny RPC per shard; the driver never
-        # touches a candidate row.
-        ray.get([s.commit_offers.remote() for s in shards])
-        return outs
+        ]
 
     setup_seconds = _time.time() - t_setup
     t_loop = _time.time()
 
-    def _dispatch_bookkeeping(tbl: pa.Table) -> None:
-        nonlocal dispatched
-        round_ledger = list(
-            zip(tbl["priority"].to_pylist(), tbl["seq"].to_pylist(),
-                tbl["url"].to_pylist())
-        )
-        ledger_delta.extend(round_ledger)
-        dispatched += tbl.num_rows
-        if retain:
-            ledger.extend(round_ledger)
-
     def _harvest(outs: list[dict], tbl: pa.Table, round_no: int) -> None:
-        """Fold one finished round's outputs into the run accumulators
-        (driver thread only — never called concurrently)."""
+        """Fold one finished round's outputs into the run accumulators."""
         nonlocal fetch_errors
         fetch_errors += sum(o["n_err"] for o in outs)
         for o in outs:
@@ -556,83 +534,57 @@ def run_crawl(
                 }
             )
 
-    if relaxed_ordering:
-        # PIPELINED rounds (opt-in; faithful to the reference's racy
-        # per-kind FIFO): round N+1's take/fetch overlaps round N's
-        # parse/offer — a round's discoveries dispatch one round later than
-        # strict mode, but the seen-set / no-refetch / output invariants are
-        # unchanged (dedup happens at offer, dispatch pops rows exactly
-        # once). Strict mode stays the default: the ledger-equality oracle
-        # is defined only for the sequential schedule.
-        from collections import deque
-        from concurrent.futures import ThreadPoolExecutor
+    inflight: deque = deque()  # (slice refs, tbl, round number)
 
-        every = max(1, cc.checkpoint_every)
-        depth = max(2, int(pipeline_depth))
-        with ThreadPoolExecutor(max_workers=depth) as ex:
-            inflight: deque = deque()  # (future, tbl, round_no)
+    def _drain_one() -> None:
+        refs, round_tbl, round_no = inflight.popleft()
+        outs = ray.get(refs)
+        # round barrier: every slice's offers are buffered (acked inside
+        # _process_block before it returns) — apply them in deterministic
+        # (priority, seq) order. One tiny RPC per shard; the driver never
+        # touches a candidate row.
+        ray.get([s.commit_offers.remote() for s in shards])
+        _harvest(outs, round_tbl, round_no)
 
-            def _drain_one() -> None:
-                fut, f_tbl, rno = inflight.popleft()
-                _harvest(fut.result(), f_tbl, rno)
-
-            while True:
-                if max_rounds is not None and rounds_this_run >= max_rounds:
-                    finished = False
-                    break
-                tbl = _take_global(shards, cc.batch_urls, n_shards)
-                if tbl.num_rows == 0:
-                    if inflight:
-                        # an in-flight round's offers may refill the frontier
-                        _drain_one()
-                        continue
-                    if sum(ray.get([s.size.remote() for s in shards])) == 0:
-                        break
-                    _time.sleep(0.05)  # wait for token refill
-                    continue
-                _dispatch_bookkeeping(tbl)
-                inflight.append((ex.submit(_exec_round, tbl, epoch), tbl, epoch + 1))
-                epoch += 1
-                rounds_this_run += 1
-                while len(inflight) >= depth:
-                    _drain_one()
-                if ckpt_dir and epoch % every == 0:
-                    # checkpoints only at QUIESCENT points: the snapshot must
-                    # reflect every committed offer of every written round,
-                    # or a resume would lose in-flight rows
-                    while inflight:
-                        _drain_one()
-                    _checkpoint(shards, ckpt_dir, epoch, ledger_delta)
-                    ledger_delta.clear()
-                elif not ckpt_dir:
-                    ledger_delta.clear()
-            while inflight:
-                _drain_one()
-    else:
-      while True:
+    every = max(1, cc.checkpoint_every)
+    while True:
         if max_rounds is not None and rounds_this_run >= max_rounds:
             finished = False
             break
         tbl = _take_global(shards, cc.batch_urls, n_shards)
         if tbl.num_rows == 0:
+            if inflight:
+                # an in-flight round's offers may refill the frontier
+                _drain_one()
+                continue
             # Empty take ≠ empty frontier: politeness may have deferred every
             # queued row. Terminate only when the shards are truly drained.
             if sum(ray.get([s.size.remote() for s in shards])) == 0:
                 break
             _time.sleep(0.05)  # wait for token refill
             continue
-        _dispatch_bookkeeping(tbl)
-
-        outs = _exec_round(tbl, epoch)
-
+        round_ledger = list(zip(tbl["priority"].to_pylist(), tbl["seq"].to_pylist(),
+                                tbl["url"].to_pylist()))
+        dispatched += tbl.num_rows
+        if ckpt_dir:
+            ledger_delta.extend(round_ledger)
+        if retain:
+            ledger.extend(round_ledger)
+        inflight.append((_submit_round(tbl, epoch), tbl, epoch + 1))
         epoch += 1
         rounds_this_run += 1
-        if ckpt_dir and epoch % max(1, cc.checkpoint_every) == 0:
+        while len(inflight) >= depth:
+            _drain_one()
+        if ckpt_dir and epoch % every == 0:
+            # checkpoints only at QUIESCENT points: the snapshot must reflect
+            # every committed offer of every written round, or a resume
+            # would lose in-flight rows
+            while inflight:
+                _drain_one()
             _checkpoint(shards, ckpt_dir, epoch, ledger_delta)
             ledger_delta.clear()
-        elif not ckpt_dir:
-            ledger_delta.clear()
-        _harvest(outs, tbl, epoch)
+    while inflight:
+        _drain_one()
 
     # final checkpoint: flush any rounds accumulated since the last interval
     # so a FINISHED (or max_rounds-bounded) run is fully durable
@@ -714,14 +666,20 @@ def _checkpoint(shards, ckpt_dir: str, epoch: int, ledger_delta: list[tuple]) ->
     with open(f"{ckpt_dir}/LATEST", "w") as f:
         f.write(str(epoch))
     # With checkpoint_every > 1 the superseded snapshot is at epoch-N, not
-    # epoch-1 — glob-delete every older full snapshot (deltas/ledger stay).
-    import glob as _glob
-    import re as _re
+    # epoch-1 — delete every older full snapshot (deltas/ledger stay).
+    for e in _epochs(ckpt_dir, "shards", epoch - 1):
+        os.remove(f"{ckpt_dir}/shards_epoch{e}.parquet")
 
-    for p in _glob.glob(f"{ckpt_dir}/shards_epoch*.parquet"):
-        m = _re.search(r"shards_epoch(\d+)\.parquet$", p)
-        if m and int(m.group(1)) < epoch:
-            os.remove(p)
+
+def _epochs(ckpt_dir: str, prefix: str, upto: int) -> list[int]:
+    """Sorted epochs ≤ ``upto`` of the ``{prefix}_epoch<N>.parquet`` files in
+    ``ckpt_dir`` (epochs may be sparse: ``checkpoint_every`` > 1)."""
+    out = []
+    for p in glob.glob(f"{ckpt_dir}/{prefix}_epoch*.parquet"):
+        m = re.search(rf"{prefix}_epoch(\d+)\.parquet$", p)
+        if m and int(m.group(1)) <= upto:
+            out.append(int(m.group(1)))
+    return sorted(out)
 
 
 def _heap_to_ipc(rows: list[dict]) -> bytes:
@@ -745,15 +703,11 @@ def _heap_from_ipc(heap: bytes) -> list[dict]:
 def _clear_stale_rounds(out_dir: str, epoch: int) -> None:
     """Remove docs/media round partitions written at or past ``epoch`` by a
     crashed attempt (resume re-executes from ``epoch``; see call site)."""
-    import glob as _glob
-    import re as _re
-    import shutil as _shutil
-
     for name in ("docs", "media"):
-        for p in _glob.glob(os.path.join(out_dir, name, "round=*")):
-            m = _re.search(r"round=(\d+)$", p)
+        for p in glob.glob(os.path.join(out_dir, name, "round=*")):
+            m = re.search(r"round=(\d+)$", p)
             if m and int(m.group(1)) >= epoch:
-                _shutil.rmtree(p, ignore_errors=True)
+                shutil.rmtree(p, ignore_errors=True)
 
 
 def _restore(shards, ckpt_dir: str, retain: bool) -> tuple[int, list[tuple], int]:
@@ -761,29 +715,15 @@ def _restore(shards, ckpt_dir: str, retain: bool) -> tuple[int, list[tuple], int
     memory only when ``retain`` (metadata-only row counts otherwise)."""
     import ray
 
-    import glob as _glob
-    import re as _re
-
     with open(f"{ckpt_dir}/LATEST") as f:
         epoch = int(f.read().strip())
-
-    def _epochs(pattern: str) -> list[int]:
-        # checkpoint epochs may be sparse (checkpoint_every > 1); take every
-        # existing delta file up to LATEST, in epoch order
-        out = []
-        for p in _glob.glob(f"{ckpt_dir}/{pattern}"):
-            m = _re.search(r"epoch(\d+)\.parquet$", p)
-            if m and int(m.group(1)) <= epoch:
-                out.append(int(m.group(1)))
-        return sorted(out)
-
     tbl = pq.read_table(f"{ckpt_dir}/shards_epoch{epoch}.parquet")
     states = {s["shard_id"]: {**s, "heap": _heap_from_ipc(s["heap"])}
               for s in tbl.to_pylist()}
     # exact seen set = union of every epoch's per-shard delta file
     # (checkpoints store deltas so each epoch's write stays O(round))
     seen_by_shard: dict[int, set] = {}
-    for e in _epochs("seen_epoch*.parquet"):
+    for e in _epochs(ckpt_dir, "seen", epoch):
         st = pq.read_table(f"{ckpt_dir}/seen_epoch{e}.parquet")
         for sid, url in zip(st["shard_id"].to_pylist(), st["url"].to_pylist()):
             seen_by_shard.setdefault(sid, set()).add(url)
@@ -795,7 +735,7 @@ def _restore(shards, ckpt_dir: str, retain: bool) -> tuple[int, list[tuple], int
     )
     ledger: list[tuple] = []
     dispatched = 0
-    for e in _epochs("ledger_epoch*.parquet"):
+    for e in _epochs(ckpt_dir, "ledger", epoch):
         path = f"{ckpt_dir}/ledger_epoch{e}.parquet"
         if retain:
             lt = pq.read_table(path)

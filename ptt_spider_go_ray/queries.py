@@ -17990,8 +17990,8 @@ ORDER BY n DESC, pair ASC LIMIT {_SKIPGRAM_K}
 # Q: document-frequency-pruned vocabulary (CountVectorizer min_df/max_df) —
 # the vocab-selection step of every bag-of-words / TF-IDF featurizer. Per
 # batch: explode once, drop_duplicates for the df partial, plain counts for
-# the cf partial; shuffle moves (word, df, cf) triples only. max_df is half
-# the corpus (integer floor), computed from dataset metadata, not a scan.
+# the cf partial; shuffle moves (word, df, cf) triples only. max_df is 90%
+# of the corpus (integer floor), computed from dataset metadata, not a scan.
 # ---------------------------------------------------------------------------
 
 _VOCAB_MIN_DF = 5

@@ -566,12 +566,13 @@ def test_task_fetch_ships_local_factory_by_value(ray_session):
     assert res.metrics["fetch_errors"] == 0
 
 
-@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3])
 def test_relaxed_ordering_same_outputs(ray_session, depth):
     """Pipelined (relaxed_ordering=True) crawl: dispatch ORDER may differ
     from the strict schedule, but the URL set (each dispatched exactly
     once), the final seen-set, and every doc's content/span sequence must
-    equal the oracle's — at any pipeline depth."""
+    equal the oracle's — at any pipeline depth. Depth 1 IS the strict
+    schedule, so there the ledger equals the oracle's exactly."""
     factory = functools.partial(make_transport, SPEC)
     res = run_crawl(
         cfg_small(), transport_factory=factory, board="Beauty", pages=3,
@@ -582,6 +583,8 @@ def test_relaxed_ordering_same_outputs(ray_session, depth):
     )
     assert res.seen_set == want["seen"]
     assert res.metrics["cuckoo_false_positives"] == 0
+    if depth == 1:
+        assert res.ledger == want["ledger"]
     urls = [u for _, _, u in res.ledger]
     assert len(urls) == len(set(urls))  # no URL fetched twice
     assert sorted(urls) == sorted(u for _, _, u in want["ledger"])
@@ -595,6 +598,16 @@ def test_relaxed_ordering_same_outputs(ray_session, depth):
         assert g["push_rate"] == w["push"]
         offs = [s["offset"] for s in g["spans"]]
         assert offs == list(range(len(offs)))
+
+
+def test_relaxed_ordering_rejects_depth_below_one():
+    """A pipeline shallower than one round is an error, raised before any
+    shard actor spawns."""
+    with pytest.raises(ValueError, match="pipeline_depth"):
+        run_crawl(
+            cfg_small(), transport_factory=functools.partial(make_transport, SPEC),
+            board="Beauty", relaxed_ordering=True, pipeline_depth=0,
+        )
 
 
 def test_relaxed_ordering_kill_resume_exact(ray_session, tmp_path):

@@ -34,6 +34,20 @@ def test_c420_keeps_y_plane():
     assert frames.shape == (1, 8, 8) and (frames[0] == y).all()
 
 
+def test_c420_odd_size_rejected():
+    """Odd-size C420 has ceil(w/2)*ceil(h/2) chroma planes, not w*h/4. This
+    spec-legal 5x5 stream (two frames; pixel bytes and a frame parameter
+    happen to spell FRAME markers) decodes as three mis-sliced frames under
+    the even-size frame length — it must raise instead."""
+    data = (b"YUV4MPEG2 W5 H5 F25:1 Ip A1:1 C420jpeg\n"
+            + b"FRAME\n" + bytes(25) + bytes(12) + b"FRAME\n"
+            + b"FRAME X" + b"x" * 29 + b"\n" + b"FRAME\n" + bytes(19) + bytes(18))
+    with pytest.raises(ValueError, match="odd size"):
+        decode_y4m(data)
+    with pytest.raises(ValueError, match="odd size"):
+        decode_y4m(b"YUV4MPEG2 W4 H3 C420\nFRAME\n" + bytes(4 * 3 + 2 * 2 * 2))
+
+
 def test_rejects_garbage_and_truncation():
     with pytest.raises(ValueError):
         decode_y4m(b"RIFF not video")
