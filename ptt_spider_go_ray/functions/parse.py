@@ -211,26 +211,30 @@ class _Node:
     parent: "_Node | None"
     children: list = field(default_factory=list)  # _Node | str interleaved
 
+    # Both walks are pre-order over a reversed stack: push a node's children
+    # last-first, so popping yields them in document order ("first match"
+    # semantics of titles, anchors and authors depend on it), in O(nodes).
     def text(self) -> str:
-        parts: list[str] = []
-        stack: list = list(self.children)
         out: list[str] = []
+        stack: list = self.children[::-1]
         while stack:
-            n = stack.pop(0)
+            n = stack.pop()
             if isinstance(n, str):
                 out.append(n)
             else:
-                stack = list(n.children) + stack
+                stack.extend(reversed(n.children))
         return "".join(out)
 
     def find_all(self, pred) -> list["_Node"]:
         found: list[_Node] = []
-        stack: list[_Node] = [c for c in self.children if isinstance(c, _Node)]
+        stack: list = self.children[::-1]
         while stack:
-            n = stack.pop(0)
+            n = stack.pop()
+            if isinstance(n, str):
+                continue
             if pred(n):
                 found.append(n)
-            stack = [c for c in n.children if isinstance(c, _Node)] + stack
+            stack.extend(reversed(n.children))
         return found
 
 
@@ -324,13 +328,17 @@ def parse_board_html(html: str) -> list[dict]:
 def parse_article_html(html: str) -> tuple[str, list[str]]:
     """Article page → (title, ordered image URLs), per ptt/parser_impl.go:74-113.
 
-    Title: text of the node following the first ``.article-meta-tag`` whose
-    text == 標題 (first match then break). Images: every ``<a href>`` in
+    Title: see :func:`_article_title`. Images: every ``<a href>`` in
     document order, classified by :func:`normalize_img_href`. No dedup here —
     the caller applies :func:`unique_stable` (crawler.go:458-460).
     """
     root = parse_dom(html)
-    title = ""
+    return _article_title(root), _image_urls(root)
+
+
+def _article_title(root: _Node) -> str:
+    """Text of the node following the first ``.article-meta-tag`` whose
+    text == 標題 (first match then break), or "" when there is none."""
     for tag_node in root.find_all(lambda n: _has_class(n.attrs, "article-meta-tag")):
         if tag_node.text().strip() == "標題":
             parent = tag_node.parent
@@ -338,8 +346,14 @@ def parse_article_html(html: str) -> tuple[str, list[str]]:
                 sibs = [c for c in parent.children if isinstance(c, _Node)]
                 idx = sibs.index(tag_node)
                 if idx + 1 < len(sibs):
-                    title = sibs[idx + 1].text().strip()
+                    return sibs[idx + 1].text().strip()
             break
+    return ""
+
+
+def _image_urls(root: _Node) -> list[str]:
+    """Every ``<a href>`` under ``root`` that classifies as an image, in
+    document order, normalized."""
     img_urls: list[str] = []
     for a in root.find_all(lambda n: n.tag == "a"):
         href = a.attrs.get("href")
@@ -348,7 +362,7 @@ def parse_article_html(html: str) -> tuple[str, list[str]]:
         norm = normalize_img_href(href)
         if norm is not None:
             img_urls.append(norm)
-    return title, img_urls
+    return img_urls
 
 
 def parse_article_spans(html: str) -> tuple[str, list[dict]]:
@@ -362,7 +376,7 @@ def parse_article_spans(html: str) -> tuple[str, list[dict]]:
     (reference parity, ptt/parser_impl.go:92-110 DOM order).
     """
     root = parse_dom(html)
-    title, _ = parse_article_html(html)
+    title = _article_title(root)
 
     mains = root.find_all(lambda n: attr_id(n) == "main-content")
     scope = mains[0] if mains else root

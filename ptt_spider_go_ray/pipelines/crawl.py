@@ -18,8 +18,10 @@ Per round:
       (priority, seq) order, first-wins dedup D2).
 
 A round is a bounded batch behind a barrier, so it is plain tasks rather
-than a streaming Dataset: there is no backpressure to buy, and each slice's
-rows travel once, as a task argument.
+than a streaming Dataset: there is no backpressure to buy. Each slice's
+rows travel once, as Arrow IPC bytes in the task argument, and the doc/media
+tables come back the same way (``_to_ipc`` / ``_from_ipc``), so no Arrow
+table crosses the task boundary through Ray's per-buffer table pickling.
 
 One round loop, no driver threads: slice tasks are already asynchronous,
 so the driver queues up to ``depth`` submitted rounds and drains the oldest
@@ -164,14 +166,16 @@ def _process_block(tbl: pa.Table, out_dir: str, epoch: int, part: int,
     }
 
 
-def _exec_slice(tbl: pa.Table, fetch, parse, process, fetch_kwargs: dict,
+def _exec_slice(rows_ipc: bytes, fetch, parse, process, fetch_kwargs: dict,
                 out_dir: str, epoch: int, part: int, shards, n_shards: int,
                 max_depth: int) -> dict:
     """One round slice, fused into one task: fetch its rows (concurrently,
     see ``fetch_batch_task``), parse them, then split/write/offer the union
-    block. The three stages arrive as arguments, resolved by the driver."""
-    return process(parse(fetch(tbl, **fetch_kwargs)), out_dir, epoch, part,
-                   shards=shards, n_shards=n_shards, max_depth=max_depth)
+    block. The three stages arrive as arguments, resolved by the driver.
+    The slice and the returned doc/media tables are Arrow IPC bytes."""
+    out = process(parse(fetch(_from_ipc(rows_ipc), **fetch_kwargs)), out_dir,
+                  epoch, part, shards=shards, n_shards=n_shards, max_depth=max_depth)
+    return {**out, "doc": _to_ipc(out["doc"]), "media": _to_ipc(out["media"])}
 
 
 def seed_rows_board(transport, board: str, pages: int, seed_offset: int = 0) -> list[dict]:
@@ -462,7 +466,7 @@ def run_crawl(
         bs = max(1, cc.fetch_batch_size)
         return [
             exec_slice.remote(
-                tbl.slice(start, bs), fetch, parse_stage, process, fetch_kwargs,
+                _to_ipc(tbl.slice(start, bs)), fetch, parse_stage, process, fetch_kwargs,
                 out_dir, round_epoch, part, shards, n_shards, cc.max_depth,
             )
             for part, start in enumerate(range(0, tbl.num_rows, bs))
@@ -538,7 +542,8 @@ def run_crawl(
 
     def _drain_one() -> None:
         refs, round_tbl, round_no = inflight.popleft()
-        outs = ray.get(refs)
+        outs = [{**o, "doc": _from_ipc(o["doc"]), "media": _from_ipc(o["media"])}
+                for o in ray.get(refs)]
         # round barrier: every slice's offers are buffered (acked inside
         # _process_block before it returns) — apply them in deterministic
         # (priority, seq) order. One tiny RPC per shard; the driver never
@@ -682,22 +687,30 @@ def _epochs(ckpt_dir: str, prefix: str, upto: int) -> list[int]:
     return sorted(out)
 
 
+def _to_ipc(tbl: pa.Table | None) -> bytes | None:
+    """``tbl`` as one Arrow IPC stream (only a slice's own rows), or None."""
+    if tbl is None:
+        return None
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, tbl.schema) as w:
+        w.write_table(tbl)
+    return sink.getvalue().to_pybytes()
+
+
+def _from_ipc(data: bytes | None) -> pa.Table | None:
+    """Inverse of ``_to_ipc``."""
+    return None if data is None else pa.ipc.open_stream(data).read_all()
+
+
 def _heap_to_ipc(rows: list[dict]) -> bytes:
     """A shard's pending rows as the checkpoint's ``heap`` bytes: one Arrow
     IPC stream of ``FRONTIER_SCHEMA`` rows, or empty bytes for no rows."""
-    if not rows:
-        return b""
-    sink = pa.BufferOutputStream()
-    with pa.ipc.new_stream(sink, FRONTIER_SCHEMA) as w:
-        w.write_table(pa.Table.from_pylist(rows, schema=FRONTIER_SCHEMA))
-    return sink.getvalue().to_pybytes()
+    return _to_ipc(pa.Table.from_pylist(rows, schema=FRONTIER_SCHEMA)) if rows else b""
 
 
 def _heap_from_ipc(heap: bytes) -> list[dict]:
     """Inverse of ``_heap_to_ipc``."""
-    if not heap:
-        return []
-    return pa.ipc.open_stream(pa.BufferReader(heap)).read_all().to_pylist()
+    return _from_ipc(heap).to_pylist() if heap else []
 
 
 def _clear_stale_rounds(out_dir: str, epoch: int) -> None:

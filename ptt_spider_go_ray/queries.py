@@ -18225,13 +18225,13 @@ def q_ngram_coverage_curve(sf_dir: str):
         .aggregate(Sum("n", alias_name="n"))
         .map_batches(lambda t: t, batch_format="pyarrow")
     )
-    total = counted.sum("n")
+    total = int(counted.sum("n") or 0)  # None on an empty corpus
     top = (
         counted.sort(["n", "word"], descending=[True, False])
         .limit(max(_COVERAGE_KS))
         .to_pandas()
     )  # ≤ max-k rows — bounded driver pull
-    cum = np.cumsum(top["n"].to_numpy(np.int64))
+    cum = np.cumsum(top["n"].to_numpy(np.int64)) if len(top) else np.zeros(0, np.int64)
     ks = np.array(_COVERAGE_KS, dtype=np.int64)
     covered = np.array(
         [cum[min(k, len(cum)) - 1] if len(cum) else 0 for k in ks], np.int64
@@ -18240,8 +18240,8 @@ def q_ngram_coverage_curve(sf_dir: str):
         {
             "k": ks,
             "top_tokens": covered,
-            "total_tokens": np.full(len(ks), int(total), np.int64),
-            "coverage": covered / int(total) if total else np.zeros(len(ks)),
+            "total_tokens": np.full(len(ks), total, np.int64),
+            "coverage": covered / total if total else np.zeros(len(ks)),
         }
     )
 
@@ -18256,10 +18256,10 @@ WITH c AS (
 r AS (SELECT n, row_number() OVER (ORDER BY n DESC, word) AS rk FROM c),
 t AS (SELECT sum(n) AS total FROM c)
 SELECT CAST(k AS BIGINT) AS k,
-       CAST((SELECT sum(n) FROM r WHERE rk <= k) AS BIGINT) AS top_tokens,
-       CAST((SELECT total FROM t) AS BIGINT) AS total_tokens,
-       CAST((SELECT sum(n) FROM r WHERE rk <= k) AS DOUBLE)
-         / (SELECT total FROM t) AS coverage
+       CAST(COALESCE((SELECT sum(n) FROM r WHERE rk <= k), 0) AS BIGINT) AS top_tokens,
+       CAST(COALESCE((SELECT total FROM t), 0) AS BIGINT) AS total_tokens,
+       COALESCE(CAST((SELECT sum(n) FROM r WHERE rk <= k) AS DOUBLE)
+         / (SELECT total FROM t), 0.0) AS coverage
 FROM (VALUES {', '.join(f'({k})' for k in _COVERAGE_KS)}) v(k)
 """
 

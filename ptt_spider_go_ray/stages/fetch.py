@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from email.utils import parsedate_to_datetime
 
 import pyarrow as pa
@@ -180,6 +181,11 @@ def fetch_with_retry(transport, url: str, sleep=time.sleep) -> tuple[int, bytes,
 # process runs) without actor spin-up.
 _TASK_TRANSPORTS: dict[bytes, object] = {}
 
+# Per-worker-process fetch thread pools, one per (is_media, cap): a worker
+# runs one slice task at a time, so a pool's size is still that task's
+# in-flight cap, and no task pays for starting and joining its threads.
+_TASK_POOLS: dict[tuple[bool, int], ThreadPoolExecutor] = {}
+
 
 def _no_sleep(_s: float) -> None:
     return None
@@ -211,11 +217,12 @@ def fetch_batch_task(batch: pa.Table, factory_bytes: bytes,
     reference's ``parserCount`` and ``workers`` goroutines
     (crawler/crawler.go:204-230). Output rows keep input order.
 
+    The fetch threads belong to the worker process, one pool per (kind,
+    cap), reused by every slice task the process runs (``_TASK_POOLS``).
+
     ``deterministic=True`` (ordering tests / bench): no real sleeping
     between 429 retries. Non-deterministic runs honor Retry-After/backoff
     pacing (crawler/retry.go doWithRetry)."""
-    from concurrent.futures import ThreadPoolExecutor
-
     from ray import cloudpickle
 
     transport = _TASK_TRANSPORTS.get(factory_bytes)
@@ -223,21 +230,17 @@ def fetch_batch_task(batch: pa.Table, factory_bytes: bytes,
         transport = cloudpickle.loads(factory_bytes)()
         _TASK_TRANSPORTS[factory_bytes] = transport
     sleep = _no_sleep if deterministic else time.sleep
-    is_media = [k == "media" for k in batch["kind"].to_pylist()]
-    pools = {
-        media: ThreadPoolExecutor(min(is_media.count(media), max(1, cap)))
-        for media, cap in ((False, page_cap), (True, media_cap))
-        if media in is_media
-    }
-    try:
-        futs = [
-            pools[media].submit(fetch_one, transport, url, sleep, max_body_bytes)
-            for url, media in zip(batch["url"].to_pylist(), is_media)
-        ]
-        rows = [f.result() for f in futs]
-    finally:
-        for pool in pools.values():
-            pool.shutdown()
+    pools = {}
+    for media, cap in ((False, page_cap), (True, media_cap)):
+        key = (media, max(1, cap))
+        if key not in _TASK_POOLS:
+            _TASK_POOLS[key] = ThreadPoolExecutor(key[1])
+        pools[media] = _TASK_POOLS[key]
+    futs = [
+        pools[kind == "media"].submit(fetch_one, transport, url, sleep, max_body_bytes)
+        for url, kind in zip(batch["url"].to_pylist(), batch["kind"].to_pylist())
+    ]
+    rows = [f.result() for f in futs]
     statuses, bodies, attempts, errors, oks = zip(*rows) if rows else ((),) * 5
     kinds = [classify_fetch(s, e) for s, e in zip(statuses, errors)]
     return (

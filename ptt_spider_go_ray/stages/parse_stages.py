@@ -1,7 +1,7 @@
-"""Crawl parse stage: fetched pages → (new frontier candidates, document
-rows, media results) as ONE union Arrow table per batch (row_type column),
-so a crawl round is a single streaming map_batches pass; the driver splits
-the small union by row_type afterwards.
+"""Crawl parse stage: one fetched slice → (new frontier candidates, document
+rows, media results, fetch errors) as ONE union Arrow table (row_type
+column). It runs inside the crawl's fused slice task, between the fetch and
+``_process_block``, which splits the union by row_type in the same task.
 
 Reference parity:
 - index pages  → board-list parse (P1, ptt/parser_impl.go:24-71) + push
@@ -70,7 +70,9 @@ def doc_id_for(url: str) -> str:
 
 
 class ParseStage:
-    """Callable class for map_batches; cheap per-actor state (thresholds)."""
+    """Callable over one fetched slice table. Holds only the run's parse
+    settings; the driver builds one per run and ships it with every slice
+    task."""
 
     def __init__(self, push_threshold: int = 0, file_mode: bool = False,
                  fetch_media: bool = True):

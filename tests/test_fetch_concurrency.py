@@ -177,3 +177,43 @@ def test_deterministic_never_sleeps(monkeypatch):
     # the patched sleep is the one retries use: a paced run does call it
     run(tbl, factory, page_cap=3, media_cap=1, deterministic=False)
     assert slept
+
+
+class ThreadNameTransport:
+    """Mock transport that records the name of every thread that calls it."""
+
+    def __init__(self):
+        self.inner = mock_transport_factory(SiteSpec(boards={"B": 40}))
+        self.names: set[str] = set()
+        self.lock = threading.Lock()
+
+    def __call__(self, url: str):
+        with self.lock:
+            self.names.add(threading.current_thread().name)
+        return self.inner(url)
+
+
+def test_fetch_threads_are_reused_across_calls(monkeypatch):
+    """50 slice fetches in one process, alternating page and media slices
+    and caps 1, 3 and 10, run on one pool per (kind, cap): the thread count
+    stays bounded by those pools' caps and no call starts a pool of its own."""
+    monkeypatch.setattr(fetch_mod, "_TASK_POOLS", {})
+    start = threading.active_count()
+    fb = cloudpickle.dumps(ThreadNameTransport)
+    keys = set()
+    try:
+        for i in range(50):
+            kind, cap = ("index", "media")[i % 2], (1, 3, 10)[(i // 2) % 3]
+            url = page_url if kind == "index" else media_url
+            tbl = slice_of([(url(j + 1), kind) for j in range(12)])
+            out = fetch_batch_task(tbl, factory_bytes=fb, page_cap=cap, media_cap=cap)
+            assert out["url"].to_pylist() == tbl["url"].to_pylist()
+            assert all(out["ok"].to_pylist())
+            keys.add((kind, cap))
+            assert threading.active_count() <= start + sum(c for _, c in keys)
+        assert len(keys) == 6
+        names = fetch_mod._TASK_TRANSPORTS[fb].names
+        assert len(names) <= sum(c for _, c in keys)
+    finally:
+        for pool in fetch_mod._TASK_POOLS.values():
+            pool.shutdown()

@@ -3,8 +3,11 @@
 internal/fileutil/filename_test.go). No Ray needed."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptt_spider_go_ray.functions import parse as P
+from ptt_spider_go_ray.sources.synthetic import SiteSpec, SyntheticSite
 
 from fixtures_html import (
     ARTICLE_CONTENT,
@@ -103,6 +106,85 @@ def test_parse_article_spans_interleaving():
             assert s["media_ref"] == "" and s["text"] != ""
         else:
             assert s["text"] == "" and s["media_ref"] != ""
+
+
+# --- one DOM build per article, same title and images -----------------------
+
+def _synthetic_articles(seeds=(1, 7, 42, 99), pages=10) -> list[str]:
+    out = []
+    for seed in seeds:
+        site = SyntheticSite(SiteSpec(boards={"B": pages}, seed=seed))
+        for page in range(1, pages + 1):
+            for slot in range(site.spec.articles_per_page):
+                status, body = site.html_for(site.article_url("B", page, slot))
+                assert status == 200
+                out.append(body.decode())
+    return out
+
+
+ARTICLE_PAGES = [ARTICLE_CONTENT, ARTICLE_WITH_DUP_IMAGES] + _synthetic_articles()
+
+
+def test_article_spans_match_article_html_with_one_dom_build(monkeypatch):
+    """``parse_article_spans`` builds the DOM once and gives the title and
+    media refs ``parse_article_html`` gives, on every fixture article and
+    240 synthetic ones."""
+    assert len(ARTICLE_PAGES) >= 200
+    builds = []
+    parse_dom = P.parse_dom
+
+    def counted(html):
+        builds.append(html)
+        return parse_dom(html)
+
+    for html in ARTICLE_PAGES:
+        want_title, want_imgs = P.parse_article_html(html)
+        monkeypatch.setattr(P, "parse_dom", counted)
+        builds.clear()
+        title, spans = P.parse_article_spans(html)
+        assert len(builds) == 1
+        monkeypatch.setattr(P, "parse_dom", parse_dom)
+        assert title == want_title
+        assert [s["media_ref"] for s in spans if s["kind"] == "media"] == want_imgs
+    assert any(P.parse_article_html(h)[1] for h in ARTICLE_PAGES)
+
+
+# --- DOM walks: document order in linear time --------------------------------
+
+def _ref_find_all(node, pred) -> list:
+    """Recursive pre-order reference for ``_Node.find_all``."""
+    out = []
+    for c in node.children:
+        if isinstance(c, P._Node):
+            if pred(c):
+                out.append(c)
+            out.extend(_ref_find_all(c, pred))
+    return out
+
+
+def _ref_text(node) -> str:
+    """Recursive pre-order reference for ``_Node.text``."""
+    return "".join(c if isinstance(c, str) else _ref_text(c) for c in node.children)
+
+
+_TAGS = ("a", "div", "span")
+_subtrees = st.recursive(
+    st.text(max_size=3),
+    lambda kids: st.builds(lambda tag, ch: P._Node(tag, {}, None, ch),
+                           st.sampled_from(_TAGS), st.lists(kids, max_size=5)),
+    max_leaves=60,
+)
+_roots = st.builds(lambda ch: P._Node("", {}, None, ch), st.lists(_subtrees, max_size=6))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_roots, st.sampled_from(_TAGS))
+def test_dom_walks_match_recursive_preorder(root, tag):
+    pred = lambda n: n.tag == tag  # noqa: E731
+    assert [id(n) for n in root.find_all(pred)] == [id(n) for n in _ref_find_all(root, pred)]
+    assert [id(n) for n in root.find_all(lambda n: True)] == \
+        [id(n) for n in _ref_find_all(root, lambda n: True)]
+    assert root.text() == _ref_text(root)
 
 
 # --- max page (S3) ----------------------------------------------------------

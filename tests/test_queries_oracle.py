@@ -650,6 +650,30 @@ def test_pareto_front_ties(ray_session, tmp_path):
     assert set(got["user_id"]) == {1, 3, 5}
 
 
+def test_ngram_coverage_curve_empty_corpus(ray_session, tmp_path):
+    """A zero-row corpus covers nothing: both engines give 0 tokens and 0.0
+    coverage on every k row, not NULLs."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from ptt_spider_go_ray.queries import (
+        _COVERAGE_KS,
+        SQL_NGRAM_COVERAGE_CURVE,
+        q_ngram_coverage_curve,
+    )
+
+    pq.write_table(
+        pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())}),
+        tmp_path / "documents.parquet",
+    )
+    want = canon(_duck_on(tmp_path, SQL_NGRAM_COVERAGE_CURVE, ["documents"]))
+    assert want["k"].tolist() == list(_COVERAGE_KS)
+    assert (want["top_tokens"] == 0).all() and (want["total_tokens"] == 0).all()
+    assert (want["coverage"] == 0.0).all()
+    got = canon(to_pandas(q_ngram_coverage_curve(str(tmp_path))))
+    pd.testing.assert_frame_equal(got, want)
+
+
 def _duck_on(tmp_path, sql: str, tables: list[str]) -> pd.DataFrame:
     con = duckdb.connect()
     for t in tables:
