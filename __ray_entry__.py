@@ -27,22 +27,12 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from ptt_spider_go_ray.queries import SQL_QUERIES
-    from ptt_spider_go_ray.registry import EXTRA_QUERIES
+    from ptt_spider_go_ray.registry import queries
 
-    out: dict[str, Callable[[str], Any]] = {
-        name: fn for name, (fn, _sql) in SQL_QUERIES.items()
-    }
-    out.update(EXTRA_QUERIES)
-    return out
+    return queries()
 
 
 def oracle_sql() -> dict[str, str]:
-    from ptt_spider_go_ray.queries import SQL_QUERIES
-    from ptt_spider_go_ray.registry import EXTRA_ORACLES
+    from ptt_spider_go_ray.registry import oracle_sql
 
-    out = {name: sql for name, (_fn, sql) in SQL_QUERIES.items()}
-    # derived oracles (VALUES literals built by a plain-Python computation)
-    # are registered as callables — resolve them here
-    out.update({n: s() if callable(s) else s for n, s in EXTRA_ORACLES.items()})
-    return out
+    return oracle_sql()

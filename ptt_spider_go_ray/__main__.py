@@ -55,12 +55,11 @@ def query_main(argv) -> int:
                     help="rows of preview to print on stderr (0 = none)")
     args = ap.parse_args(argv)
 
-    from .queries import SQL_QUERIES
-    from .registry import EXTRA_ORACLES, EXTRA_QUERIES
+    from .registry import entries
 
-    registry = {name: fn for name, (fn, _sql) in SQL_QUERIES.items()}
-    registry.update(EXTRA_QUERIES)
-    oracled = set(SQL_QUERIES) | set(EXTRA_ORACLES)
+    table = entries()
+    registry = {name: fn for name, (fn, _oracle) in table.items()}
+    oracled = {name for name, (_fn, oracle) in table.items() if oracle is not None}
 
     if args.list or not args.name:
         for name in sorted(registry):

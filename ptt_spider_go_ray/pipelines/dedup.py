@@ -19,6 +19,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..memo import cached
 from ..stages.dedup import (
     hashed_set_jaccard,
     minhash_batch_task,
@@ -85,36 +86,22 @@ def _dedup_pairs(cand, pair_cols: tuple[str, str], n_buckets: int):
 # ---------------------------------------------------------------------------
 
 
-# Per-process memo of the materialized candidate-pair Dataset, keyed by
-# (ray job id, sf_dir, n_perm, n_bands): `dedup_minhash_lsh` and
-# `dedup_clusters` run the identical candidate pipeline, and the pair set is
-# a pure function of its inputs. The blocks live in the object store
-# (MaterializedDataset), not driver memory, so the cache is as scale-bounded
-# as the pipeline itself; a new Ray session invalidates it.
-_CAND_MEMO: dict[tuple, object] = {}
-
-
 def minhash_lsh_candidates(sf_dir: str, n_perm: int = 64, n_bands: int = 16):
     """documents → minhash signatures (actor pool) → band explode →
     groupby(band_key) → candidate pairs with signature-estimated Jaccard.
-    Returns one row per candidate pair (a < b) with est_jaccard."""
-    import os
+    Returns one row per candidate pair (a < b) with est_jaccard.
 
-    import ray
-
-    # input (mtime, size) in the key: a regenerated documents.parquet under
-    # the same path (fixture reuse) invalidates the memo within one Ray job
-    st = os.stat(f"{sf_dir}/documents.parquet")
-    key = (
-        ray.get_runtime_context().get_job_id() if ray.is_initialized() else None,
-        os.path.realpath(sf_dir),
-        n_perm,
-        n_bands,
-        st.st_mtime_ns,
-        st.st_size,
+    `dedup_minhash_lsh` and `dedup_clusters` run the identical candidate
+    pipeline, so the materialized pair set is memoized (:mod:`..memo`); its
+    blocks live in the object store, not driver memory."""
+    return cached(
+        f"lsh_candidates_{n_perm}_{n_bands}",
+        f"{sf_dir}/documents.parquet",
+        lambda: _lsh_candidates(sf_dir, n_perm, n_bands),
     )
-    if key[0] is not None and key in _CAND_MEMO:
-        return _CAND_MEMO[key]
+
+
+def _lsh_candidates(sf_dir: str, n_perm: int, n_bands: int):
     ds = _docs(sf_dir)
     n_docs = ds.count()
     n_buckets = _coarse_buckets(n_docs * n_bands)
@@ -155,17 +142,7 @@ def minhash_lsh_candidates(sf_dir: str, n_perm: int = 64, n_bands: int = 16):
 
     cand = banded.groupby("bucket").map_groups(pairs_in_bucket, batch_format="pandas")
     # same pair can surface from multiple bands → distributed pair dedup
-    out = _dedup_pairs(cand, ("doc_a", "doc_b"), n_pair_buckets).materialize()
-    if key[0] is not None:
-        # evict entries from finished jobs (their object-store blocks are
-        # unreachable once the session ended) and superseded snapshots of
-        # this sf_dir, so the memo stays O(live inputs), not append-only
-        for stale in [
-            k for k in _CAND_MEMO if k[0] != key[0] or (k[1] == key[1] and k != key)
-        ]:
-            _CAND_MEMO.pop(stale)
-        _CAND_MEMO[key] = out
-    return out
+    return _dedup_pairs(cand, ("doc_a", "doc_b"), n_pair_buckets).materialize()
 
 
 def _band_explode(t: pa.Table, n_bands: int, n_buckets: int, payload: str) -> pa.Table:

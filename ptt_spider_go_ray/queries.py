@@ -24,6 +24,7 @@ import pyarrow.compute as pc
 
 from .functions.parse import decode_push_rate
 from .functions.text import EN_STOPWORDS
+from .memo import cached
 from .state.cuckoo import hash64
 
 # ---------------------------------------------------------------------------
@@ -5656,33 +5657,42 @@ GROUP BY event_type, next_type
 # ---------------------------------------------------------------------------
 
 
-def q_dedup_prefix(sf_dir: str):
-    """Per-batch (prefix, min_id, cnt) combiner partials, then an
-    INT-bucket shuffle (hash64 of the prefix → bucket key) with one
-    C-speed pandas groupby per bucket — the full prefix string rides
-    along only for partials, so hash collisions can't merge distinct
-    prefixes, and the sort-based string-key shuffle (measured 4× slower
-    here) is avoided. Bucket count scales with input (_key_buckets)."""
+def _dedup_affix(sf_dir: str, start: int, stop: int | None):
+    """Collapse documents whose ``text[start:stop]`` agree to the min
+    doc_id. Per-batch (key, min_id, cnt) combiner partials, then an
+    INT-bucket shuffle (hash64 of the key → bucket key) with one C-speed
+    pandas groupby per bucket — the full key string rides along only for
+    partials, so hash collisions can't merge distinct keys, and the
+    sort-based string-key shuffle (measured 4× slower here) is avoided.
+    Bucket count scales with input (_key_buckets). NULL text forms its own
+    group, apart from '' (SQL GROUP BY semantics)."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     n_buckets = _key_buckets(ds.count())
 
     def partial(df: pd.DataFrame) -> pa.Table:
         g = (
             pd.DataFrame(
-                {"p": df["text"].str.slice(0, 64), "doc_id": df["doc_id"]}
+                {"p": df["text"].str.slice(start, stop), "doc_id": df["doc_id"]}
             )
-            .groupby("p", sort=False)
+            .groupby("p", sort=False, dropna=False)
             .agg(min_id=("doc_id", "min"), cnt=("doc_id", "size"))
             .reset_index()
         )
         h = np.fromiter(
-            (hash64(x) for x in g["p"]), np.uint64, len(g)
+            (hash64(x) if isinstance(x, str) else 0 for x in g["p"]),
+            np.uint64, len(g),
         )
-        g["bucket"] = (h % np.uint64(n_buckets)).astype(np.int64)
-        return _arrow_out(g.astype({"min_id": "int64", "cnt": "int64"}))
+        return pa.table(
+            {
+                "p": pa.array(g["p"].astype(object), pa.string(), from_pandas=True),
+                "min_id": pa.array(g["min_id"], pa.int64()),
+                "cnt": pa.array(g["cnt"], pa.int64()),
+                "bucket": pa.array((h % np.uint64(n_buckets)).astype(np.int64)),
+            }
+        )
 
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("p", sort=False, as_index=False).agg(
+        out = g.groupby("p", sort=False, dropna=False, as_index=False).agg(
             doc_id=("min_id", "min"), n_dups=("cnt", "sum")
         )
         return pd.DataFrame(
@@ -5698,6 +5708,10 @@ def q_dedup_prefix(sf_dir: str):
         .map_groups(merge_bucket, batch_format="pandas")
         .select_columns(["doc_id", "n_dups"])
     )
+
+
+def q_dedup_prefix(sf_dir: str):
+    return _dedup_affix(sf_dir, 0, 64)
 
 
 SQL_DEDUP_PREFIX = """
@@ -11976,50 +11990,20 @@ SQL_MINHASH_SIGNATURE = _minhash_signature_sql()
 
 _MH_BANDS = _MH_SEEDS // 2
 
-# Per-process memo keyed by (ray job id, sf_dir): minhash_band_pairs,
-# minhash_verified_dups and dup_rate_by_source share the candidate/verified
-# sets, which are pure functions of the input (the dedup.py _CAND_MEMO
-# pattern). Band pairs memoize as a MaterializedDataset (object store);
-# verified dups as the O(near-dups) driver DataFrame they already are.
-_MH_MEMO: dict[tuple, object] = {}
-
-
-def _mh_memo_key(sf_dir: str, what: str) -> tuple:
-    import os
-
-    import ray
-
-    # the input's (mtime, size) is part of the key so a regenerated
-    # documents.parquet under the same path invalidates the memo within a
-    # Ray job (fixture reuse), and stale sf_dirs never alias fresh ones
-    st = os.stat(f"{sf_dir}/documents.parquet")
-    return (
-        ray.get_runtime_context().get_job_id(),
-        sf_dir,
-        what,
-        st.st_mtime_ns,
-        st.st_size,
+def q_minhash_band_pairs(sf_dir: str):
+    # minhash_band_pairs, minhash_verified_dups and dup_rate_by_source share
+    # the candidate set, a pure function of the input: memoized as a
+    # MaterializedDataset (object store)
+    return cached(
+        "minhash_band_pairs",
+        f"{sf_dir}/documents.parquet",
+        lambda: _minhash_band_pairs(sf_dir),
     )
 
 
-def _mh_memo_put(key: tuple, value: object) -> None:
-    # evict entries from finished jobs (their object-store blocks died with
-    # the session) and superseded (mtime, size) snapshots of the same
-    # (sf_dir, what), so the memo stays O(live inputs), not append-only
-    for stale in [
-        k for k in _MH_MEMO if k[0] != key[0] or (k[1:3] == key[1:3] and k != key)
-    ]:
-        _MH_MEMO.pop(stale)
-    _MH_MEMO[key] = value
-
-
-def q_minhash_band_pairs(sf_dir: str):
+def _minhash_band_pairs(sf_dir: str):
     import pyarrow.parquet as pq
     from .pipelines.dedup import _coarse_buckets, _dedup_pairs
-
-    key = _mh_memo_key(sf_dir, "band_pairs")
-    if key in _MH_MEMO:
-        return _MH_MEMO[key]
 
     n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
     n_key_buckets = _coarse_buckets(max(n_docs, 1) * _MH_BANDS)
@@ -12087,9 +12071,7 @@ def q_minhash_band_pairs(sf_dir: str):
         .groupby("bucket")
         .map_groups(pairs, batch_format="pandas")
     )
-    out = _dedup_pairs(cand, ("doc_a", "doc_b"), n_pair_buckets).materialize()
-    _mh_memo_put(_mh_memo_key(sf_dir, "band_pairs"), out)
-    return out
+    return _dedup_pairs(cand, ("doc_a", "doc_b"), n_pair_buckets).materialize()
 
 
 SQL_MINHASH_BAND_PAIRS = f"""
@@ -12127,20 +12109,24 @@ def _mh_pair_overlap(sf_dir: str) -> pd.DataFrame:
     query (verified dups at J≥0.8, ngram-Jaccard dedup at J≥0.9,
     containment dedup, dup clusters) thresholds and divides them exactly
     the way its SQL oracle does. One distributed pass (the emit/verify
-    shape documented below), memoized per (job, input mtime)."""
+    shape documented below), memoized as the O(near-dups) driver DataFrame
+    it already is."""
+    return cached(
+        "minhash_pair_overlap",
+        f"{sf_dir}/documents.parquet",
+        lambda: _pair_overlap(sf_dir),
+    )
+
+
+def _pair_overlap(sf_dir: str) -> pd.DataFrame:
     import ray
     from .pipelines.dedup import _coarse_buckets
-
-    key = _mh_memo_key(sf_dir, "pair_overlap")
-    if key in _MH_MEMO:
-        return _MH_MEMO[key]
 
     empty_out = pd.DataFrame(
         {c: pd.Series([], dtype="int64") for c in ("doc_a", "doc_b", "i", "na", "nb")}
     )
     cand = q_minhash_band_pairs(sf_dir).to_pandas()
     if cand.empty:
-        _mh_memo_put(key, empty_out)
         return empty_out
     cand = cand.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
     pa_ids = cand["doc_a"].to_numpy(np.int64)
@@ -12224,10 +12210,7 @@ def _mh_pair_overlap(sf_dir: str) -> pd.DataFrame:
         .map_groups(overlap, batch_format="pandas")
         .to_pandas()  # O(near-dups) — the same documented driver bound as cand
     )
-    if out.empty:
-        out = empty_out
-    _mh_memo_put(key, out)
-    return out
+    return empty_out if out.empty else out
 
 
 def q_minhash_verified_dups(sf_dir: str):
@@ -17863,45 +17846,12 @@ FROM toks GROUP BY tok_len
 # ---------------------------------------------------------------------------
 # Q: suffix dedup — the mirror of q_dedup_prefix for trailing boilerplate
 # (shared signatures/footers): docs agreeing on their last 64 chars collapse
-# to the min doc_id. Same combiner + INT-bucket shuffle shape as the prefix
-# variant; only (suffix, min_id, cnt) partials move.
+# to the min doc_id (_dedup_affix with the slice [-64:]).
 # ---------------------------------------------------------------------------
 
 
 def q_dedup_suffix(sf_dir: str):
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    n_buckets = _key_buckets(ds.count())
-
-    def partial(df: pd.DataFrame) -> pa.Table:
-        g = (
-            pd.DataFrame(
-                {"p": df["text"].str.slice(-64), "doc_id": df["doc_id"]}
-            )
-            .groupby("p", sort=False)
-            .agg(min_id=("doc_id", "min"), cnt=("doc_id", "size"))
-            .reset_index()
-        )
-        h = np.fromiter((hash64(x) for x in g["p"]), np.uint64, len(g))
-        g["bucket"] = (h % np.uint64(n_buckets)).astype(np.int64)
-        return _arrow_out(g.astype({"min_id": "int64", "cnt": "int64"}))
-
-    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("p", sort=False, as_index=False).agg(
-            doc_id=("min_id", "min"), n_dups=("cnt", "sum")
-        )
-        return pd.DataFrame(
-            {
-                "doc_id": out["doc_id"].astype("int64"),
-                "n_dups": out["n_dups"].astype("int64"),
-            }
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=_COMBINE_BATCH)
-        .groupby("bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-        .select_columns(["doc_id", "n_dups"])
-    )
+    return _dedup_affix(sf_dir, -64, None)
 
 
 SQL_DEDUP_SUFFIX = """
@@ -18945,242 +18895,11 @@ a0 AS MATERIALIZED (
 SQL_HAAR_ENERGY = _haar_sql()
 
 # ---------------------------------------------------------------------------
-# registry
+# registry: every q_<name> above is query <name>, checked against SQL_<NAME>
 # ---------------------------------------------------------------------------
 
-SQL_QUERIES: dict[str, tuple] = {
-    "type_token_ratio": (q_type_token_ratio, SQL_TYPE_TOKEN_RATIO),
-    "type_cooccurrence": (q_type_cooccurrence, SQL_TYPE_COOCCURRENCE),
-    "cume_dist_vals": (q_cume_dist_vals, SQL_CUME_DIST_VALS),
-    "ngram_coverage_curve": (q_ngram_coverage_curve, SQL_NGRAM_COVERAGE_CURVE),
-    "hapax_ratio": (q_hapax_ratio, SQL_HAPAX_RATIO),
-    "dim_variance_topk": (q_dim_variance_topk, SQL_DIM_VARIANCE_TOPK),
-    "embedding_source_join": (q_embedding_source_join, SQL_EMBEDDING_SOURCE_JOIN),
-    "ann_range_search": (q_ann_range_search, SQL_ANN_RANGE_SEARCH),
-    "pca_power_topk": (q_pca_power_topk, SQL_PCA_POWER_TOPK),
-    "bootstrap_type_counts": (q_bootstrap_type_counts, SQL_BOOTSTRAP_TYPE_COUNTS),
-    "haar_energy": (q_haar_energy, SQL_HAAR_ENERGY),
-    "char_trigram_topk": (q_char_trigram_topk, SQL_CHAR_TRIGRAM_TOPK),
-    "word_len_hist": (q_word_len_hist, SQL_WORD_LEN_HIST),
-    "dedup_suffix": (q_dedup_suffix, SQL_DEDUP_SUFFIX),
-    "skipgram_pairs": (q_skipgram_pairs, SQL_SKIPGRAM_PAIRS),
-    "vocab_prune": (q_vocab_prune, SQL_VOCAB_PRUNE),
-    "line_dedup": (q_line_dedup, SQL_LINE_DEDUP),
-    "embedding_norm_hist": (q_embedding_norm_hist, SQL_EMBEDDING_NORM_HIST),
-    "boilerplate_tails": (q_boilerplate_tails, SQL_BOILERPLATE_TAILS),
-    "temperature_mixture": (q_temperature_mixture, SQL_TEMPERATURE_MIXTURE),
-    "quality_funnel": (q_quality_funnel, SQL_QUALITY_FUNNEL),
-    "split_leakage": (q_split_leakage, SQL_SPLIT_LEAKAGE),
-    "minhash_signature": (q_minhash_signature, SQL_MINHASH_SIGNATURE),
-    "minhash_band_pairs": (q_minhash_band_pairs, SQL_MINHASH_BAND_PAIRS),
-    "minhash_verified_dups": (q_minhash_verified_dups, SQL_MINHASH_VERIFIED_DUPS),
-    "dedup_ngram_jaccard": (q_dedup_ngram_jaccard, SQL_DEDUP_NGRAM_JACCARD),
-    "dedup_containment": (q_dedup_containment, SQL_DEDUP_CONTAINMENT),
-    "dedup_minhash_lsh": (q_dedup_minhash_lsh, SQL_DEDUP_MINHASH_LSH),
-    "dedup_clusters": (q_dedup_clusters, SQL_DEDUP_CLUSTERS),
-    "dedup_simhash": (q_dedup_simhash, SQL_DEDUP_SIMHASH),
-    "ann_ivf_topk": (q_ann_ivf_topk, SQL_ANN_IVF_TOPK),
-    "ann_lsh_topk": (q_ann_lsh_topk, SQL_ANN_LSH_TOPK),
-    "simhash_fingerprint": (q_simhash_fingerprint, SQL_SIMHASH_FINGERPRINT),
-    "simhash_hamming_pairs": (q_simhash_hamming_pairs, SQL_SIMHASH_HAMMING_PAIRS),
-    "embedding_gram": (q_embedding_gram, SQL_EMBEDDING_GRAM),
-    "hashing_trick": (q_hashing_trick, SQL_HASHING_TRICK),
-    "ann_label_precision": (q_ann_label_precision, SQL_ANN_LABEL_PRECISION),
-    "dup_rate_by_source": (q_dup_rate_by_source, SQL_DUP_RATE_BY_SOURCE),
-    "corpus_build_v3": (q_corpus_build_v3, SQL_CORPUS_BUILD_V3),
-    "rendezvous_shards": (q_rendezvous_shards, SQL_RENDEZVOUS_SHARDS),
-    "zorder_key": (q_zorder_key, SQL_ZORDER_KEY),
-    "random_projection": (q_random_projection, SQL_RANDOM_PROJECTION),
-    "inverted_index": (q_inverted_index, SQL_INVERTED_INDEX),
-    "push_filter": (q_push_filter, SQL_PUSH_FILTER),
-    "push_decode": (q_push_decode, SQL_PUSH_DECODE),
-    "group_counts": (q_group_counts, SQL_GROUP_COUNTS),
-    "mixture_weights": (q_mixture_weights, SQL_MIXTURE_WEIGHTS),
-    "dedup_exact": (q_dedup_exact, SQL_DEDUP_EXACT),
-    "collision_rank": (q_collision_rank, SQL_COLLISION_RANK),
-    "top_events": (q_top_events, SQL_TOP_EVENTS),
-    "token_stats": (q_token_stats, SQL_TOKEN_STATS),
-    "quality": (q_quality, SQL_QUALITY),
-    "lineitem_agg": (q_lineitem_agg, SQL_LINEITEM_AGG),
-    "region_rollup": (q_region_rollup, SQL_REGION_ROLLUP),
-    "embedding_dims": (q_embedding_dims, SQL_EMBEDDING_DIMS),
-    "distinct_event_types": (q_distinct_event_types, SQL_DISTINCT_EVENT_TYPES),
-    "sessionize": (q_sessionize, SQL_SESSIONIZE),
-    "prefix_filter": (q_prefix_filter, SQL_PREFIX_FILTER),
-    "ann_topk": (q_ann_topk, SQL_ANN_TOPK),
-    "union_slices": (q_union_slices, SQL_UNION_SLICES),
-    "active_users": (q_active_users, SQL_ACTIVE_USERS),
-    "top3_per_user": (q_top3_per_user, SQL_TOP3_PER_USER),
-    "distinct_users_per_type": (q_distinct_users_per_type, SQL_DISTINCT_USERS_PER_TYPE),
-    "asof_join": (q_asof_join, SQL_ASOF_JOIN),
-    "events_per_day": (q_events_per_day, SQL_EVENTS_PER_DAY),
-    "value_extremes": (q_value_extremes, SQL_VALUE_EXTREMES),
-    "string_kernels": (q_string_kernels, SQL_STRING_KERNELS),
-    "recent_orders": (q_recent_orders, SQL_RECENT_ORDERS),
-    "join_native": (q_join_native, SQL_JOIN_NATIVE),
-    "range_join": (q_range_join, SQL_RANGE_JOIN),
-    "sliding_window": (q_sliding_window, SQL_SLIDING_WINDOW),
-    "semi_join": (q_semi_join, SQL_SEMI_JOIN),
-    "anti_join": (q_anti_join, SQL_ANTI_JOIN),
-    "percentiles": (q_percentiles, SQL_PERCENTILES),
-    "event_trail": (q_event_trail, SQL_EVENT_TRAIL),
-    "cc_label_clusters": (q_cc_label_clusters, SQL_CC_LABEL_CLUSTERS),
-    "hash_sample": (q_hash_sample, SQL_HASH_SAMPLE),
-    "word_count": (q_word_count, SQL_WORD_COUNT),
-    "running_total": (q_running_total, SQL_RUNNING_TOTAL),
-    "value_histogram": (q_value_histogram, SQL_VALUE_HISTOGRAM),
-    "argmax_per_type": (q_argmax_per_type, SQL_ARGMAX_PER_TYPE),
-    "orders_rollup": (q_orders_rollup, SQL_ORDERS_ROLLUP),
-    "corr_qty_price": (q_corr_qty_price, SQL_CORR_QTY_PRICE),
-    "json_extract_agg": (q_json_extract_agg, SQL_JSON_EXTRACT_AGG),
-    "stratified_sample": (q_stratified_sample, SQL_STRATIFIED_SAMPLE),
-    "pivot_daily": (q_pivot_daily, SQL_PIVOT_DAILY),
-    "user_islands": (q_user_islands, SQL_USER_ISLANDS),
-    "heavy_hitters": (q_heavy_hitters, SQL_HEAVY_HITTERS),
-    "nation_revenue": (q_nation_revenue, SQL_NATION_REVENUE),
-    "tfidf_top_terms": (q_tfidf_top_terms, SQL_TFIDF_TOP_TERMS),
-    "embedding_centroid": (q_embedding_centroid, SQL_EMBEDDING_CENTROID),
-    "moving_window": (q_moving_window, SQL_MOVING_WINDOW),
-    "weighted_sample": (q_weighted_sample, SQL_WEIGHTED_SAMPLE),
-    "zscore_norm": (q_zscore_norm, SQL_ZSCORE_NORM),
-    "mode_per_type": (q_mode_per_type, SQL_MODE_PER_TYPE),
-    "set_ops_users": (q_set_ops_users, SQL_SET_OPS_USERS),
-    "percent_rank": (q_percent_rank, SQL_PERCENT_RANK),
-    "funnel_stage": (q_funnel_stage, SQL_FUNNEL_STAGE),
-    "lag_delta": (q_lag_delta, SQL_LAG_DELTA),
-    "first_last_per_user": (q_first_last_per_user, SQL_FIRST_LAST_PER_USER),
-    "pack_chunks": (q_pack_chunks, SQL_PACK_CHUNKS),
-    "dup_map": (q_dup_map, SQL_DUP_MAP),
-    "unpivot_measures": (q_unpivot_measures, SQL_UNPIVOT_MEASURES),
-    "events_per_day_dense": (q_events_per_day_dense, SQL_EVENTS_PER_DAY_DENSE),
-    "bloom_semi_join": (q_bloom_semi_join, SQL_BLOOM_SEMI_JOIN),
-    "tpch_q3": (q_tpch_q3, SQL_TPCH_Q3),
-    "salted_agg": (q_salted_agg, SQL_SALTED_AGG),
-    "dedup_keep_best": (q_dedup_keep_best, SQL_DEDUP_KEEP_BEST),
-    "ntile_quartiles": (q_ntile_quartiles, SQL_NTILE_QUARTILES),
-    "bigram_top": (q_bigram_top, SQL_BIGRAM_TOP),
-    "corpus_dedup_filter": (q_corpus_dedup_filter, SQL_CORPUS_DEDUP_FILTER),
-    "left_join_rollup": (q_left_join_rollup, SQL_LEFT_JOIN_ROLLUP),
-    "windowed_watermark": (q_windowed_watermark, SQL_WINDOWED_WATERMARK),
-    "dense_rank": (q_dense_rank, SQL_DENSE_RANK),
-    "repetition_ratio": (q_repetition_ratio, SQL_REPETITION_RATIO),
-    "dup_trigram_fraction": (q_dup_trigram_fraction, SQL_DUP_TRIGRAM_FRACTION),
-    "winnowing_fingerprints": (q_winnowing_fingerprints, SQL_WINNOWING_FINGERPRINTS),
-    "winnowing_overlap": (q_winnowing_overlap, SQL_WINNOWING_OVERLAP),
-    "quantize_embeddings": (q_quantize_embeddings, SQL_QUANTIZE_EMBEDDINGS),
-    "nonascii_ratio": (q_nonascii_ratio, SQL_NONASCII_RATIO),
-    "line_stats": (q_line_stats, SQL_LINE_STATS),
-    "paragraph_dedup": (q_paragraph_dedup, SQL_PARAGRAPH_DEDUP),
-    "tpch_q6": (q_tpch_q6, SQL_TPCH_Q6),
-    "tpch_q13": (q_tpch_q13, SQL_TPCH_Q13),
-    "minhash_threshold_sweep": (q_minhash_threshold_sweep, SQL_MINHASH_THRESHOLD_SWEEP),
-    "tpch_q17": (q_tpch_q17, SQL_TPCH_Q17),
-    "exact_substring_runs": (q_exact_substring_runs, SQL_EXACT_SUBSTRING_RUNS),
-    "normalize_text": (q_normalize_text, SQL_NORMALIZE_TEXT),
-    "decontaminate": (q_decontaminate, SQL_DECONTAMINATE),
-    "chunk_plan": (q_chunk_plan, SQL_CHUNK_PLAN),
-    "cdc_upsert": (q_cdc_upsert, SQL_CDC_UPSERT),
-    "mixture_plan": (q_mixture_plan, SQL_MIXTURE_PLAN),
-    "bfs_hops": (q_bfs_hops, SQL_BFS_HOPS),
-    "pareto_front": (q_pareto_front, SQL_PARETO_FRONT),
-    "rolling_median": (q_rolling_median, SQL_ROLLING_MEDIAN),
-    "cohort_retention": (q_cohort_retention, SQL_COHORT_RETENTION),
-    "transition_counts": (q_transition_counts, SQL_TRANSITION_COUNTS),
-    "dedup_prefix": (q_dedup_prefix, SQL_DEDUP_PREFIX),
-    "event_gap_hist": (q_event_gap_hist, SQL_EVENT_GAP_HIST),
-    "jaccard_types": (q_jaccard_types, SQL_JACCARD_TYPES),
-    "split_assign": (q_split_assign, SQL_SPLIT_ASSIGN),
-    "full_outer_rollup": (q_full_outer_rollup, SQL_FULL_OUTER_ROLLUP),
-    "time_weighted_value": (q_time_weighted_value, SQL_TIME_WEIGHTED_VALUE),
-    "triangle_count": (q_triangle_count, SQL_TRIANGLE_COUNT),
-    "bigram_pmi": (q_bigram_pmi, SQL_BIGRAM_PMI),
-    "embedding_dim_extremes": (q_embedding_dim_extremes, SQL_EMBEDDING_DIM_EXTREMES),
-    "dense_topk_values": (q_dense_topk_values, SQL_DENSE_TOPK_VALUES),
-    "page_slice": (q_page_slice, SQL_PAGE_SLICE),
-    "above_avg_orders": (q_above_avg_orders, SQL_ABOVE_AVG_ORDERS),
-    "cum_distinct_types": (q_cum_distinct_types, SQL_CUM_DISTINCT_TYPES),
-    "grouping_sets": (q_grouping_sets, SQL_GROUPING_SETS),
-    "user_entropy": (q_user_entropy, SQL_USER_ENTROPY),
-    "mad_per_type": (q_mad_per_type, SQL_MAD_PER_TYPE),
-    "max_concurrency": (q_max_concurrency, SQL_MAX_CONCURRENCY),
-    "interval_coverage": (q_interval_coverage, SQL_INTERVAL_COVERAGE),
-    "tpch_q18": (q_tpch_q18, SQL_TPCH_Q18),
-    "skew_per_type": (q_skew_per_type, SQL_SKEW_PER_TYPE),
-    "drawdown": (q_drawdown, SQL_DRAWDOWN),
-    "scd2_intervals": (q_scd2_intervals, SQL_SCD2_INTERVALS),
-    "changepoint": (q_changepoint, SQL_CHANGEPOINT),
-    "ship_delay": (q_ship_delay, SQL_SHIP_DELAY),
-    "weighted_median": (q_weighted_median, SQL_WEIGHTED_MEDIAN),
-    "length_filter": (q_length_filter, SQL_LENGTH_FILTER),
-    "daily_type_corr": (q_daily_type_corr, SQL_DAILY_TYPE_CORR),
-    "source_overlap": (q_source_overlap, SQL_SOURCE_OVERLAP),
-    "top_terms_per_lang": (q_top_terms_per_lang, SQL_TOP_TERMS_PER_LANG),
-    "dow_kl_per_type": (q_dow_kl_per_type, SQL_DOW_KL_PER_TYPE),
-    "hhi_per_day": (q_hhi_per_day, SQL_HHI_PER_DAY),
-    "anomaly_days": (q_anomaly_days, SQL_ANOMALY_DAYS),
-    "dedup_exact_normalized": (q_dedup_exact_normalized, SQL_DEDUP_EXACT_NORMALIZED),
-    "tpch_q10": (q_tpch_q10, SQL_TPCH_Q10),
-    "vocab_per_source": (q_vocab_per_source, SQL_VOCAB_PER_SOURCE),
-    "burstiness_per_type": (q_burstiness_per_type, SQL_BURSTINESS_PER_TYPE),
-    "rare_token_docs": (q_rare_token_docs, SQL_RARE_TOKEN_DOCS),
-    "repeat_interval": (q_repeat_interval, SQL_REPEAT_INTERVAL),
-    "keyword_per_doc": (q_keyword_per_doc, SQL_KEYWORD_PER_DOC),
-    "blocklist_hits": (q_blocklist_hits, SQL_BLOCKLIST_HITS),
-    "rfm_cells": (q_rfm_cells, SQL_RFM_CELLS),
-    "corpus_build_v2": (q_corpus_build_v2, SQL_CORPUS_BUILD_V2),
-    "ks_weekend": (q_ks_weekend, SQL_KS_WEEKEND),
-    "benford_orders": (q_benford_orders, SQL_BENFORD_ORDERS),
-    "char_entropy": (q_char_entropy, SQL_CHAR_ENTROPY),
-    "cluster_size_hist": (q_cluster_size_hist, SQL_CLUSTER_SIZE_HIST),
-    "bm25_topk": (q_bm25_topk, SQL_BM25_TOPK),
-    "ffill_locf": (q_ffill_locf, SQL_FFILL_LOCF),
-    "promo_revenue": (q_promo_revenue, SQL_PROMO_REVENUE),
-    "pagerank_topk": (q_pagerank_topk, SQL_PAGERANK_TOPK),
-    "epoch_shuffle": (q_epoch_shuffle, SQL_EPOCH_SHUFFLE),
-    "fertility_per_lang": (q_fertility_per_lang, SQL_FERTILITY_PER_LANG),
-    "fuzzy_name_pairs": (q_fuzzy_name_pairs, SQL_FUZZY_NAME_PAIRS),
-    "charlm_score": (q_charlm_score, SQL_CHARLM_SCORE),
-    "debounce": (q_debounce, SQL_DEBOUNCE),
-    "attribution": (q_attribution, SQL_ATTRIBUTION),
-    "redact": (q_redact, SQL_REDACT),
-    "trend_per_type": (q_trend_per_type, SQL_TREND_PER_TYPE),
-    "overlap_pairs": (q_overlap_pairs, SQL_OVERLAP_PAIRS),
-    "dup_ngram_frac": (q_dup_ngram_frac, SQL_DUP_NGRAM_FRAC),
-    "winsorized_mean": (q_winsorized_mean, SQL_WINSORIZED_MEAN),
-    "gini_per_type": (q_gini_per_type, SQL_GINI_PER_TYPE),
-    "autocorr1": (q_autocorr1, SQL_AUTOCORR1),
-    "incremental_agg": (q_incremental_agg, SQL_INCREMENTAL_AGG),
-    "psi_drift": (q_psi_drift, SQL_PSI_DRIFT),
-    "profile_columns": (q_profile_columns, SQL_PROFILE_COLUMNS),
-    "ols_outliers": (q_ols_outliers, SQL_OLS_OUTLIERS),
-    "tpch_q5": (q_tpch_q5, SQL_TPCH_Q5),
-    "bpe_top_pairs": (q_bpe_top_pairs, SQL_BPE_TOP_PAIRS),
-    "tpch_q7": (q_tpch_q7, SQL_TPCH_Q7),
-    "tpch_q8": (q_tpch_q8, SQL_TPCH_Q8),
-    "tpch_q9": (q_tpch_q9, SQL_TPCH_Q9),
-    "tpch_q22": (q_tpch_q22, SQL_TPCH_Q22),
-    "ngram_novelty": (q_ngram_novelty, SQL_NGRAM_NOVELTY),
-    "lsh_recall_eval": (q_lsh_recall_eval, SQL_LSH_RECALL_EVAL),
-    "tpch_q4": (q_tpch_q4, SQL_TPCH_Q4),
-    "dup_source_matrix": (q_dup_source_matrix, SQL_DUP_SOURCE_MATRIX),
-    "tpch_q19": (q_tpch_q19, SQL_TPCH_Q19),
-    "knn_graph_degree": (q_knn_graph_degree, SQL_KNN_GRAPH_DEGREE),
-    "embedding_drift": (q_embedding_drift, SQL_EMBEDDING_DRIFT),
-    "zipf_coverage": (q_zipf_coverage, SQL_ZIPF_COVERAGE),
-    "perplexity_buckets": (q_perplexity_buckets, SQL_PERPLEXITY_BUCKETS),
-    "hist2d_qty_discount": (q_hist2d_qty_discount, SQL_HIST2D_QTY_DISCOUNT),
-    "minhash_calibration": (q_minhash_calibration, SQL_MINHASH_CALIBRATION),
-    "tpch_q15": (q_tpch_q15, SQL_TPCH_Q15),
-    "simhash_bit_balance": (q_simhash_bit_balance, SQL_SIMHASH_BIT_BALANCE),
-    "label_centroid_dist": (q_label_centroid_dist, SQL_LABEL_CENTROID_DIST),
-    "tpch_q21": (q_tpch_q21, SQL_TPCH_Q21),
-    "tpch_q12": (q_tpch_q12, SQL_TPCH_Q12),
-    "vocab_growth": (q_vocab_growth, SQL_VOCAB_GROWTH),
-    "boundary_dups": (q_boundary_dups, SQL_BOUNDARY_DUPS),
-    "pareto_8020": (q_pareto_8020, SQL_PARETO_8020),
-    "adjacent_jaccard": (q_adjacent_jaccard, SQL_ADJACENT_JACCARD),
-    "hll_register_state": (q_hll_register_state, SQL_HLL_REGISTER_STATE),
-    "kmv_sketch_state": (q_kmv_sketch_state, SQL_KMV_SKETCH_STATE),
-    "cms_sketch_state": (q_cms_sketch_state, SQL_CMS_SKETCH_STATE),
-    "bloom_filter_state": (q_bloom_filter_state, SQL_BLOOM_FILTER_STATE),
+QUERIES: dict[str, tuple] = {
+    name[2:]: (fn, globals()[f"SQL_{name[2:].upper()}"])
+    for name, fn in list(globals().items())
+    if name.startswith("q_") and callable(fn)
 }

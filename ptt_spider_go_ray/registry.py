@@ -1,6 +1,9 @@
-"""Registry of non-SQL-expressible pipelines (driver records rows-only
-checks for these; exact semantics are verified by pytest instead — see
-tests/test_crawl_e2e.py and tests/test_extensions.py)."""
+"""The query registry. ``EXTRAS`` holds every query outside queries.py —
+crawl, media, ingest, text-analysis and sketch pipelines — with its DuckDB
+oracle, and :func:`entries` / :func:`queries` / :func:`oracle_sql` are the
+one merged view over it and ``queries.QUERIES``. The two approximate KLL
+entries have no oracle; pytest gates them instead (tests/test_extensions.py).
+"""
 
 from __future__ import annotations
 
@@ -9,6 +12,18 @@ from collections.abc import Callable
 from typing import Any
 
 import numpy as np
+
+from .memo import cached
+from .oracles_iterative import (
+    bottomk_quantiles_sql,
+    bpe_merges_sql,
+    dedup_embedding_cosine_sql,
+    hll_estimate_sql,
+    kmeans_clusters_sql,
+    pagerank_sql,
+    pq_codes_sql,
+    semdedup_sql,
+)
 
 
 def _flagship_spans(sf_dir: str):
@@ -28,101 +43,99 @@ def _explode_media(sf_dir: str):
     return ds.map_batches(explode_media_batch, batch_format="pyarrow")
 
 
-# Deterministic synthetic-site crawls are memoized per process: several
-# queries share the same crawl (crawl_board+crawl_layout; the four media
-# stages), and the site is a pure function of its spec — rerunning it per
-# query would only re-measure the crawl loop the bench already measures.
-_CRAWL_MEMO: dict[str, Any] = {}
+# The synthetic-site crawls the crawl/media queries run, each shared by the
+# engine helper and its derived oracle (only the input spec is shared, never
+# engine logic): name → (SiteSpec kwargs, board or seed lines, pages,
+# push_threshold, fetch_media). A seed line is a literal line or a
+# (board, page, slot) article ref.
+_CRAWLS: dict[str, tuple] = {
+    "board": ({"boards": {"Beauty": 4}, "articles_per_page": 6},
+              "Beauty", 3, 10, True),
+    "media": ({"boards": {"Beauty": 3}, "articles_per_page": 5},
+              "Beauty", 2, 0, True),
+    "media_png": ({"boards": {"Beauty": 3}, "articles_per_page": 5,
+                   "real_png_media": True},
+                  "Beauty", 2, 0, True),
+    "file_mode": ({"boards": {"Beauty": 4, "Joke": 3}, "articles_per_page": 6},
+                  [("Beauty", 2, 1), "# comment line", ("Joke", 1, 2),
+                   ("Beauty", 3, 4), "https://other.host/bbs/Beauty/x.html"],
+                  0, 0, False),
+}
+
+
+def _crawl_input(name: str):
+    """(site, args) for one ``_CRAWLS`` entry; ``args`` are the keyword
+    arguments ``run_crawl`` and ``oracle_crawl`` both take."""
+    from .sources.synthetic import SiteSpec, SyntheticSite
+
+    spec, where, pages, push, media = _CRAWLS[name]
+    site = SyntheticSite(SiteSpec(**spec))
+    args = {"board": where, "pages": pages, "push_threshold": push,
+            "fetch_media": media, "file_lines": None}
+    if not isinstance(where, str):
+        args["board"] = ""
+        args["file_lines"] = [
+            site.article_url(*x) if isinstance(x, tuple) else x for x in where
+        ]
+    return site, args
+
+
+def _crawl(name: str):
+    """Full crawl loop on a deterministic synthetic site → CrawlResult.
+    Memoized: several queries share one crawl (crawl_board + crawl_layout;
+    the four media stages), and rerunning it per query would only
+    re-measure the crawl loop the bench already measures."""
+    from .config import Config
+    from .pipelines.crawl import run_crawl
+    from .sources.synthetic import mock_transport_factory
+
+    def build():
+        site, args = _crawl_input(name)
+        cfg = Config()
+        cfg.crawler.frontier_shards = 4
+        cfg.crawler.batch_urls = 4096
+        cfg.crawler.parser_count = 4
+        cfg.crawler.robots = False
+        return run_crawl(
+            cfg,
+            transport_factory=functools.partial(mock_transport_factory, site.spec),
+            fetch_via="tasks",
+            **args,
+        )
+
+    return cached(f"crawl_{name}", None, build)
+
+
+def _oracle_crawl(name: str):
+    """(site, plain-Python crawl oracle replay) for one ``_CRAWLS`` entry."""
+    from .oracle.crawl_oracle import oracle_crawl
+
+    site, args = _crawl_input(name)
+    return site, oracle_crawl(site, **args)
 
 
 def _crawl_board(sf_dir: str):
-    """Full crawl loop on the deterministic synthetic site (sf_dir unused —
-    the site is its own deterministic input). Returns the document table."""
-    from .config import Config
-    from .pipelines.crawl import run_crawl
-    from .sources.synthetic import SiteSpec, mock_transport_factory
-
-    if "board_docs" in _CRAWL_MEMO:
-        return _CRAWL_MEMO["board_docs"]
-    spec = SiteSpec(boards={"Beauty": 4}, articles_per_page=6)
-    cfg = Config()
-    cfg.crawler.frontier_shards = 4
-    cfg.crawler.batch_urls = 4096
-    cfg.crawler.parser_count = 4
-    cfg.crawler.robots = False
-    res = run_crawl(
-        cfg,
-        transport_factory=functools.partial(mock_transport_factory, spec),
-        board="Beauty",
-        pages=3,
-        push_threshold=10,
-        fetch_via="tasks",
-    )
-    _CRAWL_MEMO["board_docs"] = res.docs
-    return res.docs
+    """Board-mode crawl of the synthetic site (sf_dir unused — the site is
+    its own deterministic input). Returns the document table."""
+    return _crawl("board").docs
 
 
-def _crawl_media_dataset(sf_dir: str):
-    """Shared helper: crawl the synthetic site's media bytes → Dataset.
-    The media TABLE is memoized (four media-stage queries share one crawl);
-    each caller still gets a fresh Dataset over it."""
+def _crawl_file_mode(sf_dir: str):
+    """File-mode crawl (S2): deterministic seed lines from the synthetic
+    site; titles resolved from article content (P8)."""
+    return _crawl("file_mode").docs
+
+
+def _crawl_media_dataset(name: str):
+    """A crawl's media bytes → Dataset ("media_png": the site serves
+    GENUINE PNG bodies, so decode stages exercise the real stdlib
+    codec). Each caller gets a fresh Dataset over the memoized table."""
     import ray.data
 
-    from .config import Config
-    from .pipelines.crawl import run_crawl
-    from .sources.synthetic import SiteSpec, mock_transport_factory
-
-    if "media_tbl" not in _CRAWL_MEMO:
-        spec = SiteSpec(boards={"Beauty": 3}, articles_per_page=5)
-        cfg = Config()
-        cfg.crawler.frontier_shards = 4
-        cfg.crawler.batch_urls = 4096
-        cfg.crawler.parser_count = 4
-        cfg.crawler.robots = False
-        res = run_crawl(
-            cfg,
-            transport_factory=functools.partial(mock_transport_factory, spec),
-            board="Beauty",
-            pages=2,
-            push_threshold=0,
-            fetch_via="tasks",
-        )
-        _CRAWL_MEMO["media_tbl"] = res.media.rename_columns(
-            [c if c != "url" else "media_ref" for c in res.media.column_names]
-        )
-    return ray.data.from_arrow(_CRAWL_MEMO["media_tbl"])
-
-
-def _crawl_media_dataset_png(sf_dir: str):
-    """Like _crawl_media_dataset but the site serves GENUINE PNG media
-    bodies (SiteSpec.real_png_media), so downstream decode stages exercise
-    the real stdlib codec on crawl output — the full fetch→decode story."""
-    import ray.data
-
-    from .config import Config
-    from .pipelines.crawl import run_crawl
-    from .sources.synthetic import SiteSpec, mock_transport_factory
-
-    if "media_tbl_png" not in _CRAWL_MEMO:
-        spec = SiteSpec(boards={"Beauty": 3}, articles_per_page=5,
-                        real_png_media=True)
-        cfg = Config()
-        cfg.crawler.frontier_shards = 4
-        cfg.crawler.batch_urls = 4096
-        cfg.crawler.parser_count = 4
-        cfg.crawler.robots = False
-        res = run_crawl(
-            cfg,
-            transport_factory=functools.partial(mock_transport_factory, spec),
-            board="Beauty",
-            pages=2,
-            push_threshold=0,
-            fetch_via="tasks",
-        )
-        _CRAWL_MEMO["media_tbl_png"] = res.media.rename_columns(
-            [c if c != "url" else "media_ref" for c in res.media.column_names]
-        )
-    return ray.data.from_arrow(_CRAWL_MEMO["media_tbl_png"])
+    media = _crawl(name).media
+    return ray.data.from_arrow(media.rename_columns(
+        [c if c != "url" else "media_ref" for c in media.column_names]
+    ))
 
 
 def _crawl_media_decode_png(sf_dir: str):
@@ -130,7 +143,7 @@ def _crawl_media_decode_png(sf_dir: str):
     dims from each fetched image's IHDR, features from its pixels."""
     from .stages.multimodal import ImageDecoder
 
-    return _crawl_media_dataset_png(sf_dir).map_batches(
+    return _crawl_media_dataset("media_png").map_batches(
         ImageDecoder,
         fn_constructor_kwargs={"backend": "png"},
         concurrency=(1, 2),
@@ -144,13 +157,9 @@ def _crawl_media_decode_png_oracle_sql() -> str:
     (oracle/crawl_oracle.py — heapq BFS, no Ray), each URL's PNG is
     regenerated by the same deterministic site rule and decoded single-
     process; embedded as a VALUES literal."""
-    from .oracle.crawl_oracle import oracle_crawl
-    from .sources.synthetic import SiteSpec, SyntheticSite
     from .stages.multimodal import PngBackend
 
-    site = SyntheticSite(SiteSpec(boards={"Beauty": 3}, articles_per_page=5,
-                                  real_png_media=True))
-    want = oracle_crawl(site, "Beauty", 2, push_threshold=0, fetch_media=True)
+    site, want = _oracle_crawl("media_png")
     be = PngBackend()
     rows = []
     for url in want["media_fetched"]:
@@ -169,7 +178,7 @@ def _crawl_media_decode(sf_dir: str):
     """Crawl media bytes → multimodal decode stage (stubbed backend)."""
     from .stages.multimodal import ImageDecoder
 
-    return _crawl_media_dataset(sf_dir).map_batches(
+    return _crawl_media_dataset("media").map_batches(
         ImageDecoder,
         fn_constructor_kwargs={"backend": "fake"},
         concurrency=(1, 2),
@@ -183,7 +192,7 @@ def _media_audio_features(sf_dir: str):
     (fake codec backend; real Ray plumbing)."""
     from .stages.multimodal import AudioFeatureStage
 
-    return _crawl_media_dataset(sf_dir).map_batches(
+    return _crawl_media_dataset("media").map_batches(
         AudioFeatureStage,
         fn_constructor_kwargs={"backend": "fake"},
         concurrency=(1, 2),
@@ -196,7 +205,7 @@ def _media_frame_sample(sf_dir: str):
     """Crawl media bytes treated as video → sampled frame rows (fan-out)."""
     from .stages.multimodal import FrameSampler
 
-    return _crawl_media_dataset(sf_dir).map_batches(
+    return _crawl_media_dataset("media").map_batches(
         FrameSampler,
         fn_constructor_kwargs={"backend": "fake", "stride": 10, "max_frames": 4},
         concurrency=(1, 2),
@@ -220,7 +229,7 @@ def _media_phash_dedup(sf_dir: str):
     from .pipelines.dedup import phash_near_dups
     from .stages.multimodal import PHashStage
 
-    media = _crawl_media_dataset(sf_dir)
+    media = _crawl_media_dataset("media")
     n_media = media.count()
     hashed = media.map_batches(
         PHashStage,
@@ -271,15 +280,10 @@ def _phash_dedup_oracle_sql() -> str:
     the distributed plumbing (crawl dedup, 4×16 pigeonhole banding recall,
     pair dedup, degree annotate), not the arithmetic. Pigeonhole guarantees
     banding loses no Hamming≤3 pair, so brute force must match exactly."""
-    from .oracle.crawl_oracle import oracle_crawl
-
-    from .sources.synthetic import SiteSpec, SyntheticSite
     from .stages.dedup import hamming64
     from .stages.multimodal import FakeDecodeBackend, phash64
 
-    # same site + crawl args as _crawl_media_dataset
-    site = SyntheticSite(SiteSpec(boards={"Beauty": 3}, articles_per_page=5))
-    want = oracle_crawl(site, "Beauty", 2, push_threshold=0, fetch_media=True)
+    site, want = _oracle_crawl("media")
     refs = want["media_fetched"]  # sorted distinct media URLs
     be = FakeDecodeBackend()
     ph = {r: phash64(be.gray8(site.html_for(r)[1] or b"")) for r in refs}
@@ -312,13 +316,7 @@ def _media_oracle_items() -> tuple[tuple[str, str, int, bytes], ...]:
     the engine's crawl feeds the actor-pool stages, computed by the plain
     crawl oracle — (url, doc_id, span_idx, payload bytes) per fetched
     media URL, first-wins provenance."""
-    from .oracle.crawl_oracle import oracle_crawl
-
-    from .sources.synthetic import SiteSpec, SyntheticSite
-
-    # same site + crawl args as _crawl_media_dataset
-    site = SyntheticSite(SiteSpec(boards={"Beauty": 3}, articles_per_page=5))
-    want = oracle_crawl(site, "Beauty", 2, push_threshold=0, fetch_media=True)
+    site, want = _oracle_crawl("media")
     out = []
     for url in want["media_fetched"]:
         doc_id, _, span_idx = want["media_meta"][url].rpartition("|")
@@ -534,13 +532,7 @@ def _crawl_board_oracle_sql() -> str:
     with list_value(struct_pack(...)) spans. Attests the whole board-mode
     path: frontier seed/dispatch, push filter, parse fan-out, per-doc span
     normalization."""
-    from .oracle.crawl_oracle import oracle_crawl
-
-    from .sources.synthetic import SiteSpec, SyntheticSite
-
-    # same site + crawl args as _crawl_board
-    site = SyntheticSite(SiteSpec(boards={"Beauty": 4}, articles_per_page=6))
-    want = oracle_crawl(site, "Beauty", 3, push_threshold=10, fetch_media=True)
+    _site, want = _oracle_crawl("board")
     rows = _oracle_doc_rows(want, lambda u: u.split("/bbs/")[1].split("/")[0])
     return _doc_rows_values_sql(rows)
 
@@ -548,22 +540,8 @@ def _crawl_board_oracle_sql() -> str:
 def _crawl_file_mode_oracle_sql() -> str:
     """DERIVED oracle for crawl_file_mode: same replay over the file-mode
     seed list (prefix filter, content-resolved titles, push=0)."""
-    from .oracle.crawl_oracle import oracle_crawl
-
-    from .sources.synthetic import SiteSpec, SyntheticSite
-
-    # same site + seed lines as _crawl_file_mode (board label "beauty")
-    spec = SiteSpec(boards={"Beauty": 4, "Joke": 3}, articles_per_page=6)
-    site = SyntheticSite(spec)
-    lines = [
-        site.article_url("Beauty", 2, 1),
-        "# comment line",
-        site.article_url("Joke", 1, 2),
-        site.article_url("Beauty", 3, 4),
-        "https://other.host/bbs/Beauty/x.html",
-    ]
-    want = oracle_crawl(site, "", 0, file_lines=lines, fetch_media=False)
-    rows = _oracle_doc_rows(want, lambda u: "beauty")
+    _site, want = _oracle_crawl("file_mode")
+    rows = _oracle_doc_rows(want, lambda u: "beauty")  # file-mode board label
     return _doc_rows_values_sql(rows)
 
 
@@ -575,14 +553,9 @@ def _crawl_layout_oracle_sql() -> str:
     pure functions (clean_file_name + unique_dir_names in seq order) — and
     embedded as a VALUES literal. Attests the engine's frontier dispatch,
     actor-pool parse fan-out, and the (board, dir_key) groupby shuffle."""
-    from .oracle.crawl_oracle import oracle_crawl
-
     from .functions.parse import clean_file_name, unique_dir_names
-    from .sources.synthetic import SiteSpec, SyntheticSite
 
-    # same site + crawl args as _crawl_board
-    site = SyntheticSite(SiteSpec(boards={"Beauty": 4}, articles_per_page=6))
-    want = oracle_crawl(site, "Beauty", 3, push_threshold=10, fetch_media=True)
+    _site, want = _oracle_crawl("board")
     rows = []
     for doc_id, d in want["docs"].items():
         board = d["url"].split("/bbs/")[1].split("/")[0]
@@ -1648,52 +1621,6 @@ def _partitioned_write_roundtrip(sf_dir: str):
     return ingest_partitioned(out, schema, partition_key="source")
 
 
-EXTRA_QUERIES: dict[str, Callable[[str], Any]] = {
-    "ingest_jsonl_roundtrip": _ingest_jsonl_roundtrip,
-    "ingest_csv_roundtrip": _ingest_csv_roundtrip,
-    "ingest_orc_roundtrip": _ingest_orc_roundtrip,
-    "ingest_feather_roundtrip": _ingest_feather_roundtrip,
-    "ingest_wds_roundtrip": _ingest_wds_roundtrip,
-    "ingest_jsonl_gz_roundtrip": _ingest_jsonl_gz_roundtrip,
-    "partitioned_write_roundtrip": _partitioned_write_roundtrip,
-    "flagship_spans": _flagship_spans,
-    "explode_media": _explode_media,
-    "crawl_board": _crawl_board,
-    "crawl_media_decode": _crawl_media_decode,
-    "media_audio_features": _media_audio_features,
-    "media_frame_sample": _media_frame_sample,
-    "media_resize_plan": _media_resize_plan,
-    "media_phash_dedup": _media_phash_dedup,
-    "media_png_gallery": _media_png_gallery,
-    "media_wav_gallery": _media_wav_gallery,
-    "media_y4m_frames": _media_y4m_frames,
-    "media_png_near_dups": _media_png_near_dups,
-    "crawl_media_decode_png": _crawl_media_decode_png,
-    "media_router": _media_router,
-    "crawl_layout": _crawl_layout,
-    "dedup_embedding_cosine": _dedup_embedding,
-    "lang_id": _lang_id,
-    "lang_confusion": _lang_confusion,
-    "quality_scores": _quality_scores,
-    "token_counts_bpe": _token_counts,
-    "compression_ratio": _compression_ratio,
-    "compression_ensemble": _compression_ensemble,
-    "fingerprints": _fingerprints,
-    "approx_distinct_users": _approx_distinct_users,
-    "approx_quantiles_sketch": _approx_quantiles_sketch,
-    "approx_quantiles_per_type": _approx_quantiles_per_type,
-    "approx_quantiles_bottomk": _approx_quantiles_bottomk,
-    "approx_quantiles_bottomk_per_type": _approx_quantiles_bottomk_per_type,
-    "kmeans_clusters": _kmeans_clusters,
-    "pq_codes": _pq_codes,
-    "pagerank_chain": _pagerank_chain,
-    "approx_distinct_users_per_type": _approx_distinct_users_per_type,
-    "cms_user_counts": _cms_user_counts,
-    "render_markdown": _render_markdown,
-    "flagship_write_roundtrip": _flagship_write_roundtrip,
-}
-
-
 def _semdedup(sf_dir: str):
     """SemDeDup-style semantic dedup survivors (k-means + in-cluster cosine
     prune). No SQL oracle (iterative clustering); exact semantics gated by
@@ -1701,9 +1628,6 @@ def _semdedup(sf_dir: str):
     from .pipelines.similarity import semdedup
 
     return semdedup(sf_dir)
-
-
-EXTRA_QUERIES["semdedup"] = _semdedup
 
 
 def _streaming_dedup(sf_dir: str):
@@ -1717,9 +1641,6 @@ def _streaming_dedup(sf_dir: str):
     from .pipelines.dedup import streaming_dedup
 
     return streaming_dedup(sf_dir).select_columns(["text_md5"])
-
-
-EXTRA_QUERIES["streaming_dedup"] = _streaming_dedup
 
 
 def _kmv_intersect_users(sf_dir: str):
@@ -1740,43 +1661,6 @@ def _kmv_intersect_users(sf_dir: str):
     )
 
 
-EXTRA_QUERIES["kmv_intersect_users"] = _kmv_intersect_users
-
-
-def _crawl_file_mode(sf_dir: str):
-    """File-mode crawl (S2): deterministic seed lines from the synthetic
-    site; titles resolved from article content (P8)."""
-    from .config import Config
-    from .pipelines.crawl import run_crawl
-    from .sources.synthetic import SiteSpec, SyntheticSite, mock_transport_factory
-
-    spec = SiteSpec(boards={"Beauty": 4, "Joke": 3}, articles_per_page=6)
-    site = SyntheticSite(spec)
-    lines = [
-        site.article_url("Beauty", 2, 1),
-        "# comment line",
-        site.article_url("Joke", 1, 2),
-        site.article_url("Beauty", 3, 4),
-        "https://other.host/bbs/Beauty/x.html",
-    ]
-    cfg = Config()
-    cfg.crawler.frontier_shards = 4
-    cfg.crawler.batch_urls = 4096
-    cfg.crawler.robots = False
-    res = run_crawl(
-        cfg,
-        transport_factory=functools.partial(mock_transport_factory, spec),
-        file_lines=lines,
-        board="beauty",
-        fetch_via="tasks",
-        fetch_media=False,
-    )
-    return res.docs
-
-
-EXTRA_QUERIES["crawl_file_mode"] = _crawl_file_mode
-
-
 def _bpe_merges(sf_dir: str):
     """Iterative BPE tokenizer training (distributed word count → K rounds
     of pair-count/argmax/merge over the unique-word table). Iterative, so
@@ -1786,9 +1670,6 @@ def _bpe_merges(sf_dir: str):
     from .pipelines.textanalysis import bpe_merges
 
     return bpe_merges(sf_dir)
-
-
-EXTRA_QUERIES["bpe_merges"] = _bpe_merges
 
 
 # ---------------------------------------------------------------------------
@@ -2076,81 +1957,100 @@ SELECT DISTINCT md5(COALESCE(text, '')) AS text_md5 FROM documents
 """
 
 
-EXTRA_ORACLES: dict[str, str] = {
-    # callable values are resolved lazily by oracle_sql() (the derived
-    # VALUES-literal oracles run a plain-Python computation to build their
-    # SQL — done on demand, not at import)
-    "ingest_jsonl_roundtrip": "SELECT * FROM documents",
-    "partitioned_write_roundtrip": "SELECT * FROM documents",
-    "ingest_csv_roundtrip": "SELECT * FROM events",
-    "ingest_orc_roundtrip": "SELECT * FROM documents",
-    "ingest_feather_roundtrip": "SELECT * FROM embeddings",
-    "ingest_wds_roundtrip": "SELECT * FROM documents",
-    "ingest_jsonl_gz_roundtrip": "SELECT * FROM documents",
-    "media_phash_dedup": _phash_dedup_oracle_sql,
-    "media_png_gallery": _media_png_gallery_oracle_sql,
-    "media_wav_gallery": _media_wav_gallery_oracle_sql,
-    "media_y4m_frames": _media_y4m_frames_oracle_sql,
-    "media_png_near_dups": _media_png_near_dups_oracle_sql,
-    "crawl_media_decode_png": _crawl_media_decode_png_oracle_sql,
-    "media_router": _media_router_oracle_sql,
-    "compression_ratio": _compression_ratio_oracle_sql,
-    "compression_ensemble": _compression_ensemble_oracle_sql,
-    "crawl_layout": _crawl_layout_oracle_sql,
-    "media_resize_plan": _media_resize_plan_oracle_sql,
-    "crawl_board": _crawl_board_oracle_sql,
-    "crawl_file_mode": _crawl_file_mode_oracle_sql,
-    "crawl_media_decode": _crawl_media_decode_oracle_sql,
-    "media_audio_features": _media_audio_features_oracle_sql,
-    "media_frame_sample": _media_frame_sample_oracle_sql,
-    "streaming_dedup": SQL_STREAMING_DEDUP,
-    "cms_user_counts": SQL_CMS_USER_COUNTS,
-    "kmv_intersect_users": SQL_KMV_INTERSECT_USERS,
-    "explode_media": SQL_EXPLODE_MEDIA,
-    "flagship_spans": SQL_FLAGSHIP_SPANS,
-    "render_markdown": SQL_RENDER_MARKDOWN,
-    "token_counts_bpe": SQL_TOKEN_COUNTS_BPE,
-    "fingerprints": SQL_FINGERPRINTS,
-    "lang_id": _lang_id_sql(),
+# Every query outside queries.py: name → (fn, oracle). The oracle is DuckDB
+# SQL, a zero-argument callable building it on demand (the derived
+# VALUES-literal oracles run a plain-Python replay; resolved only by
+# oracle_sql()), or None for the approximate queries pytest gates instead.
+EXTRAS: dict[str, tuple[Callable[[str], Any], Any]] = {
+    "ingest_jsonl_roundtrip": (_ingest_jsonl_roundtrip, "SELECT * FROM documents"),
+    "ingest_csv_roundtrip": (_ingest_csv_roundtrip, "SELECT * FROM events"),
+    "ingest_orc_roundtrip": (_ingest_orc_roundtrip, "SELECT * FROM documents"),
+    "ingest_feather_roundtrip": (_ingest_feather_roundtrip,
+                                 "SELECT * FROM embeddings"),
+    "ingest_wds_roundtrip": (_ingest_wds_roundtrip, "SELECT * FROM documents"),
+    "ingest_jsonl_gz_roundtrip": (_ingest_jsonl_gz_roundtrip, "SELECT * FROM documents"),
+    "partitioned_write_roundtrip": (_partitioned_write_roundtrip, "SELECT * FROM documents"),
+    "flagship_spans": (_flagship_spans, SQL_FLAGSHIP_SPANS),
+    "explode_media": (_explode_media, SQL_EXPLODE_MEDIA),
+    "crawl_board": (_crawl_board, _crawl_board_oracle_sql),
+    "crawl_media_decode": (_crawl_media_decode, _crawl_media_decode_oracle_sql),
+    "media_audio_features": (_media_audio_features,
+                             _media_audio_features_oracle_sql),
+    "media_frame_sample": (_media_frame_sample, _media_frame_sample_oracle_sql),
+    "media_resize_plan": (_media_resize_plan, _media_resize_plan_oracle_sql),
+    "media_phash_dedup": (_media_phash_dedup, _phash_dedup_oracle_sql),
+    "media_png_gallery": (_media_png_gallery, _media_png_gallery_oracle_sql),
+    "media_wav_gallery": (_media_wav_gallery, _media_wav_gallery_oracle_sql),
+    "media_y4m_frames": (_media_y4m_frames, _media_y4m_frames_oracle_sql),
+    "media_png_near_dups": (_media_png_near_dups,
+                            _media_png_near_dups_oracle_sql),
+    "crawl_media_decode_png": (_crawl_media_decode_png,
+                               _crawl_media_decode_png_oracle_sql),
+    "media_router": (_media_router, _media_router_oracle_sql),
+    "crawl_layout": (_crawl_layout, _crawl_layout_oracle_sql),
+    "crawl_file_mode": (_crawl_file_mode, _crawl_file_mode_oracle_sql),
+    # plane literals are ~100 KB of SQL — built on demand
+    "dedup_embedding_cosine": (
+        _dedup_embedding,
+        functools.partial(dedup_embedding_cosine_sql, threshold=0.3),
+    ),
+    "lang_id": (_lang_id, _lang_id_sql()),
     "lang_confusion": (
+        _lang_confusion,
         f"WITH pred AS ({_lang_id_sql()})\n"
         "SELECT lang, pred_lang, CAST(count(*) AS BIGINT) AS n "
-        "FROM pred GROUP BY 1, 2"
+        "FROM pred GROUP BY 1, 2",
     ),
-    "quality_scores": _quality_scores_sql(),
+    "quality_scores": (_quality_scores, _quality_scores_sql()),
+    "token_counts_bpe": (_token_counts, SQL_TOKEN_COUNTS_BPE),
+    "compression_ratio": (_compression_ratio, _compression_ratio_oracle_sql),
+    "compression_ensemble": (_compression_ensemble,
+                             _compression_ensemble_oracle_sql),
+    "fingerprints": (_fingerprints, SQL_FINGERPRINTS),
+    "approx_distinct_users": (_approx_distinct_users, hll_estimate_sql(p=12)),
+    "approx_distinct_users_per_type": (
+        _approx_distinct_users_per_type,
+        hll_estimate_sql(p=12, group_key="event_type", out_col="n_approx"),
+    ),
+    "approx_quantiles_sketch": (_approx_quantiles_sketch, None),
+    "approx_quantiles_per_type": (_approx_quantiles_per_type, None),
+    "approx_quantiles_bottomk": (_approx_quantiles_bottomk,
+                                 bottomk_quantiles_sql(k=2048)),
+    "approx_quantiles_bottomk_per_type": (
+        _approx_quantiles_bottomk_per_type,
+        bottomk_quantiles_sql(k=512, group_key="event_type"),
+    ),
+    "kmeans_clusters": (_kmeans_clusters, kmeans_clusters_sql(k=16, iters=5)),
+    "pq_codes": (_pq_codes, pq_codes_sql(m=4, k=16)),
+    "pagerank_chain": (_pagerank_chain, pagerank_sql(damping=0.85, iters=10)),
+    "semdedup": (_semdedup, semdedup_sql(k=16, iters=3, threshold=0.92)),
+    "bpe_merges": (_bpe_merges, bpe_merges_sql(n_merges=6)),
+    "cms_user_counts": (_cms_user_counts, SQL_CMS_USER_COUNTS),
+    "kmv_intersect_users": (_kmv_intersect_users, SQL_KMV_INTERSECT_USERS),
+    "streaming_dedup": (_streaming_dedup, SQL_STREAMING_DEDUP),
+    "render_markdown": (_render_markdown, SQL_RENDER_MARKDOWN),
     # the parquet write→read roundtrip must reproduce flagship_spans exactly
-    "flagship_write_roundtrip": SQL_FLAGSHIP_SPANS,
+    "flagship_write_roundtrip": (_flagship_write_roundtrip, SQL_FLAGSHIP_SPANS),
 }
 
-# Iterative-algorithm oracles (round-5: unrolled-CTE SQL replays of the
-# seeded-deterministic queries that previously had pytest-only gates —
-# see oracles_iterative.py for the float-discipline notes).
-from .oracles_iterative import (  # noqa: E402
-    bottomk_quantiles_sql,
-    bpe_merges_sql,
-    dedup_embedding_cosine_sql,
-    hll_estimate_sql,
-    kmeans_clusters_sql,
-    pagerank_sql,
-    pq_codes_sql,
-    semdedup_sql,
-)
 
-EXTRA_ORACLES["pq_codes"] = pq_codes_sql(m=4, k=16)
-EXTRA_ORACLES["kmeans_clusters"] = kmeans_clusters_sql(k=16, iters=5)
-EXTRA_ORACLES["semdedup"] = semdedup_sql(k=16, iters=3, threshold=0.92)
-EXTRA_ORACLES["pagerank_chain"] = pagerank_sql(damping=0.85, iters=10)
-EXTRA_ORACLES["approx_distinct_users"] = hll_estimate_sql(p=12)
-EXTRA_ORACLES["approx_distinct_users_per_type"] = hll_estimate_sql(
-    p=12, group_key="event_type", out_col="n_approx"
-)
-EXTRA_ORACLES["bpe_merges"] = bpe_merges_sql(n_merges=6)
-EXTRA_ORACLES["approx_quantiles_bottomk"] = bottomk_quantiles_sql(k=2048)
-EXTRA_ORACLES["approx_quantiles_bottomk_per_type"] = bottomk_quantiles_sql(
-    k=512, group_key="event_type"
-)
-# plane literals are ~100 KB of SQL — build lazily (callable) so importing
-# the registry stays cheap
-EXTRA_ORACLES["dedup_embedding_cosine"] = functools.partial(
-    dedup_embedding_cosine_sql, threshold=0.3
-)
+def entries() -> dict[str, tuple[Callable[[str], Any], Any]]:
+    """The one merged registry: every query name → (fn, oracle) — the
+    derived ``queries.QUERIES`` table plus ``EXTRAS``, oracles unresolved."""
+    from .queries import QUERIES
+
+    return {**QUERIES, **EXTRAS}
+
+
+def queries() -> dict[str, Callable[[str], Any]]:
+    """Every registered query: name → fn(sf_dir)."""
+    return {name: fn for name, (fn, _oracle) in entries().items()}
+
+
+def oracle_sql() -> dict[str, str]:
+    """Every oracled query: name → DuckDB SQL (lazy oracles resolved here)."""
+    return {
+        name: oracle() if callable(oracle) else oracle
+        for name, (_fn, oracle) in entries().items()
+        if oracle is not None
+    }

@@ -20,47 +20,10 @@ import json
 import sys
 import time
 
-import duckdb
-import numpy as np
 import pandas as pd
 
-TABLES = [
-    "region", "nation", "customer", "supplier", "part",
-    "orders", "lineitem", "events", "documents", "embeddings",
-]
 SCALES = ["sf0.001", "sf0.01", "sf0.1"]
 ROOT = "/root/testdata"
-
-
-def duck_result(sql: str, sf_dir: str) -> pd.DataFrame:
-    con = duckdb.connect()
-    for t in TABLES:
-        con.sql(
-            f"CREATE VIEW {t} AS SELECT * FROM "
-            f"read_parquet('{sf_dir}/{t}.parquet')"
-        )
-    return con.sql(sql).df()
-
-
-def to_pandas(result) -> pd.DataFrame:
-    import pyarrow as pa
-
-    if isinstance(result, pd.DataFrame):
-        return result
-    if isinstance(result, pa.Table):
-        return result.to_pandas()
-    return result.to_pandas()  # ray Dataset
-
-
-def canon(df: pd.DataFrame) -> pd.DataFrame:
-    df = df.reindex(sorted(df.columns), axis=1)
-    keys = [
-        c for c in df.columns
-        if not df[c].map(lambda v: isinstance(v, (np.ndarray, list, dict))).any()
-    ]
-    if keys:
-        df = df.sort_values(by=keys, kind="mergesort")
-    return df.reset_index(drop=True)
 
 
 def main() -> int:
@@ -79,16 +42,11 @@ def main() -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
-    from ptt_spider_go_ray.queries import SQL_QUERIES
-    from ptt_spider_go_ray.registry import EXTRA_ORACLES, EXTRA_QUERIES
+    from ptt_spider_go_ray.oracle.duck import canon, duck_result, to_pandas
+    from ptt_spider_go_ray.registry import oracle_sql, queries
 
-    oracled = {
-        **{name: (fn, sql) for name, (fn, sql) in SQL_QUERIES.items()},
-        **{name: (EXTRA_QUERIES[name], sql() if callable(sql) else sql)
-           for name, sql in EXTRA_ORACLES.items()},
-    }
-    names = sorted(n for n in oracled if n.startswith(args.only))
+    fns, oracles = queries(), oracle_sql()
+    names = sorted(n for n in oracles if n.startswith(args.only))
     scales = args.sf or SCALES
 
     t0 = time.time()
@@ -97,10 +55,9 @@ def main() -> int:
     for sf in scales:
         sf_dir = f"{ROOT}/{sf}"
         for name in names:
-            fn, sql = oracled[name]
             try:
-                mine = canon(to_pandas(fn(sf_dir)))
-                want = canon(duck_result(sql, sf_dir))
+                mine = canon(to_pandas(fns[name](sf_dir)))
+                want = canon(duck_result(oracles[name], sf_dir))
                 pd.testing.assert_frame_equal(mine, want, check_dtype=True)
                 passed += 1
             except Exception as e:  # noqa: BLE001 — report and continue

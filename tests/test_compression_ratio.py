@@ -8,13 +8,13 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from ptt_spider_go_ray.registry import EXTRA_QUERIES
+from ptt_spider_go_ray.registry import queries
 
 SF = "/root/testdata/sf0.001"
 
 
 def test_compression_ratio_matches_plain_python(ray_session):
-    got = EXTRA_QUERIES["compression_ratio"](SF).to_pandas()
+    got = queries()["compression_ratio"](SF).to_pandas()
     got = got.sort_values("doc_id").reset_index(drop=True)
 
     docs = pd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
@@ -41,7 +41,7 @@ def test_compression_ratio_empty_and_null_text(ray_session, tmp_path):
         {"doc_id": [1, 2, 3], "text": ["", None, "aaaa" * 50]}
     ).to_parquet(p)
     got = (
-        EXTRA_QUERIES["compression_ratio"](str(tmp_path))
+        queries()["compression_ratio"](str(tmp_path))
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)

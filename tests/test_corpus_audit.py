@@ -10,7 +10,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from tests.test_queries_oracle import canon, to_pandas
+from ptt_spider_go_ray.oracle.duck import canon, to_pandas
 
 
 def _docs(tmp_path, texts, sources=None, doc_ids=None):

@@ -131,9 +131,9 @@ def test_quantile_sketch_merge_matches_single():
 def test_approx_distinct_by_accuracy(ray_session):
     import pyarrow.parquet as pq
 
-    from ptt_spider_go_ray.registry import EXTRA_QUERIES
+    from ptt_spider_go_ray.registry import queries
 
-    got = EXTRA_QUERIES["approx_distinct_users_per_type"](SF).to_pandas()
+    got = queries()["approx_distinct_users_per_type"](SF).to_pandas()
     df = pq.read_table(
         f"{SF}/events.parquet", columns=["event_type", "user_id"]
     ).to_pandas()
@@ -148,9 +148,9 @@ def test_approx_quantiles_pipeline(ray_session):
     import numpy as np
     import pyarrow.parquet as pq
 
-    from ptt_spider_go_ray.registry import EXTRA_QUERIES
+    from ptt_spider_go_ray.registry import queries
 
-    got = EXTRA_QUERIES["approx_quantiles_sketch"](SF)
+    got = queries()["approx_quantiles_sketch"](SF)
     vals = pq.read_table(f"{SF}/events.parquet", columns=["value"])["value"].to_numpy()
     srt = np.sort(vals)
     for q, est in zip(got["q"], got["value_approx"]):
@@ -168,10 +168,10 @@ def test_bottomk_quantiles_accuracy(ray_session):
 
     import ray.data
 
-    from ptt_spider_go_ray.registry import EXTRA_QUERIES
+    from ptt_spider_go_ray.registry import queries
     from ptt_spider_go_ray.stages.sketch import bottomk_quantiles
 
-    got = EXTRA_QUERIES["approx_quantiles_bottomk"](SF)
+    got = queries()["approx_quantiles_bottomk"](SF)
     vals = pq.read_table(f"{SF}/events.parquet", columns=["value"])["value"].to_numpy()
     srt = np.sort(vals)
     for q, est in zip(got["q"], got["value_approx"]):
@@ -188,7 +188,7 @@ def test_bottomk_quantiles_accuracy(ray_session):
     )
     assert one["value_approx"].tolist() == many["value_approx"].tolist()
 
-    grouped = EXTRA_QUERIES["approx_quantiles_bottomk_per_type"](SF).to_pandas()
+    grouped = queries()["approx_quantiles_bottomk_per_type"](SF).to_pandas()
     df = pq.read_table(
         f"{SF}/events.parquet", columns=["event_type", "value"]
     ).to_pandas()
@@ -589,9 +589,9 @@ def test_cms_pipeline_vs_exact(ray_session):
     import duckdb
     import numpy as np
 
-    from ptt_spider_go_ray.registry import EXTRA_QUERIES
+    from ptt_spider_go_ray.registry import queries
 
-    got = EXTRA_QUERIES["cms_user_counts"](SF)
+    got = queries()["cms_user_counts"](SF)
     exact = duckdb.sql(
         f"SELECT user_id, count(*) AS n FROM read_parquet('{SF}/events.parquet') "
         "GROUP BY user_id"
@@ -819,9 +819,9 @@ def test_approx_quantiles_by_accuracy(ray_session):
     """Grouped KLL sketch: per-group rank error vs exact quantiles < 5%."""
     import pyarrow.parquet as pq
 
-    from ptt_spider_go_ray.registry import EXTRA_QUERIES
+    from ptt_spider_go_ray.registry import queries
 
-    got = EXTRA_QUERIES["approx_quantiles_per_type"](SF).to_pandas()
+    got = queries()["approx_quantiles_per_type"](SF).to_pandas()
     df = pq.read_table(
         f"{SF}/events.parquet", columns=["event_type", "value"]
     ).to_pandas()
@@ -1071,9 +1071,9 @@ def test_kmv_estimate_and_intersection_error_bounds():
 
 
 def test_kmv_pipeline_runs(ray_session):
-    from ptt_spider_go_ray.registry import EXTRA_QUERIES
+    from ptt_spider_go_ray.registry import queries
 
-    df = EXTRA_QUERIES["kmv_intersect_users"]("/root/testdata/sf0.001")
+    df = queries()["kmv_intersect_users"](SF)
     assert len(df) == 1
     # sf0.001 has 15 users, far below k: every estimate is exact
     import duckdb

@@ -16,7 +16,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from tests.test_queries_oracle import canon, to_pandas
+from ptt_spider_go_ray.oracle.duck import canon, to_pandas
 
 
 def _docs(tmp_path, texts, sources=None, doc_ids=None):
@@ -134,6 +134,25 @@ def test_dedup_suffix_shared_footer(ray_session, tmp_path):
     _assert_match(got, want)
     m = dict(zip(got["doc_id"], got["n_dups"]))
     assert m == {0: 2, 2: 2}
+
+
+@pytest.mark.parametrize("which", ["prefix", "suffix"])
+def test_dedup_affix_null_and_empty_text(ray_session, tmp_path, which):
+    """NULL texts form one group of their own, apart from '' (SQL GROUP BY
+    semantics); short texts key on their whole text; long texts sharing
+    the 64-char head (prefix) or tail (suffix) collapse to the min id."""
+    from ptt_spider_go_ray import queries as Q
+
+    head, tail = "H" * 70, "T" * 70
+    sf = _docs(tmp_path, [
+        None, "", head + "a" + tail, None, "", "short",
+        head + "b" + tail, "short", None,
+    ])
+    got = to_pandas(getattr(Q, f"q_dedup_{which}")(sf))
+    want = _duck(tmp_path, getattr(Q, f"SQL_DEDUP_{which.upper()}"))
+    _assert_match(got, want)
+    m = dict(zip(got["doc_id"], got["n_dups"]))
+    assert m == {0: 3, 1: 2, 2: 2, 5: 2}
 
 
 def test_skipgram_pairs_boundaries(ray_session, tmp_path):

@@ -161,29 +161,6 @@ def test_minhash_verified_dups_planted_pairs(ray_session, docs_dir):
     assert (0, 2) not in pairs and (1, 2) not in pairs
 
 
-def test_mh_memo_put_evicts_stale_snapshots():
-    # pure-dict semantics, no Ray: same (job, sf_dir, what) with a NEW
-    # (mtime, size) must evict the superseded snapshot; other jobs' entries
-    # are evicted wholesale; unrelated (sf_dir, what) entries survive
-    from ptt_spider_go_ray.queries import _MH_MEMO, _mh_memo_put
-
-    _MH_MEMO.clear()
-    job = "job-A"
-    k_old = (job, "/d1", "band_pairs", 100, 10)
-    k_other_what = (job, "/d1", "pair_overlap", 100, 10)
-    k_other_dir = (job, "/d2", "band_pairs", 100, 10)
-    k_dead_job = ("job-B", "/d1", "band_pairs", 100, 10)
-    for k in (k_old, k_other_what, k_other_dir, k_dead_job):
-        _MH_MEMO[k] = k
-    k_new = (job, "/d1", "band_pairs", 200, 11)
-    _mh_memo_put(k_new, "fresh")
-    assert _MH_MEMO[k_new] == "fresh"
-    assert k_old not in _MH_MEMO  # superseded snapshot evicted
-    assert k_dead_job not in _MH_MEMO  # finished job evicted
-    assert k_other_what in _MH_MEMO and k_other_dir in _MH_MEMO
-    _MH_MEMO.clear()
-
-
 def test_threshold_sweep_discriminates_on_edge_table(ray_session, docs_dir):
     from ptt_spider_go_ray.queries import (
         SQL_MINHASH_THRESHOLD_SWEEP,

@@ -7,63 +7,21 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from ptt_spider_go_ray.queries import SQL_QUERIES
-from ptt_spider_go_ray.registry import EXTRA_ORACLES, EXTRA_QUERIES
+from ptt_spider_go_ray.oracle.duck import canon, duck_result, to_pandas
+from ptt_spider_go_ray.registry import oracle_sql, queries
 
-# every oracled pair: (fn, sql) from the SQL registry plus the deterministic
-# EXTRA queries that gained DuckDB oracles (span synthesis, text analysis)
-ALL_ORACLED = {
-    **{name: (fn, sql) for name, (fn, sql) in SQL_QUERIES.items()},
-    **{name: (EXTRA_QUERIES[name], sql() if callable(sql) else sql)
-       for name, sql in EXTRA_ORACLES.items()},
-}
+# every oracled pair: (fn, sql) from the merged registry
+_FNS = queries()
+ALL_ORACLED = {name: (_FNS[name], sql) for name, sql in oracle_sql().items()}
 
 SF = "/root/testdata/sf0.001"
-TABLES = [
-    "region", "nation", "customer", "supplier", "part",
-    "orders", "lineitem", "events", "documents", "embeddings",
-]
-
-
-def duck_result(sql: str) -> pd.DataFrame:
-    con = duckdb.connect()
-    for t in TABLES:
-        con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return con.sql(sql).df()
-
-
-def to_pandas(result) -> pd.DataFrame:
-    if isinstance(result, pd.DataFrame):
-        return result
-    try:
-        import pyarrow as pa
-
-        if isinstance(result, pa.Table):
-            return result.to_pandas()
-    except ImportError:
-        pass
-    return result.to_pandas()  # ray Dataset
-
-
-def canon(df: pd.DataFrame) -> pd.DataFrame:
-    df = df.reindex(sorted(df.columns), axis=1)
-    # nested columns (list<struct> spans from the crawl queries) are not
-    # orderable — sort rows by the scalar columns only (doc_id etc. are
-    # unique keys in those frames, so the order stays deterministic)
-    keys = [
-        c for c in df.columns
-        if not df[c].map(lambda v: isinstance(v, (np.ndarray, list, dict))).any()
-    ]
-    if keys:
-        df = df.sort_values(by=keys, kind="mergesort")
-    return df.reset_index(drop=True)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_ORACLED))
 def test_query_matches_oracle(name, ray_session):
     fn, sql = ALL_ORACLED[name]
     got = canon(to_pandas(fn(SF)))
-    want = canon(duck_result(sql))
+    want = canon(duck_result(sql, SF))
     assert list(got.columns) == list(want.columns), f"{name}: column mismatch"
     assert len(got) == len(want), f"{name}: row count {len(got)} != {len(want)}"
     for col in want.columns:
@@ -157,7 +115,7 @@ def test_tpch_q3_native_join_path(ray_session, monkeypatch):
 
     monkeypatch.setattr(Q, "_Q3_BROADCAST_MAX", -1)
     got = canon(to_pandas(Q.q_tpch_q3(SF)))
-    want = canon(duck_result(Q.SQL_TPCH_Q3))
+    want = canon(duck_result(Q.SQL_TPCH_Q3, SF))
     pd.testing.assert_frame_equal(got, want)
 
 
@@ -169,7 +127,7 @@ def test_corpus_build_v3_anti_join_path(ray_session, monkeypatch):
 
     monkeypatch.setattr(Q, "_CB3_BCAST_MAX", -1)
     got = canon(to_pandas(Q.q_corpus_build_v3(SF)))
-    want = canon(duck_result(Q.SQL_CORPUS_BUILD_V3))
+    want = canon(duck_result(Q.SQL_CORPUS_BUILD_V3, SF))
     pd.testing.assert_frame_equal(got, want)
 
 
@@ -181,7 +139,7 @@ def test_decontaminate_bucketed_semi_join_path(ray_session, monkeypatch):
 
     monkeypatch.setattr(Q, "_DECON_BCAST_MAX_DOCS", -1)
     got = canon(to_pandas(Q.q_decontaminate(SF)))
-    want = canon(duck_result(Q.SQL_DECONTAMINATE))
+    want = canon(duck_result(Q.SQL_DECONTAMINATE, SF))
     pd.testing.assert_frame_equal(got, want)
 
 
@@ -191,7 +149,7 @@ def test_tpch_q5_native_join_path(ray_session):
     import ptt_spider_go_ray.queries as Q
 
     got = canon(to_pandas(Q.q_tpch_q5(SF, broadcast_max=0)))
-    want = canon(duck_result(Q.SQL_TPCH_Q5))
+    want = canon(duck_result(Q.SQL_TPCH_Q5, SF))
     pd.testing.assert_frame_equal(got, want)
 
 
@@ -1999,7 +1957,7 @@ def test_semi_anti_join_fallback_matches_broadcast(ray_session):
         bcast = canon(to_pandas(fn(SF)))
         native = canon(to_pandas(fn(SF, broadcast_max=0)))
         pd.testing.assert_frame_equal(bcast, native)
-        pd.testing.assert_frame_equal(bcast, canon(duck_result(sql)))
+        pd.testing.assert_frame_equal(bcast, canon(duck_result(sql, SF)))
 
 
 def test_perplexity_buckets_tiny_language_groups(ray_session, tmp_path):
