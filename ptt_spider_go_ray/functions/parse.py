@@ -33,7 +33,6 @@ SEED_PREFIX = PTT_BASE_URL + "/bbs/"
 
 _INVALID_FILENAME_CHARS = re.compile(r'[\\/:*?"<>|]')  # crawler/crawler.go:36
 _VALID_BOARD = re.compile(r"^[A-Za-z0-9_-]+$")  # crawler/crawler.go:39
-_INDEX_PAGE = re.compile(r"index(\d+)\.html$")
 _IMG_EXTS = (".jpg", ".jpeg", ".png", ".gif")  # ptt/parser_impl.go:99
 
 
@@ -163,11 +162,6 @@ def is_seed_line(line: str) -> bool:
     """File-mode line filter: strip, then prefix test against
     ``https://www.ptt.cc/bbs/``. crawler/crawler.go:811-812."""
     return line.strip().startswith(SEED_PREFIX)
-
-
-def dir_name_for(title: str, push_rate: int) -> str:
-    """``{clean(title)}_{push_rate}``. crawler/crawler.go:545."""
-    return f"{clean_file_name(title)}_{push_rate}"
 
 
 def unique_dir_names(rows: list[tuple[str, str]]) -> list[str]:
@@ -481,8 +475,3 @@ def url_host(url: str) -> str:
         return (urlparse(url).netloc or "").lower()
     except ValueError:
         return ""
-
-
-def parse_index_page_no(url: str) -> int | None:
-    m = _INDEX_PAGE.search(url)
-    return int(m.group(1)) if m else None

@@ -27,10 +27,3 @@ def render_markdown(title: str, article_url: str, push_count: int,
         parts.append(f"![{name}](./{name})\n")
     return "".join(parts)
 
-
-def render_markdown_for_doc(doc: dict) -> str:
-    """Render from a document row (spans schema)."""
-    image_urls = [s["media_ref"] for s in (doc.get("spans") or []) if s["kind"] == "media"]
-    return render_markdown(
-        doc.get("title", ""), doc.get("url", ""), int(doc.get("push_count", 0)), image_urls
-    )

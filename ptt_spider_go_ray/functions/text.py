@@ -1,7 +1,7 @@
 """Text-analysis scalar functions for the large-scale training-data pipeline
 extensions (task brief): language-ID (n-gram/stopword heuristic), quality
 scoring (length/punct/stopword ratios), token counting (whitespace + a
-BPE-ish regex), and document fingerprinting (MD5 + rolling hash).
+BPE-ish regex), and document fingerprinting (rolling hash).
 
 All functions are pure and deterministic; batch/vectorized wrappers live in
 ``ptt_spider_go_ray.stages.textstages``. Where a DuckDB-SQL oracle exists the
@@ -12,7 +12,6 @@ semantics are chosen to be exactly expressible in ANSI SQL (see
 
 from __future__ import annotations
 
-import hashlib
 import re
 
 WHITESPACE_RE = re.compile(r"\s+")
@@ -102,10 +101,6 @@ def detect_lang(text: str) -> str:
     return min(scores.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
 
-def md5_fingerprint(text: str) -> str:
-    return hashlib.md5(text.encode("utf-8")).hexdigest()
-
-
 _ROLL_BASE = 1_000_003
 _ROLL_MOD = (1 << 61) - 1
 
@@ -135,12 +130,6 @@ def format_bytes(n: int) -> str:
         div *= unit
         exp += 1
     return f"{n / div:.1f} {'KMGTPE'[exp]}iB"
-
-
-def char_ngrams(text: str, n: int = 3) -> set[str]:
-    if len(text) < n:
-        return {text} if text else set()
-    return {text[i : i + n] for i in range(len(text) - n + 1)}
 
 
 def word_shingles(text: str, k: int = 3) -> set[str]:

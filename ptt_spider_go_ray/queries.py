@@ -38,6 +38,16 @@ def _read(sf_dir: str, table: str, columns=None):
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
+def _rows(sf_dir: str, *tables: str) -> int:
+    """Summed row counts of the named tables, from their Parquet footers
+    (no data scan)."""
+    import pyarrow.parquet as pq
+
+    return sum(
+        pq.ParquetFile(f"{sf_dir}/{t}.parquet").metadata.num_rows for t in tables
+    )
+
+
 def _md5_col(texts) -> list[str]:
     return [hashlib.md5((t or "").encode("utf-8")).hexdigest() for t in texts]
 
@@ -56,6 +66,19 @@ def _arrow_out(df: pd.DataFrame) -> pa.Table:
     """Pandas→Arrow for combiner outputs: Ray's sort-based aggregate is
     several times slower over pandas blocks than Arrow blocks."""
     return pa.Table.from_pandas(df, preserve_index=False)
+
+
+def _combine(ds, partial, keys, sums, batch_size=_COMBINE_BATCH,
+             batch_format="pyarrow"):
+    """Per-batch ``partial`` combiner, then one ``groupby(keys)`` that sums
+    each column in ``sums`` under its own name."""
+    from ray.data.aggregate import Sum
+
+    return (
+        ds.map_batches(partial, batch_format=batch_format, batch_size=batch_size)
+        .groupby(keys)
+        .aggregate(*(Sum(c, alias_name=c) for c in sums))
+    )
 
 
 def _tok_arrow(texts) -> tuple[np.ndarray, pa.Array]:
@@ -142,8 +165,6 @@ FROM enc
 
 
 def q_group_counts(sf_dir: str):
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", columns=["lang", "n_chars"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -152,11 +173,7 @@ def q_group_counts(sf_dir: str):
         g = t.group_by("lang").aggregate([("n_chars", "count"), ("n_chars", "sum")])
         return g.rename_columns(["lang", "n_docs", "sum_chars"])
 
-    return ds.map_batches(
-        partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).groupby("lang").aggregate(
-        Sum("n_docs", alias_name="n_docs"), Sum("sum_chars", alias_name="sum_chars")
-    )
+    return _combine(ds, partial, "lang", ["n_docs", "sum_chars"])
 
 
 SQL_GROUP_COUNTS = """
@@ -178,19 +195,13 @@ FROM documents GROUP BY lang
 
 
 def q_mixture_weights(sf_dir: str):
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", columns=["source", "n_chars"])
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.group_by("source").aggregate([("n_chars", "count"), ("n_chars", "sum")])
         return g.rename_columns(["source", "n_docs", "n_units"])
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH)
-        .groupby("source")
-        .aggregate(Sum("n_docs", alias_name="n_docs"), Sum("n_units", alias_name="n_units"))
-    )
+    agg = _combine(ds, partial, "source", ["n_docs", "n_units"])
     tbl = pa.concat_tables(
         agg.iter_batches(batch_size=None, batch_format="pyarrow"),
         promote_options="default",
@@ -457,8 +468,6 @@ FROM documents
 
 
 def q_lineitem_agg(sf_dir: str):
-    from ray.data.aggregate import Sum
-
     ds = _read(
         sf_dir,
         "lineitem",
@@ -487,13 +496,12 @@ def q_lineitem_agg(sf_dir: str):
         g = df.groupby(["l_returnflag", "l_linestatus"], as_index=False).sum()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    ds = ds.map_batches(partial_agg, batch_format="pyarrow", batch_size=_COMBINE_BATCH)
-    return ds.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sum_qty", alias_name="sum_qty"),
-        Sum("sum_base_price_e2", alias_name="sum_base_price_e2"),
-        Sum("sum_disc_price_e4", alias_name="sum_disc_price_e4"),
-        Sum("sum_disc_e2", alias_name="sum_disc_e2"),
-        Sum("count_order", alias_name="count_order"),
+    return _combine(
+        ds,
+        partial_agg,
+        ["l_returnflag", "l_linestatus"],
+        ["sum_qty", "sum_base_price_e2", "sum_disc_price_e4", "sum_disc_e2",
+         "count_order"],
     )
 
 
@@ -601,13 +609,6 @@ def q_sessionize(sf_dir: str):
     groupby-agg. At millions of users the per-group ~1 ms map_groups Python
     tax would dominate; per-bucket it amortizes to nothing."""
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "bucket", pa.array(_bucket_of(keys, n_buckets))
-        )
 
     gap_us = 30 * 60 * 1_000_000
 
@@ -626,9 +627,7 @@ def q_sessionize(sf_dir: str):
         return out.astype({"n_sessions": "int64", "n_events": "int64"})
 
     return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(sessions, batch_format="pandas")
+        _by_key_bucket(ds, "user_id", sessions, ds.count())
         .select_columns(["user_id", "n_sessions", "n_events"])
     )
 
@@ -963,7 +962,7 @@ def q_distinct_users_per_type(sf_dir: str):
     stage 1 dedupes (type, user) pairs distributedly (per-batch local dedup
     → pair groupby, moving distinct pairs only), stage 2 pre-counts per
     batch and Sum-combines — no stage ever holds one type's full rows."""
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Count
 
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
 
@@ -988,11 +987,7 @@ def q_distinct_users_per_type(sf_dir: str):
         g = t.group_by("event_type").aggregate([("user_id", "count")])
         return g.rename_columns(["event_type", "n_users"])
 
-    return (
-        pairs.map_batches(partial_counts, batch_format="pyarrow", batch_size=_COMBINE_BATCH)
-        .groupby("event_type")
-        .aggregate(Sum("n_users", alias_name="n_users"))
-    )
+    return _combine(pairs, partial_counts, "event_type", ["n_users"])
 
 
 SQL_DISTINCT_USERS_PER_TYPE = """
@@ -1028,13 +1023,25 @@ def _bucket_of(keys: np.ndarray, n_buckets: int) -> np.ndarray:
     return (keys % n_buckets).astype(np.int64)
 
 
-def q_asof_join(sf_dir: str):
-    import pyarrow.parquet as pq
+def _by_key_bucket(ds, key: str, fn, rows: int):
+    """Hash-partition ``ds`` on ``key`` into ``_key_buckets(rows)`` buckets
+    and run ``fn`` once per bucket on a pandas frame that holds every row of
+    its keys."""
+    n_buckets = _key_buckets(rows)
 
-    n_buckets = _key_buckets(
-        pq.ParquetFile(f"{sf_dir}/events.parquet").metadata.num_rows,
-        pq.ParquetFile(f"{sf_dir}/orders.parquet").metadata.num_rows,
+    def tag(t: pa.Table) -> pa.Table:
+        keys = t[key].to_numpy(zero_copy_only=False)
+        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
+
+    return (
+        ds.map_batches(tag, batch_format="pyarrow")
+        .groupby("bucket")
+        .map_groups(fn, batch_format="pandas")
     )
+
+
+def q_asof_join(sf_dir: str):
+    n_buckets = _key_buckets(_rows(sf_dir, "events", "orders"))
 
     def tag_events(t: pa.Table) -> pa.Table:
         keys = t["user_id"].to_numpy(zero_copy_only=False)
@@ -1134,8 +1141,6 @@ ON e.user_id = o.o_custkey AND e.ts >= o.o_orderdate
 
 
 def q_events_per_day(sf_dir: str):
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", columns=["ts"])
 
     def day_partial(t: pa.Table) -> pa.Table:
@@ -1146,9 +1151,7 @@ def q_events_per_day(sf_dir: str):
             {"day": vc["day"], "n_events": pc.cast(vc["day_count"], pa.int64())}
         )
 
-    agg = ds.map_batches(
-        day_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).groupby("day").aggregate(Sum("n_events", alias_name="n_events"))
+    agg = _combine(ds, day_partial, "day", ["n_events"])
 
     def to_us(t: pa.Table) -> pa.Table:
         # Ray's hash aggregate routes the day key through numpy, downcasting
@@ -1273,12 +1276,7 @@ def _join_partitions(sf_dir: str, left: str, right: str,
     where an aggregator can finalize a partition that received no blocks
     from one side, handing acero a zero-column table ("No match ... for key
     field reference" crash, seen at sf0.001 under num_cpus=32)."""
-    import pyarrow.parquet as pq
-
-    n = sum(
-        pq.ParquetFile(f"{sf_dir}/{t}.parquet").metadata.num_rows
-        for t in (left, right)
-    )
+    n = _rows(sf_dir, left, right)
     if n < 50_000:
         return 1
     return max(8, -(-n // rows_per_partition))
@@ -1372,17 +1370,12 @@ def q_range_join(sf_dir: str, slice_us: int | None = None):
     Replication overhead is window/slice (25% at the 4-window default).
     Exact for any slice_us ≥ the window; the planted-90%-hot-user pytest
     pins both the spread and oracle equality."""
-    import pyarrow.parquet as pq
-
     week_us = 7 * 24 * 3600 * 1_000_000
     if slice_us is None:
         slice_us = 4 * week_us
     if slice_us < week_us:
         raise ValueError("slice_us must be >= the 7-day window")
-    n_buckets = _key_buckets(
-        pq.ParquetFile(f"{sf_dir}/events.parquet").metadata.num_rows,
-        pq.ParquetFile(f"{sf_dir}/orders.parquet").metadata.num_rows,
-    )
+    n_buckets = _key_buckets(_rows(sf_dir, "events", "orders"))
     t0 = _footer_ts_min_us(sf_dir, "events", "ts")
     od = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"])
 
@@ -1523,16 +1516,12 @@ def q_sliding_window(sf_dir: str, slice_us: int | None = None):
     replicates one slice FORWARD as context-only (tgt=0) — each target
     finds its whole (t-30m, t] window in its own bucket, no merge shuffle.
     Exact for any slice_us ≥ the window."""
-    import pyarrow.parquet as pq
-
     half_hour_us = 30 * 60 * 1_000_000
     if slice_us is None:
         slice_us = 4 * half_hour_us
     if slice_us < half_hour_us:
         raise ValueError("slice_us must be >= the 30-minute window")
-    n_buckets = _key_buckets(
-        pq.ParquetFile(f"{sf_dir}/events.parquet").metadata.num_rows
-    )
+    n_buckets = _key_buckets(_rows(sf_dir, "events"))
     t0 = _footer_ts_min_us(sf_dir, "events", "ts")
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
 
@@ -1667,14 +1656,13 @@ def _window_custkeys(sf_dir: str, lo: str, hi: str) -> np.ndarray:
 
 def _semi_anti_join(sf_dir: str, lo: str, hi: str, anti: bool,
                     broadcast_max: int | None):
-    import pyarrow.parquet as pq
     import ray
     from ray.data.aggregate import Count
 
     if broadcast_max is None:
         broadcast_max = _SEMI_BROADCAST_MAX
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
-    n_cust = pq.ParquetFile(f"{sf_dir}/customer.parquet").metadata.num_rows
+    n_cust = _rows(sf_dir, "customer")
     if n_cust <= broadcast_max:
         keys_ref = ray.put(_window_custkeys(sf_dir, lo, hi))
 
@@ -2152,13 +2140,6 @@ ORDER BY n DESC, word ASC LIMIT {WORDCOUNT_K}
 
 def q_running_total(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "bucket", pa.array(_bucket_of(keys, n_buckets))
-        )
 
     def running(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -2172,11 +2153,7 @@ def q_running_total(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(running, batch_format="pandas")
-    )
+    return _by_key_bucket(ds, "user_id", running, ds.count())
 
 
 SQL_RUNNING_TOTAL = """
@@ -2527,11 +2504,6 @@ _ISLAND_GAP_US = 30 * 60 * 1_000_000
 
 def q_user_islands(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def islands(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -2555,11 +2527,7 @@ def q_user_islands(sf_dir: str):
              "max_island_us": np.int64, "n_events": np.int64}
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(islands, batch_format="pandas")
-    )
+    return _by_key_bucket(ds, "user_id", islands, ds.count())
 
 
 SQL_USER_ISLANDS = f"""
@@ -2663,7 +2631,7 @@ def q_nation_revenue(sf_dir: str, broadcast_max: int | None = None):
     ).to_pylist()
     name_by_key = {n["n_nationkey"]: n["n_name"] for n in nation}
 
-    n_cust = pq.ParquetFile(f"{sf_dir}/customer.parquet").metadata.num_rows
+    n_cust = _rows(sf_dir, "customer")
     if n_cust <= broadcast_max:
         # Adaptive broadcast-map plan (the q_ship_delay pattern): the
         # customer→nation map ships ONCE via ray.put as sorted arrays, each
@@ -2793,7 +2761,6 @@ _TFIDF_K = 3
 
 def q_tfidf_top_terms(sf_dir: str):
     import ray
-    from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     n_docs = ds.count()  # parquet metadata — no scan
@@ -2820,12 +2787,10 @@ def q_tfidf_top_terms(sf_dir: str):
         return pa.table({"term": pa.array(words.astype(str)),
                          "df": pa.array(counts.astype(np.int64))})
 
-    df_rows = (
-        ds.map_batches(df_partial, batch_format="pandas", batch_size=_TEXT_COMBINE_BATCH)
-        .groupby("term")
-        .aggregate(Sum("df", alias_name="df"))
-        .take_all()
-    )
+    df_rows = _combine(
+        ds, df_partial, "term", ["df"],
+        batch_size=_TEXT_COMBINE_BATCH, batch_format="pandas",
+    ).take_all()
     idf = {
         r["term"]: np.log((n_docs + 1) / (int(r["df"]) + 1)) + 1.0 for r in df_rows
     }
@@ -2898,8 +2863,6 @@ _EMB_DIM = 64
 
 
 def q_embedding_centroid(sf_dir: str):
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "embeddings", columns=["label", "embedding"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -2923,11 +2886,7 @@ def q_embedding_centroid(sf_dir: str):
             }
         )
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH)
-        .groupby(["label", "dim"])
-        .aggregate(Sum("sum_e6", alias_name="sum_e6"), Sum("n", alias_name="n"))
-    )
+    agg = _combine(ds, partial, ["label", "dim"], ["sum_e6", "n"])
 
     def norm(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -2965,11 +2924,6 @@ _MW_ROWS = 3  # trailing window size (current row + 2 preceding)
 
 def q_moving_window(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def window(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -2988,11 +2942,7 @@ def q_moving_window(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(window, batch_format="pandas")
-    )
+    return _by_key_bucket(ds, "user_id", window, ds.count())
 
 
 SQL_MOVING_WINDOW = f"""
@@ -3179,12 +3129,8 @@ def q_set_ops_users(sf_dir: str):
     # Per-block flag combiner, then ONE key-bucketed sort shuffle finishes
     # the per-user max — the measured-cheaper equivalent of the
     # hash-aggregate actor tier; per-bucket work is a vectorized pandas max.
-    import pyarrow.parquet as pq
-
     ds = _read(sf_dir, "events", columns=["user_id", "event_type", "value"])
-    nb = _key_buckets(
-        pq.ParquetFile(f"{sf_dir}/events.parquet").metadata.num_rows
-    )
+    nb = _key_buckets(_rows(sf_dir, "events"))
 
     def flags(df: pd.DataFrame) -> pa.Table:
         g = pd.DataFrame(
@@ -3315,11 +3261,6 @@ FROM c
 
 def q_funnel_stage(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_type"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def funnel(g: pd.DataFrame) -> pd.DataFrame:
         df = pd.DataFrame(
@@ -3347,11 +3288,7 @@ def q_funnel_stage(sf_dir: str):
             {"user_id": stage.index.to_numpy(), "stage": stage.to_numpy()}
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(funnel, batch_format="pandas")
-    )
+    return _by_key_bucket(ds, "user_id", funnel, ds.count())
 
 
 SQL_FUNNEL_STAGE = """
@@ -3384,11 +3321,6 @@ LEFT JOIN p ON u.user_id = p.user_id
 
 def q_lag_delta(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def lag(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -3405,11 +3337,7 @@ def q_lag_delta(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(lag, batch_format="pandas")
-    )
+    return _by_key_bucket(ds, "user_id", lag, ds.count())
 
 
 SQL_LAG_DELTA = """
@@ -3429,11 +3357,6 @@ FROM events
 
 def q_first_last_per_user(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def first_last(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -3444,11 +3367,7 @@ def q_first_last_per_user(sf_dir: str):
         )
         return out.astype({"user_id": "int64", "n_events": "int64"})
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(first_last, batch_format="pandas")
-    )
+    return _by_key_bucket(ds, "user_id", first_last, ds.count())
 
 
 SQL_FIRST_LAST_PER_USER = """
@@ -3834,7 +3753,7 @@ def q_tpch_q3(sf_dir: str):
     # adaptive dim side: the UNFILTERED row count (free, parquet footer)
     # bounds the filtered key set; under the threshold, build the broadcast
     # key set with a single column- and row-group-pruned read
-    n_cust_total = pq.ParquetFile(f"{sf_dir}/customer.parquet").metadata.num_rows
+    n_cust_total = _rows(sf_dir, "customer")
     if n_cust_total <= _Q3_BROADCAST_MAX:
         keys = np.sort(
             pq.read_table(
@@ -3866,7 +3785,7 @@ def q_tpch_q3(sf_dir: str):
     orders = orders.select_columns(["o_orderkey", "o_orderdate", "o_orderpriority"])
 
     lineitem_cols = ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"]
-    n_orders_total = pq.ParquetFile(f"{sf_dir}/orders.parquet").metadata.num_rows
+    n_orders_total = _rows(sf_dir, "orders")
     if n_orders_total <= _Q3_BROADCAST_MAX:
         # Broadcast plan: the date+segment-filtered orders (a few % of the
         # table) ship ONCE via ray.put as sorted lookup arrays. The lineitem
@@ -3884,11 +3803,8 @@ def q_tpch_q3(sf_dir: str):
         )
         oprio = np.asarray(odf["o_orderpriority"].to_numpy(), dtype=object)[oo]
         ord_ref = ray.put((okeys, odate, oprio))
-        import pyarrow.parquet as _pq
 
-        nb = _key_buckets(
-            _pq.ParquetFile(f"{sf_dir}/lineitem.parquet").metadata.num_rows
-        )
+        nb = _key_buckets(_rows(sf_dir, "lineitem"))
         _empty = pd.DataFrame(
             {
                 "l_orderkey": pd.Series([], dtype="int64"),
@@ -4060,11 +3976,7 @@ def q_salted_agg(sf_dir: str):
         )
         return _arrow_out(g)
 
-    salted = (
-        ds.map_batches(phase1, batch_format="pyarrow", batch_size=_COMBINE_BATCH)
-        .groupby(["event_type", "salt"])
-        .aggregate(Sum("n", alias_name="n"), Sum("sum_cents", alias_name="sum_cents"))
-    )
+    salted = _combine(ds, phase1, ["event_type", "salt"], ["n", "sum_cents"])
     return (
         salted.groupby("event_type")
         .aggregate(Sum("n", alias_name="n"), Sum("sum_cents", alias_name="sum_cents"))
@@ -4400,11 +4312,7 @@ def q_left_join_rollup(sf_dir: str):
     # q_join_native / q_semi_join / q_tpch_q10 showcase): same one
     # all-to-all, no aggregator/join actor tier, and the pre-aggregated
     # order side shrinks the shuffle to ≤ one row per (block, custkey).
-    import pyarrow.parquet as pq
-
-    n_c = pq.ParquetFile(f"{sf_dir}/customer.parquet").metadata.num_rows
-    n_o = pq.ParquetFile(f"{sf_dir}/orders.parquet").metadata.num_rows
-    nb = _key_buckets(n_c + n_o)
+    nb = _key_buckets(_rows(sf_dir, "customer", "orders"))
 
     def c_side(t: pa.Table) -> pa.Table:
         k = t["c_custkey"].to_numpy(zero_copy_only=False)
@@ -4819,11 +4727,9 @@ FROM (SELECT doc_id, unnest(sel) AS u FROM s)
 
 
 def q_winnowing_overlap(sf_dir: str, min_shared: int = 2, max_df: int = 50):
-    import pyarrow.parquet as pq
-
     from .pipelines.dedup import _coarse_buckets
 
-    n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
+    n_docs = _rows(sf_dir, "documents")
     nb = _coarse_buckets(max(n_docs, 1) * 8)
     fps = q_winnowing_fingerprints(sf_dir)
 
@@ -5021,10 +4927,8 @@ def _shingle_h64(sh: np.ndarray) -> np.ndarray:
 def q_decontaminate(sf_dir: str):
     import ray
 
-    import pyarrow.parquet as pq_
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    n_docs = pq_.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
+    n_docs = _rows(sf_dir, "documents")
     held_docs = n_docs // _DECON_MOD + 1
 
     if held_docs <= _DECON_BCAST_MAX_DOCS:
@@ -5320,11 +5224,6 @@ WHERE NOT EXISTS (
 
 def q_rolling_median(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def med(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -5342,11 +5241,7 @@ def q_rolling_median(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(med, batch_format="pandas")
-    )
+    return _by_key_bucket(ds, "user_id", med, ds.count())
 
 
 SQL_ROLLING_MEDIAN = """
@@ -5488,11 +5383,6 @@ def q_cdc_upsert(sf_dir: str):
     ds = _read(
         sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type", "value"]
     )
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def compact(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -5507,11 +5397,7 @@ def q_cdc_upsert(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(compact, batch_format="pandas")
-    )
+    return _by_key_bucket(ds, "user_id", compact, ds.count())
 
 
 SQL_CDC_UPSERT = """
@@ -5539,11 +5425,6 @@ _DAY_US = 86_400_000_000
 
 def q_cohort_retention(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def partial(g: pd.DataFrame) -> pd.DataFrame:
         day = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64) // _DAY_US
@@ -5561,12 +5442,7 @@ def q_cohort_retention(sf_dir: str):
             {"cohort_day": "int64", "offset_days": "int64", "n_users": "int64"}
         )
 
-    parts = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(partial, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = _by_key_bucket(ds, "user_id", partial, ds.count()).to_pandas()
     return (
         parts.groupby(["cohort_day", "offset_days"], as_index=False)["n_users"]
         .sum()
@@ -5599,11 +5475,6 @@ FROM a GROUP BY cohort, offset_days
 
 def q_transition_counts(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def partial(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -5622,12 +5493,7 @@ def q_transition_counts(sf_dir: str):
         )
         return out.astype({"n": "int64"})
 
-    parts = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(partial, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = _by_key_bucket(ds, "user_id", partial, ds.count()).to_pandas()
     return (
         parts.groupby(["src_type", "dst_type"], as_index=False)["n"]
         .sum()
@@ -5734,11 +5600,6 @@ _GAP_MAX_BIN = 60
 
 def q_event_gap_hist(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def partial(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -5757,12 +5618,7 @@ def q_event_gap_hist(sf_dir: str):
             {"gap_min_bin": nz.astype(np.int64), "n": bc[nz].astype(np.int64)}
         )
 
-    parts = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(partial, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = _by_key_bucket(ds, "user_id", partial, ds.count()).to_pandas()
     return (
         parts.groupby("gap_min_bin", as_index=False)["n"]
         .sum()
@@ -5795,11 +5651,6 @@ GROUP BY gap_min_bin
 
 def q_jaccard_types(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def gram(g: pd.DataFrame) -> pd.DataFrame:
         p = g.drop_duplicates(["user_id", "event_type"])
@@ -5817,12 +5668,7 @@ def q_jaccard_types(sf_dir: str):
             }
         )
 
-    parts = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(gram, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = _by_key_bucket(ds, "user_id", gram, ds.count()).to_pandas()
     tot = parts.groupby(["type_a", "type_b"], as_index=False)["n"].sum()
     sizes = dict(
         zip(
@@ -6029,11 +5875,6 @@ FROM e FULL OUTER JOIN c ON e.user_id = c.c_custkey
 
 def q_time_weighted_value(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id", "value"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def twa(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -6071,11 +5912,7 @@ def q_time_weighted_value(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(twa, batch_format="pandas")
-    )
+    return _by_key_bucket(ds, "user_id", twa, ds.count())
 
 
 SQL_TIME_WEIGHTED_VALUE = """
@@ -6508,11 +6345,6 @@ LIMIT {_PAGE_LIMIT} OFFSET {_PAGE_OFFSET}
 
 def q_above_avg_orders(sf_dir: str):
     ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["o_custkey"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def pick(g: pd.DataFrame) -> pd.DataFrame:
         cents = np.rint(g["o_totalprice"].to_numpy() * 100).astype(np.int64)
@@ -6536,11 +6368,7 @@ def q_above_avg_orders(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pick, batch_format="pandas")
-    )
+    return _by_key_bucket(ds, "o_custkey", pick, ds.count())
 
 
 SQL_ABOVE_AVG_ORDERS = """
@@ -6567,11 +6395,6 @@ FROM o WHERE price_cents * n > s
 
 def q_cum_distinct_types(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def curve(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -6585,11 +6408,7 @@ def q_cum_distinct_types(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(curve, batch_format="pandas")
-    )
+    return _by_key_bucket(ds, "user_id", curve, ds.count())
 
 
 SQL_CUM_DISTINCT_TYPES = """
@@ -6681,11 +6500,6 @@ GROUP BY GROUPING SETS ((o_orderstatus, o_orderpriority), (o_orderstatus), ())
 
 def q_user_entropy(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def entropy(g: pd.DataFrame) -> pd.DataFrame:
         c = (
@@ -6708,9 +6522,7 @@ def q_user_entropy(sf_dir: str):
         )
 
     return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(entropy, batch_format="pandas")
+        _by_key_bucket(ds, "user_id", entropy, ds.count())
         .select_columns(["user_id", "entropy_e6"])
     )
 
@@ -7372,11 +7184,6 @@ _DEBOUNCE_US = 12 * 3600 * 1_000_000
 
 def q_debounce(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def quiet(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "event_type", "ts", "event_id"])
@@ -7396,9 +7203,7 @@ def q_debounce(sf_dir: str):
         )
 
     return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(quiet, batch_format="pandas")
+        _by_key_bucket(ds, "user_id", quiet, ds.count())
         .select_columns(["event_id", "user_id", "event_type"])
     )
 
@@ -7423,11 +7228,6 @@ WHERE prev IS NULL OR ts - prev > INTERVAL 12 HOUR
 
 def q_attribution(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def attribute(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -7447,9 +7247,7 @@ def q_attribution(sf_dir: str):
         )
 
     return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(attribute, batch_format="pandas")
+        _by_key_bucket(ds, "user_id", attribute, ds.count())
         .select_columns(["event_id", "user_id", "click_age_us"])
     )
 
@@ -7588,11 +7386,6 @@ FROM s
 
 def q_overlap_pairs(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def count_overlaps(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("user_id", kind="mergesort")
@@ -7635,9 +7428,7 @@ def q_overlap_pairs(sf_dir: str):
         )
 
     return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(count_overlaps, batch_format="pandas")
+        _by_key_bucket(ds, "user_id", count_overlaps, ds.count())
         .select_columns(["user_id", "n_overlaps"])
     )
 
@@ -8418,7 +8209,6 @@ _Q5_BROADCAST_MAX = 3_000_000  # customer rows; above → native hash join
 def q_tpch_q5(sf_dir: str, broadcast_max: int | None = None):
     import ray
     import pyarrow.parquet as pq
-    from ray.data.aggregate import Sum
 
     if broadcast_max is None:
         broadcast_max = _Q5_BROADCAST_MAX
@@ -8460,7 +8250,7 @@ def q_tpch_q5(sf_dir: str, broadcast_max: int | None = None):
         batch_format="pyarrow",
     )
 
-    n_cust = pq.ParquetFile(f"{sf_dir}/customer.parquet").metadata.num_rows
+    n_cust = _rows(sf_dir, "customer")
     if n_cust <= broadcast_max:
         cust = pq.read_table(
             f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
@@ -8662,14 +8452,9 @@ def q_tpch_q5(sf_dir: str, broadcast_max: int | None = None):
         ).groupby("n_name", as_index=False).agg(revenue_e4=("revenue_e4", "sum"))
         return _arrow_out(g)
 
-    return (
-        joined.map_batches(
-            same_nation, batch_format="pandas", batch_size=_COMBINE_BATCH
-        )
-        .groupby("n_name")
-        .aggregate(Sum("revenue_e4", alias_name="revenue_e4"))
-        .map_batches(lambda t: t, batch_format="pyarrow")  # arrow-normalize
-    )
+    return _combine(
+        joined, same_nation, "n_name", ["revenue_e4"], batch_format="pandas"
+    ).map_batches(lambda t: t, batch_format="pyarrow")  # arrow-normalize
 
 
 SQL_TPCH_Q5 = f"""
@@ -8788,8 +8573,6 @@ def q_tpch_q18(sf_dir: str):
     import pyarrow.parquet as pq
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
-    n_li = pq.ParquetFile(f"{sf_dir}/lineitem.parquet").metadata.num_rows
-    nb = _key_buckets(n_li)
 
     def qty_partial(t: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -8802,10 +8585,6 @@ def q_tpch_q18(sf_dir: str):
         ).groupby("l_orderkey", as_index=False).sum()
         return _arrow_out(df.astype({"sum_qty_c": "int64"}))
 
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["l_orderkey"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, nb)))
-
     def finish(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("l_orderkey", as_index=False)["sum_qty_c"].sum()
         out = out[out["sum_qty_c"] > _Q18_QTY_C]
@@ -8816,15 +8595,12 @@ def q_tpch_q18(sf_dir: str):
             }
         )
 
-    hot = (
-        li.map_batches(
-            qty_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-        )
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(finish, batch_format="pandas")
-        .to_pandas()  # HAVING-selective: ~1-2% of orders (see header)
+    partials = li.map_batches(
+        qty_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
     )
+    hot = _by_key_bucket(
+        partials, "l_orderkey", finish, _rows(sf_dir, "lineitem")
+    ).to_pandas()  # HAVING-selective: ~1-2% of orders (see header)
     ho = np.argsort(hot["l_orderkey"].to_numpy())
     hot_keys = np.ascontiguousarray(hot["l_orderkey"].to_numpy()[ho])
     hot_qty = np.ascontiguousarray(
@@ -8999,11 +8775,6 @@ FROM s
 
 def q_drawdown(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id", "value"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def dd(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -9023,9 +8794,7 @@ def q_drawdown(sf_dir: str):
         )
 
     return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(dd, batch_format="pandas")
+        _by_key_bucket(ds, "user_id", dd, ds.count())
         .select_columns(["user_id", "max_drawdown_c"])
     )
 
@@ -9057,11 +8826,6 @@ FROM d GROUP BY user_id
 
 def q_scd2_intervals(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def runs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -9090,9 +8854,7 @@ def q_scd2_intervals(sf_dir: str):
         )
 
     return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(runs, batch_format="pandas")
+        _by_key_bucket(ds, "user_id", runs, ds.count())
         .select_columns(
             ["user_id", "event_type", "valid_from_us", "valid_to_us", "n_events"]
         )
@@ -9291,7 +9053,7 @@ def q_ship_delay(sf_dir: str, broadcast_max: int | None = None):
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
 
-    n_orders = pq.ParquetFile(f"{sf_dir}/orders.parquet").metadata.num_rows
+    n_orders = _rows(sf_dir, "orders")
     if n_orders <= broadcast_max:
         ot = pq.read_table(
             f"{sf_dir}/orders.parquet",
@@ -9877,8 +9639,6 @@ _TTL_TOPK = 3
 
 
 def q_top_terms_per_lang(sf_dir: str):
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", columns=["lang", "text"])
 
     def tok_partial(df: pd.DataFrame) -> pa.Table:
@@ -9891,12 +9651,9 @@ def q_top_terms_per_lang(sf_dir: str):
         c = c.groupby(["lang", "term"], as_index=False).sum()
         return _arrow_out(c.astype({"n": "int64"}))
 
-    counts = (
-        ds.map_batches(
-            tok_partial, batch_format="pandas", batch_size=_TEXT_COMBINE_BATCH
-        )
-        .groupby(["lang", "term"])
-        .aggregate(Sum("n", alias_name="n"))
+    counts = _combine(
+        ds, tok_partial, ["lang", "term"], ["n"],
+        batch_size=_TEXT_COMBINE_BATCH, batch_format="pandas",
     )
 
     def partial_topk(df: pd.DataFrame) -> pa.Table:
@@ -10195,7 +9952,6 @@ _Q10_TOPK = 20
 def q_tpch_q10(sf_dir: str):
     import ray
     import pyarrow.parquet as pq
-    from ray.data.aggregate import Sum
 
     ot = pq.read_table(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"],
@@ -10247,13 +10003,7 @@ def q_tpch_q10(sf_dir: str):
         ).groupby("c_custkey", as_index=False).sum()
         return _arrow_out(df.astype({"revenue_e4": "int64"}))
 
-    per_cust = (
-        li.map_batches(
-            rev_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-        )
-        .groupby("c_custkey")
-        .aggregate(Sum("revenue_e4", alias_name="revenue_e4"))
-    )
+    per_cust = _combine(li, rev_partial, "c_custkey", ["revenue_e4"])
 
     cust = pq.read_table(
         f"{sf_dir}/customer.parquet",
@@ -10548,11 +10298,6 @@ FROM tok JOIN rare USING (token) GROUP BY 1
 
 def q_repeat_interval(sf_dir: str):
     ds = _read(sf_dir, "orders", columns=["o_custkey", "o_orderdate", "o_orderkey"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["o_custkey"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def med(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(
@@ -10582,9 +10327,7 @@ def q_repeat_interval(sf_dir: str):
         )
 
     return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(med, batch_format="pandas")
+        _by_key_bucket(ds, "o_custkey", med, ds.count())
         .select_columns(["o_custkey", "median_gap_days"])
     )
 
@@ -10795,14 +10538,10 @@ def _rank_thresholds(vals: np.ndarray, counts: np.ndarray) -> tuple:
 
 
 def q_rfm_cells(sf_dir: str):
-    import pyarrow.parquet as pq
-
     ds = _read(
         sf_dir, "orders", columns=["o_custkey", "o_orderdate", "o_totalprice"]
     )
-    nb = _key_buckets(
-        pq.ParquetFile(f"{sf_dir}/orders.parquet").metadata.num_rows
-    )
+    nb = _key_buckets(_rows(sf_dir, "orders"))
 
     def per_order(t: pa.Table) -> pa.Table:
         # per-block partial (max/count/sum per custkey) + bucket tag: one
@@ -11514,11 +11253,6 @@ ORDER BY score_e6 DESC, doc_id ASC LIMIT {_BM25_TOPK}
 
 def q_ffill_locf(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-    n_buckets = _key_buckets(ds.count())
-
-    def tag(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(_bucket_of(keys, n_buckets)))
 
     def fill(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -11532,11 +11266,7 @@ def q_ffill_locf(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(fill, batch_format="pandas")
-    )
+    return _by_key_bucket(ds, "user_id", fill, ds.count())
 
 
 SQL_FFILL_LOCF = """
@@ -11651,7 +11381,6 @@ _PR_TOPK = 20
 
 def q_pagerank_topk(sf_dir: str):
     import ray
-    from ray.data.aggregate import Sum
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
 
@@ -12002,10 +11731,9 @@ def q_minhash_band_pairs(sf_dir: str):
 
 
 def _minhash_band_pairs(sf_dir: str):
-    import pyarrow.parquet as pq
     from .pipelines.dedup import _coarse_buckets, _dedup_pairs
 
-    n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
+    n_docs = _rows(sf_dir, "documents")
     n_key_buckets = _coarse_buckets(max(n_docs, 1) * _MH_BANDS)
     n_pair_buckets = _coarse_buckets(max(n_docs, 1))
 
@@ -12601,10 +12329,9 @@ def _popcount32(x: np.ndarray) -> np.ndarray:
 
 
 def q_simhash_hamming_pairs(sf_dir: str):
-    import pyarrow.parquet as pq
     from .pipelines.dedup import _coarse_buckets, _dedup_pairs
 
-    n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
+    n_docs = _rows(sf_dir, "documents")
     n_key_buckets = _coarse_buckets(max(n_docs, 1) * 4)
     n_pair_buckets = _coarse_buckets(max(n_docs, 1))
 
@@ -13560,11 +13287,9 @@ FROM l
 def q_paragraph_dedup(sf_dir: str):
     import hashlib
 
-    import pyarrow.parquet as pq
-
     from .pipelines.dedup import _coarse_buckets
 
-    n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
+    n_docs = _rows(sf_dir, "documents")
     nb = _coarse_buckets(max(n_docs, 1) * 4)
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -13960,12 +13685,10 @@ _ESR_K, _ESR_MIN_RUN, _ESR_MAX_DF = 20, 40, 50
 
 
 def q_exact_substring_runs(sf_dir: str):
-    import pyarrow.parquet as pq
-
     from .pipelines.dedup import _coarse_buckets
 
     K, M, B = _ESR_K, _WINNOW_M, _WINNOW_B
-    n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
+    n_docs = _rows(sf_dir, "documents")
     nb = _coarse_buckets(max(n_docs, 1) * 8)
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -14171,10 +13894,9 @@ FROM n
 
 
 def q_ngram_novelty(sf_dir: str):
-    import pyarrow.parquet as pq
     from .pipelines.dedup import _coarse_buckets
 
-    n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
+    n_docs = _rows(sf_dir, "documents")
     nb = _coarse_buckets(max(n_docs, 1))
 
     def emit(df: pd.DataFrame) -> pd.DataFrame:
@@ -14278,10 +14000,9 @@ _LSH_EVAL_TARGET = 512
 
 
 def q_lsh_recall_eval(sf_dir: str):
-    import pyarrow.parquet as pq
     from .pipelines.dedup import _coarse_buckets
 
-    n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
+    n_docs = _rows(sf_dir, "documents")
     mod = max(1, n_docs // _LSH_EVAL_TARGET)
     nb = _coarse_buckets(max(n_docs // max(mod, 1), 1))
 
@@ -15404,10 +15125,9 @@ _KNN_K = 5
 
 
 def q_knn_graph_degree(sf_dir: str):
-    import pyarrow.parquet as pq
     import ray
 
-    n_vecs = pq.ParquetFile(f"{sf_dir}/embeddings.parquet").metadata.num_rows
+    n_vecs = _rows(sf_dir, "embeddings")
     mod = max(1, n_vecs // _KNN_TARGET)
 
     def qpick(t: pa.Table) -> pa.Table:
@@ -16214,7 +15934,7 @@ def q_tpch_q21(sf_dir: str):
     import pyarrow.parquet as pq
     from .pipelines.dedup import _coarse_buckets
 
-    n_rows = pq.ParquetFile(f"{sf_dir}/lineitem.parquet").metadata.num_rows
+    n_rows = _rows(sf_dir, "lineitem")
     nb = _coarse_buckets(max(n_rows // 16, 1))
 
     def tag(t: pa.Table) -> pa.Table:
@@ -16450,10 +16170,9 @@ _VOCAB_NS = (1, 2, 5, 10, 100, 1000)
 
 
 def q_vocab_growth(sf_dir: str):
-    import pyarrow.parquet as pq
     from .pipelines.dedup import _coarse_buckets
 
-    n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
+    n_docs = _rows(sf_dir, "documents")
     nb = _coarse_buckets(max(n_docs, 1))
     ns = np.array(_VOCAB_NS, np.int64)
 
@@ -16544,10 +16263,9 @@ FROM ks ORDER BY n_docs
 
 
 def q_boundary_dups(sf_dir: str):
-    import pyarrow.parquet as pq
     from .pipelines.dedup import _coarse_buckets
 
-    n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
+    n_docs = _rows(sf_dir, "documents")
     nb = _coarse_buckets(max(n_docs, 1))
 
     def ends(df: pd.DataFrame) -> pd.DataFrame:
@@ -16723,10 +16441,9 @@ SELECT (SELECT c FROM n) AS n_cust,
 
 
 def q_adjacent_jaccard(sf_dir: str):
-    import pyarrow.parquet as pq
     from .pipelines.dedup import _coarse_buckets
 
-    n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
+    n_docs = _rows(sf_dir, "documents")
     nb = _coarse_buckets(max(n_docs, 1))
 
     def emit(df: pd.DataFrame) -> pd.DataFrame:
@@ -17143,11 +16860,9 @@ ORDER BY 1
 def q_line_dedup(sf_dir: str):
     import hashlib
 
-    import pyarrow.parquet as pq
-
     from .pipelines.dedup import _coarse_buckets
 
-    n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
+    n_docs = _rows(sf_dir, "documents")
     nb = _coarse_buckets(max(n_docs, 1) * 8)
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -17240,19 +16955,13 @@ GROUP BY 1
 
 
 def q_temperature_mixture(sf_dir: str):
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", columns=["source", "n_chars"])
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.group_by("source").aggregate([("n_chars", "sum")])
         return g.rename_columns(["source", "n_units"])
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH)
-        .groupby("source")
-        .aggregate(Sum("n_units", alias_name="n_units"))
-    )
+    agg = _combine(ds, partial, "source", ["n_units"])
     tbl = pa.concat_tables(
         agg.iter_batches(batch_size=None, batch_format="pyarrow"),
         promote_options="default",
@@ -17406,11 +17115,9 @@ GROUP BY 1, 2, tot.total
 
 
 def q_split_leakage(sf_dir: str):
-    import pyarrow.parquet as pq
-
     from .pipelines.dedup import _coarse_buckets
 
-    n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
+    n_docs = _rows(sf_dir, "documents")
     nb = _coarse_buckets(max(n_docs, 1) * 32)
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -17585,8 +17292,6 @@ _BT_TOPK = 20
 
 
 def q_boilerplate_tails(sf_dir: str):
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", columns=["text"])
 
     def headtail_partial(t: pa.Table) -> pa.Table:
@@ -17616,13 +17321,7 @@ def q_boilerplate_tails(sf_dir: str):
             c.groupby(["pos", "gram"], as_index=False).sum().astype({"n_docs": "int64"})
         )
 
-    counts = (
-        ds.map_batches(
-            headtail_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-        )
-        .groupby(["pos", "gram"])
-        .aggregate(Sum("n_docs", alias_name="n_docs"))
-    )
+    counts = _combine(ds, headtail_partial, ["pos", "gram"], ["n_docs"])
 
     def partial_topk(df: pd.DataFrame) -> pa.Table:
         if df.empty or "pos" not in df.columns:  # schema-less empty block
@@ -17733,8 +17432,9 @@ FROM documents d LEFT JOIN agg a USING (doc_id)
 # with a stride-tricks sliding window + np.unique on a void view (windows
 # crossing a doc boundary contain the NUL separator and are masked out), so
 # the hot path is fully vectorized; the shuffle moves (gram, n) partials,
-# never text. Non-ASCII batches fall back to an exact per-doc path so char
-# (not byte) semantics always match the SQL substr oracle.
+# never text. Non-ASCII batches and texts holding a NUL fall back to an
+# exact per-doc path so char (not byte) semantics always match the SQL
+# substr oracle.
 # ---------------------------------------------------------------------------
 
 _CHAR_TRIGRAM_K = 50
@@ -17749,7 +17449,10 @@ def q_char_trigram_topk(sf_dir: str):
         texts = df["text"].fillna("").str.lower().tolist()
         buf = "\x00".join(texts).encode("utf-8")
         arr = np.frombuffer(buf, dtype=np.uint8)
-        if len(arr) >= 3 and (len(arr) == 0 or arr.max() < 128):
+        # the separators must be the only NULs: a NUL inside a text is a
+        # char the SQL substr oracle counts, so such a batch falls back too
+        if (len(arr) >= 3 and arr.max() < 128
+                and np.count_nonzero(arr == 0) == len(texts) - 1):
             w = np.lib.stride_tricks.sliding_window_view(arr, 3)
             w = w[~np.any(w == 0, axis=1)]
             if not len(w):
@@ -17763,7 +17466,7 @@ def q_char_trigram_topk(sf_dir: str):
                 grams = np.array(
                     [bytes(x).decode("ascii") for x in uv], dtype=object
                 )
-        else:  # non-ASCII: exact char-semantics fallback
+        else:  # non-ASCII or embedded NUL: exact char-semantics fallback
             from collections import Counter
 
             c: Counter = Counter()
@@ -18309,8 +18012,6 @@ _DIM_VAR_K = 8
 
 
 def q_dim_variance_topk(sf_dir: str):
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "embeddings", columns=["embedding"])
 
     def partial(t: pa.Table) -> pa.Table:
@@ -18327,13 +18028,7 @@ def q_dim_variance_topk(sf_dir: str):
             }
         )
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH)
-        .groupby("dim")
-        .aggregate(Sum("sum_e3", alias_name="sum_e3"),
-                   Sum("sumsq_e3", alias_name="sumsq_e3"),
-                   Sum("n", alias_name="n"))
-    )
+    agg = _combine(ds, partial, "dim", ["sum_e3", "sumsq_e3", "n"])
 
     def var(t: pa.Table) -> pa.Table:
         s = t["sum_e3"].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -18676,8 +18371,6 @@ _BOOT_TRIALS = 16
 
 
 def q_bootstrap_type_counts(sf_dir: str):
-    from ray.data.aggregate import Sum
-
     from .stages.sketch import mix32
 
     ds = _read(sf_dir, "events", columns=["event_id", "event_type"])

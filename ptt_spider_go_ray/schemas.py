@@ -94,11 +94,3 @@ CHECKPOINT_SCHEMA = pa.schema(
 def empty_table(schema: pa.Schema) -> pa.Table:
     return schema.empty_table()
 
-
-def validate_schema(table: pa.Table, schema: pa.Schema, where: str = "") -> pa.Table:
-    """Assert-and-cast a batch to the declared stage-boundary schema."""
-    if table.schema.names != schema.names:
-        raise TypeError(
-            f"schema mismatch at {where}: got {table.schema.names}, want {schema.names}"
-        )
-    return table.cast(schema)

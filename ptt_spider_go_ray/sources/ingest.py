@@ -280,12 +280,6 @@ def ingest_jsonl_gz(path: str, schema: pa.Schema):
     return harmonize(ds.map_batches(decode, batch_format="pyarrow"), schema)
 
 
-def write_canonical(ds, out_dir: str) -> None:
-    """Partitioned parquet sink (one file per block — resumable layout)."""
-    shutil.rmtree(out_dir, ignore_errors=True)
-    ds.write_parquet(out_dir)
-
-
 def export_partitioned(ds, out_dir: str, key: str, *, resume: bool = True,
                        min_rows_per_file: int = 10_000):
     """Hive-partitioned parquet sink with PARTITION-LEVEL resume: one

@@ -61,13 +61,6 @@ def read_table(root: str, name: str) -> pa.Table | None:
     return pa.concat_tables(tables) if tables else None
 
 
-def read_dataset(root: str, name: str):
-    """Streaming read of a logical table as a Ray Dataset."""
-    import ray.data
-
-    return ray.data.read_parquet(os.path.join(root, name))
-
-
 def _file_min_max(path: str, column: str):
     """(min, max) for ``column`` across a parquet file's row groups, from
     the FOOTER only — no data pages are read. None when the writer emitted

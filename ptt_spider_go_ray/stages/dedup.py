@@ -170,21 +170,6 @@ def band_key_matrix(sigs: np.ndarray, n_bands: int) -> np.ndarray:
     return h
 
 
-class BandExploder:
-    def __init__(self, n_bands: int = 16):
-        self.n_bands = n_bands
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_ids, keys = [], []
-        for doc_id, sig in zip(batch["doc_id"].to_pylist(), batch["minhash"].to_pylist()):
-            for key in lsh_band_keys(np.array(sig, dtype=np.uint64), self.n_bands):
-                doc_ids.append(doc_id)
-                keys.append(key)
-        return pa.table(
-            {"band_key": pa.array(keys, pa.string()), "doc_id": pa.array(doc_ids)}
-        )
-
-
 def minhash_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
     return float((sig_a == sig_b).mean())
 

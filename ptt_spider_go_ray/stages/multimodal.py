@@ -5,9 +5,8 @@ tested. Codec backends, by realism: ``PngBackend`` is a REAL decoder (the
 pure-stdlib PNG codec in functions/png.py — actual pixels drive dims,
 features and phash; see the ★media_png_gallery query); ``FakeDecodeBackend``
 is the deterministic stand-in for formats the sandbox can't decode (dims/
-features hash-derived from bytes); ``PillowBackend``/``SoundfileBackend``
-raise ``NotImplementedError`` unless their wheels appear (probe-gated tests
-pick them up automatically the day they do).
+features hash-derived from bytes). Audio has the same pair: ``WavBackend``
+(the pure-stdlib WAV codec in functions/wav.py) and ``FakeAudioBackend``.
 
 Usage shape (the part that matters at scale)::
 
@@ -54,7 +53,7 @@ class FakeDecodeBackend:
 
     def gray8(self, data: bytes) -> np.ndarray:
         """Deterministic 8×8 grayscale stand-in for a real decode+downsample
-        (what PillowBackend.gray8 would produce from actual pixels)."""
+        (what PngBackend.gray8 produces from actual pixels)."""
         seed = int.from_bytes(
             hashlib.blake2b(data or b"", digest_size=8).digest(), "little"
         )
@@ -89,25 +88,6 @@ class PngBackend:
         from ..functions.png import decode_png, luma, pool8
 
         return pool8(luma(decode_png(data or b"")))
-
-
-class PillowBackend:  # pragma: no cover - requires PIL, absent in sandbox
-    def __init__(self):
-        try:
-            import PIL.Image  # noqa: F401
-        except ImportError as e:
-            raise NotImplementedError(
-                "real image decoding requires Pillow, not available in this "
-                "environment; use FakeDecodeBackend"
-            ) from e
-
-    def gray8(self, data: bytes) -> np.ndarray:
-        import io
-
-        import PIL.Image
-
-        img = PIL.Image.open(io.BytesIO(data)).convert("L").resize((8, 8))
-        return np.asarray(img, dtype=np.float64)
 
 
 AUDIO_META_SCHEMA = pa.schema(
@@ -223,17 +203,6 @@ class WavBackend:
         ).astype(np.float32)
 
 
-class SoundfileBackend:  # pragma: no cover - requires soundfile, absent here
-    def __init__(self):
-        try:
-            import soundfile  # noqa: F401
-        except ImportError as e:
-            raise NotImplementedError(
-                "real audio decoding requires soundfile, not available in "
-                "this environment; use FakeAudioBackend"
-            ) from e
-
-
 class AudioFeatureStage:
     """Actor-pool stage: audio binary → typed metadata + summary feature.
     Same shape rules as ImageDecoder: backend in __init__, small batches."""
@@ -243,8 +212,6 @@ class AudioFeatureStage:
             self.backend = FakeAudioBackend()
         elif backend == "wav":
             self.backend = WavBackend()
-        elif backend == "soundfile":
-            self.backend = SoundfileBackend()
         else:
             raise ValueError(f"unknown audio backend {backend!r}")
         self.feature_dim = feature_dim
@@ -384,8 +351,6 @@ class ImageDecoder:
             self.backend = FakeDecodeBackend()
         elif backend == "png":
             self.backend = PngBackend()
-        elif backend == "pillow":
-            self.backend = PillowBackend()
         else:
             raise ValueError(f"unknown decode backend {backend!r}")
         self.feature_dim = feature_dim
@@ -426,8 +391,8 @@ def phash64(gray: np.ndarray) -> int:
 class PHashStage:
     """Actor-pool stage: media payload → 64-bit perceptual hash. The backend
     supplies the 8×8 grayscale (FakeDecodeBackend derives it
-    deterministically from the bytes — same plumbing contract a Pillow
-    decode would fill); phash64 packs the average-hash bits. Emits
+    deterministically from the bytes — the same contract PngBackend fills
+    from real pixels); phash64 packs the average-hash bits. Emits
     (media_ref, phash) rows for phash_near_dups."""
 
     def __init__(self, backend: str = "fake"):
@@ -435,8 +400,6 @@ class PHashStage:
             self.backend = FakeDecodeBackend()
         elif backend == "png":
             self.backend = PngBackend()
-        elif backend == "pillow":
-            self.backend = PillowBackend()
         else:
             raise ValueError(f"unknown decode backend {backend!r}")
 

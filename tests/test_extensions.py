@@ -235,7 +235,7 @@ def test_image_decoder_fake_backend():
 
 
 def test_pillow_backend_stubbed():
-    with pytest.raises((NotImplementedError, ValueError)):
+    with pytest.raises(ValueError, match="unknown decode backend"):
         ImageDecoder(backend="pillow")
 
 
@@ -262,7 +262,7 @@ def test_audio_feature_stage():
         assert r["duration_ms"] == r["n_samples"] * 1000 // r["sample_rate"]
         assert len(r["feature"]) == 13
     assert st(_media_batch()).to_pylist() == rows  # deterministic
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(ValueError, match="unknown audio backend"):
         AudioFeatureStage(backend="soundfile")
 
 

@@ -113,6 +113,19 @@ def test_char_trigram_short_and_nonascii(ray_session, tmp_path):
     assert "dab" in m and m["dab"] == 1  # from doc 4 only — no straddle ("abcd"+"cdab")
 
 
+def test_char_trigram_embedded_nul(ray_session, tmp_path):
+    """A NUL inside a text is a char like any other (DuckDB's substr keeps
+    it), not a document separator: its trigrams are counted."""
+    from ptt_spider_go_ray.queries import SQL_CHAR_TRIGRAM_TOPK, q_char_trigram_topk
+
+    sf = _docs(tmp_path, ["ab\x00cd", "abcd"])
+    got = to_pandas(q_char_trigram_topk(sf))
+    want = _duck(tmp_path, SQL_CHAR_TRIGRAM_TOPK)
+    _assert_match(got, want)
+    m = dict(zip(got["gram"], got["n"]))
+    assert m == {"ab\x00": 1, "b\x00c": 1, "\x00cd": 1, "abc": 1, "bcd": 1}
+
+
 def test_word_len_hist_empty_corpus(ray_session, tmp_path):
     from ptt_spider_go_ray.queries import SQL_WORD_LEN_HIST, q_word_len_hist
 

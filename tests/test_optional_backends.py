@@ -1,30 +1,13 @@
-"""Opportunistic real-backend contract tests: the sandbox ships no PIL,
-soundfile, or lance wheel, so the real branches of the multimodal stages
-and the Lance storage path normally run only against fakes. These tests
-PROBE for each wheel at session start and exercise the real branch when it
-exists — the day the environment gains a wheel, coverage is automatic with
-zero code changes; until then each test reports a clean skip.
-
-Reference parity note: the image sink these stages feed mirrors
-crawler/crawler.go's media download path (SURVEY §2 S4); the backends are
-the engine's decode extension seam, not a reference feature.
+"""Opportunistic real-backend contract tests for the storage seam: without
+the lance wheel the Lance branch of sources/storage.py runs only against
+the Parquet fallback. These tests PROBE for the wheel at session start and
+exercise the real branch when it exists — the day the environment gains
+it, coverage is automatic with zero code changes; until then the Lance
+test reports a clean skip.
 """
 
-import numpy as np
 import pyarrow as pa
 import pytest
-
-HAVE_PIL = True
-try:
-    import PIL.Image  # noqa: F401
-except ImportError:
-    HAVE_PIL = False
-
-HAVE_SOUNDFILE = True
-try:
-    import soundfile  # noqa: F401
-except ImportError:
-    HAVE_SOUNDFILE = False
 
 HAVE_LANCE = True
 try:
@@ -36,62 +19,7 @@ except ImportError:
 def test_backend_probe_reports():
     """Always-green marker documenting which real backends this session
     saw (visible in -v output; the skips below are the actual gates)."""
-    assert isinstance(HAVE_PIL, bool)
-    assert isinstance(HAVE_SOUNDFILE, bool)
     assert isinstance(HAVE_LANCE, bool)
-
-
-@pytest.mark.skipif(not HAVE_PIL, reason="Pillow wheel not in this sandbox")
-def test_pillow_backend_gray8_contract():
-    """Real decode: PillowBackend.gray8 must return the 8x8 float64 grid the
-    pHash stage consumes, for a real PNG round-tripped through PIL."""
-    import io
-
-    import PIL.Image
-
-    from ptt_spider_go_ray.stages.multimodal import PillowBackend, phash64
-
-    img = PIL.Image.fromarray(
-        (np.arange(64, dtype=np.uint8).reshape(8, 8) * 4), mode="L"
-    ).resize((32, 32))
-    buf = io.BytesIO()
-    img.save(buf, format="PNG")
-    be = PillowBackend()
-    g = be.gray8(buf.getvalue())
-    assert g.shape == (8, 8) and g.dtype == np.float64
-    # deterministic: same bytes → same hash
-    assert phash64(g) == phash64(be.gray8(buf.getvalue()))
-
-
-@pytest.mark.skipif(not HAVE_PIL, reason="Pillow wheel not in this sandbox")
-def test_pillow_backend_absent_guard_not_raised():
-    from ptt_spider_go_ray.stages.multimodal import PillowBackend
-
-    PillowBackend()  # must not raise when the wheel exists
-
-
-@pytest.mark.skipif(HAVE_PIL, reason="guard only observable without PIL")
-def test_pillow_backend_guard_raises_cleanly():
-    from ptt_spider_go_ray.stages.multimodal import PillowBackend
-
-    with pytest.raises(NotImplementedError, match="Pillow"):
-        PillowBackend()
-
-
-@pytest.mark.skipif(not HAVE_SOUNDFILE,
-                    reason="soundfile wheel not in this sandbox")
-def test_soundfile_backend_constructs():
-    from ptt_spider_go_ray.stages.multimodal import SoundfileBackend
-
-    SoundfileBackend()  # must not raise when the wheel exists
-
-
-@pytest.mark.skipif(HAVE_SOUNDFILE, reason="guard only observable without soundfile")
-def test_soundfile_backend_guard_raises_cleanly():
-    from ptt_spider_go_ray.stages.multimodal import SoundfileBackend
-
-    with pytest.raises(NotImplementedError, match="soundfile"):
-        SoundfileBackend()
 
 
 @pytest.mark.skipif(not HAVE_LANCE, reason="lance wheel not in this sandbox")

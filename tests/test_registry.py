@@ -38,3 +38,34 @@ def test_every_q_has_its_sql_and_is_registered():
 def test_ray_entry_reads_the_registry_view():
     assert __ray_entry__.queries().keys() == queries().keys()
     assert __ray_entry__.oracle_sql().keys() == oracle_sql().keys()
+
+
+def _calls(node, name):
+    return any(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name
+        or isinstance(n, ast.Attribute) and n.attr == name
+        for n in ast.walk(node)
+    )
+
+
+def test_query_kernels_have_no_hand_copies():
+    """The key-bucket tag and the Parquet footer row count each live in one
+    kernel (``_by_key_bucket``, ``_rows``); no q_* writes its own copy."""
+    tree = ast.parse(inspect.getsource(Q))
+    tags, footers = [], []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for n in ast.walk(fn):
+            if (fn.name.startswith("q_") and isinstance(n, ast.FunctionDef)
+                    and n.name == "tag" and len(n.body) == 2
+                    and _calls(n, "_bucket_of") and _calls(n, "append_column")):
+                tags.append(fn.name)
+            if (fn.name != "_rows" and isinstance(n, ast.Attribute)
+                    and n.attr == "num_rows"
+                    and isinstance(n.value, ast.Attribute)
+                    and n.value.attr == "metadata"
+                    and _calls(n.value.value, "ParquetFile")):
+                footers.append(fn.name)
+    assert tags == [], tags
+    assert footers == [], footers
