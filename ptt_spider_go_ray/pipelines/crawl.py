@@ -14,30 +14,39 @@ Per round:
                                        # per-round partitioned Parquet
                                        # (resumable output) or returned
                                        # tables (tests)
-    → ray.get barrier, then commit_offers on every shard (applied in
-      (priority, seq) order, first-wins dedup D2).
+    → drain: ray.get the slice results, then commit_offers on every shard
+      (applied in (priority, seq) order, first-wins dedup D2), then the
+      ledger, a due checkpoint and the harvest of the round's outputs.
 
-A round is a bounded batch behind a barrier, so it is plain tasks rather
-than a streaming Dataset: there is no backpressure to buy. Each slice's
-rows travel once, as Arrow IPC bytes in the task argument, and the doc/media
-tables come back the same way (``_to_ipc`` / ``_from_ipc``), so no Arrow
-table crosses the task boundary through Ray's per-buffer table pickling.
+A round is a bounded batch of plain tasks rather than a streaming Dataset:
+there is no backpressure to buy. Each slice's rows travel once, as Arrow
+IPC bytes in the task argument, and the doc/media tables come back the same
+way (``_to_ipc`` / ``_from_ipc``), so no Arrow table crosses the task
+boundary through Ray's per-buffer table pickling.
 
 One round loop, no driver threads: slice tasks are already asynchronous,
-so the driver queues up to ``depth`` submitted rounds and drains the oldest
-(ray.get → commit → harvest) when the queue is full. Strict ordering is
-depth 1; ``relaxed_ordering`` keeps ``pipeline_depth`` rounds in flight.
+so the driver keeps a queue of submitted rounds and drains the oldest when
+it must. ``relaxed_ordering`` keeps ``pipeline_depth`` rounds in flight.
+Strict ordering takes the next round before the in-flight one drains
+(lookahead) only while that take is already fixed: in a deterministic run
+(no token refill, no 429 cooldown) when no in-flight round holds a row of
+a kind ``ParseStage.discovering_kinds`` names — e.g. article rounds that
+fetch no media. A round that can discover runs alone, so the commit at its
+drain applies exactly its offers, and the next take sees them.
 
 Crawl-ordering contract (O2, well-posed version of the reference's racy
 per-kind FIFO): each round dispatches the globally smallest (priority, seq)
 pending rows; the ledger records them round by round. A plain-Python oracle
 (tests/test_crawl_e2e.py) replays the same rule and must produce the
-identical ledger and final URL-seen set.
+identical ledger and final URL-seen set; strict lookahead keeps it.
 
-Checkpoint/resume (north rule): after every round each shard's heap + cuckoo
-segment + lineage/metrics are written to Parquet together with the driver
-ledger; ``run_crawl(resume=True)`` reloads the latest epoch and continues
-without refetching or duplicating URLs.
+Checkpoint/resume (north rule): every ``checkpoint_every`` drained rounds
+each shard's heap + cuckoo segment + lineage/metrics are written to Parquet
+together with the driver ledger; ``run_crawl(resume=True)`` reloads the
+latest epoch and continues without refetching or duplicating URLs. A round
+still in flight is not waited for: its rows go into the snapshot as pending
+and its uncommitted offers stay out, so the snapshot is the frontier as it
+stood when the checkpointed round drained.
 
 Shard actors stay pure Python: every Arrow conversion of frontier rows (the
 round table, the checkpoint's heap IPC bytes) happens here, on the driver.
@@ -66,7 +75,7 @@ from ..functions.parse import (
 from ..schemas import CHECKPOINT_SCHEMA, FRONTIER_SCHEMA
 from ..sources import storage
 from ..stages.fetch import _no_sleep, fetch_batch_task, fetch_with_retry
-from ..stages.parse_stages import ParseStage
+from ..stages.parse_stages import DISCOVERS_KEY, ParseStage
 from ..state.frontier import SALT_K, FrontierShard, frontier_row, shard_for
 
 
@@ -101,19 +110,32 @@ def _process_block(tbl: pa.Table, out_dir: str, epoch: int, part: int,
     """Worker-side round-output processing: split one union block by
     row_type, write doc/media rows to ``out_dir`` (when set) from the worker,
     and route discovered candidates DIRECTLY to their owning frontier shards
-    (``offer_buffered``; applied in deterministic order at the driver's
-    per-round ``commit_offers`` barrier). The driver receives only doc/media
+    (``offer_buffered``; applied in deterministic order by the
+    ``commit_offers`` at the round's drain). The driver receives only doc/media
     metadata (or full tables in test mode) and error counts — no per-URL
     Python ever crosses one driver thread. Runs inside the slice task that
     fetched and parsed the block, so span payloads, media bodies and
-    candidate rows never funnel through the driver in production."""
+    candidate rows never funnel through the driver in production.
+
+    Raises ``RuntimeError`` when ``ParseStage`` marked the slice as holding
+    no row of a discovering kind but it yielded candidates: the crawl loop
+    takes the next round before such a slice's round drains, so its offers
+    would be committed behind a take that never saw them."""
     import ray
+
+    discovers = (tbl.schema.metadata or {}).get(DISCOVERS_KEY) != b"0"
+    tbl = tbl.replace_schema_metadata(None)
 
     def split(rt: str, drop: list[str]) -> pa.Table | None:
         t = tbl.filter(pc.equal(tbl["row_type"], rt))
         return t.drop_columns(drop) if t.num_rows else None
 
     cand = split("cand", ["body", "spans", "row_type"])
+    if cand is not None and not discovers:
+        raise RuntimeError(
+            f"slice of non-discovering kinds yielded {cand.num_rows} candidate "
+            f"row(s), e.g. {cand['url'][0].as_py()!r}"
+        )
     doc = split("doc", ["body"])
     media = split("media_result", ["spans"])
     err = split("fetch_err", ["body", "spans"])
@@ -303,9 +325,12 @@ def run_crawl(
     sleeping (rate 0) so ordering tests are exact.
 
     ``progress``: optional callable receiving one summary dict per round
-    (round number, dispatched/docs/media/error counts, duplicate rate,
-    cuckoo FPs) — the T5 metrics surface without a TUI. Costs one shard
-    metrics round-trip per round; None (default) costs nothing.
+    as it drains, after any checkpoint due at that round (round number,
+    dispatched/docs/media/error counts, duplicate rate, cuckoo FPs, and
+    ``pending``: rows queued in the shards — rows of a round already taken
+    ahead and still in flight are not pending) — the T5 metrics surface
+    without a TUI. Costs one shard metrics round-trip per round; None
+    (default) costs nothing.
 
     ``retain_ledger``: keep the full in-memory (priority, seq, url) ledger in
     ``CrawlResult.ledger``. Default: retained only when NO checkpoint_dir is
@@ -329,15 +354,20 @@ def run_crawl(
     ``relaxed_ordering``: keep ``pipeline_depth`` rounds in flight (default
     2, must be ≥ 1) — round N+1's take and slice tasks run while round N's
     tasks finish (the reference's own ordering is racy per-kind FIFO, so
-    this is faithful). Strict mode (default; ``pipeline_depth`` ignored) is
-    the same single round loop at depth 1, which keeps the ledger-equality
-    contract for the ordering oracle; the loop starts no driver threads.
-    Discoveries dispatch up to depth−1 rounds later than strict mode; the
-    seen-set, no-refetch, and output-content invariants are identical, and
-    checkpoints land only at quiescent points so kill/resume stays exact.
-    Depth bounds driver metadata in flight to O(depth × batch); measured on
-    the 82k-URL capstone, depth 2 captures nearly all the win (BASELINE.md)
-    — raise it only when parse/offer wall dominates fetch.
+    this is faithful). Discoveries dispatch up to depth−1 rounds later than
+    strict mode; the seen-set, no-refetch, and output-content invariants are
+    identical. Depth bounds driver metadata in flight to O(depth × batch);
+    measured on the 82k-URL capstone, depth 2 captures nearly all the win
+    (BASELINE.md) — raise it only when parse/offer wall dominates fetch.
+    Strict mode (default; ``pipeline_depth`` ignored) keeps the
+    ledger-equality contract for the ordering oracle: it runs one round at
+    a time, except that a deterministic run takes and submits round N+1
+    before round N drains when no in-flight round can discover a URL (see
+    the module docstring); ``metrics["lookahead_rounds"]`` counts those
+    rounds. In both modes a checkpoint is written when its round drains,
+    with any round still in flight held in the snapshot as pending, so
+    kill/resume stays exact without a quiescent stall. The loop starts no
+    driver threads.
 
     Resume contract: pass the SAME mode arguments (board/file_lines,
     push_threshold, fetch_media, transport) as the original run — the
@@ -351,7 +381,6 @@ def run_crawl(
         raise ValueError(f"fetch_via={fetch_via!r}: only 'tasks' is supported")
     if relaxed_ordering and pipeline_depth < 1:
         raise ValueError(f"pipeline_depth={pipeline_depth!r}: must be >= 1")
-    depth = pipeline_depth if relaxed_ordering else 1
     cfg = cfg or Config()
     cc = cfg.crawler
     n_shards = cc.frontier_shards
@@ -538,20 +567,52 @@ def run_crawl(
                 }
             )
 
+    # Strict lookahead: the next take depends on a round only through the
+    # offers its commit applies (deterministic runs have no token refill or
+    # 429 cooldown), so while no in-flight round holds a row of a kind that
+    # can discover, the next take is already fixed — take and submit it
+    # before the in-flight round drains, one round ahead at most. A round
+    # that can discover runs alone, so the commit at its drain applies
+    # exactly its offers.
+    depth = pipeline_depth if relaxed_ordering else 2 if deterministic else 1
     inflight: deque = deque()  # (slice refs, tbl, round number)
+    lookahead_rounds = 0
+    every = max(1, cc.checkpoint_every)
 
     def _drain_one() -> None:
+        nonlocal dispatched, epoch
         refs, round_tbl, round_no = inflight.popleft()
         outs = [{**o, "doc": _from_ipc(o["doc"]), "media": _from_ipc(o["media"])}
                 for o in ray.get(refs)]
-        # round barrier: every slice's offers are buffered (acked inside
+        # every slice of the round has buffered its offers (acked inside
         # _process_block before it returns) — apply them in deterministic
         # (priority, seq) order. One tiny RPC per shard; the driver never
         # touches a candidate row.
         ray.get([s.commit_offers.remote() for s in shards])
+        round_ledger = list(zip(round_tbl["priority"].to_pylist(),
+                                round_tbl["seq"].to_pylist(),
+                                round_tbl["url"].to_pylist()))
+        dispatched += len(round_ledger)
+        if ckpt_dir:
+            ledger_delta.extend(round_ledger)
+        if retain:
+            ledger.extend(round_ledger)
+        epoch = round_no
+        if ckpt_dir and epoch % every == 0:
+            # Rounds still in flight are taken but not drained: their rows
+            # go into the snapshot as pending, on the shard that handed them
+            # out, so a resume dispatches them again. (A relaxed round's
+            # offers that an earlier commit already applied are offered
+            # again by that re-run and deduplicated.)
+            held: dict[int, list[dict]] = {}
+            for _, t, _ in inflight:
+                for r in t.to_pylist():
+                    held.setdefault(shard_for(r, n_shards), []).append(r)
+            ray.get([shards[i].hold_for_checkpoint.remote(rs) for i, rs in held.items()])
+            _checkpoint(shards, ckpt_dir, epoch, ledger_delta)
+            ledger_delta.clear()
         _harvest(outs, round_tbl, round_no)
 
-    every = max(1, cc.checkpoint_every)
     while True:
         if max_rounds is not None and rounds_this_run >= max_rounds:
             finished = False
@@ -568,26 +629,18 @@ def run_crawl(
                 break
             _time.sleep(0.05)  # wait for token refill
             continue
-        round_ledger = list(zip(tbl["priority"].to_pylist(), tbl["seq"].to_pylist(),
-                                tbl["url"].to_pylist()))
-        dispatched += tbl.num_rows
-        if ckpt_dir:
-            ledger_delta.extend(round_ledger)
-        if retain:
-            ledger.extend(round_ledger)
-        inflight.append((_submit_round(tbl, epoch), tbl, epoch + 1))
-        epoch += 1
-        rounds_this_run += 1
-        while len(inflight) >= depth:
+        lookahead_rounds += bool(inflight)
+        alone = not relaxed_ordering and not parse_stage.discovering_kinds.isdisjoint(
+            pc.unique(tbl["kind"]).to_pylist())
+        while alone and inflight:
             _drain_one()
-        if ckpt_dir and epoch % every == 0:
-            # checkpoints only at QUIESCENT points: the snapshot must reflect
-            # every committed offer of every written round, or a resume
-            # would lose in-flight rows
-            while inflight:
-                _drain_one()
-            _checkpoint(shards, ckpt_dir, epoch, ledger_delta)
-            ledger_delta.clear()
+        # every round before the in-flight ones has drained, so this is
+        # round epoch + len(inflight) + 1 (its output partition is 0-based)
+        round_no = epoch + len(inflight) + 1
+        inflight.append((_submit_round(tbl, round_no - 1), tbl, round_no))
+        rounds_this_run += 1
+        while inflight and (alone or len(inflight) >= depth):
+            _drain_one()
     while inflight:
         _drain_one()
 
@@ -612,6 +665,7 @@ def run_crawl(
         "total_accepted": sum(m["accepted"] for m in shard_metrics),
         "total_duplicates": sum(m["duplicates"] for m in shard_metrics),
         "cuckoo_false_positives": sum(m["false_positives"] for m in shard_metrics),
+        "lookahead_rounds": lookahead_rounds,
     }
     for s in shards:
         ray.kill(s)

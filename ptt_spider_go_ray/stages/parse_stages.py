@@ -69,6 +69,11 @@ def doc_id_for(url: str) -> str:
     return path[:-5] if path.endswith(".html") else path
 
 
+# Output schema metadata key: b"0" when no row of the parsed slice is of a
+# discovering kind (``ParseStage.discovering_kinds``), else b"1".
+DISCOVERS_KEY = b"discovers"
+
+
 class ParseStage:
     """Callable over one fetched slice table. Holds only the run's parse
     settings; the driver builds one per run and ships it with every slice
@@ -80,7 +85,18 @@ class ParseStage:
         self.file_mode = file_mode
         self.fetch_media = fetch_media
 
+    @property
+    def discovering_kinds(self) -> frozenset[str]:
+        """The frontier kinds whose pages can yield candidate rows: index
+        pages always, article pages only when media is fetched, media
+        never. The crawl loop takes the next round early while no in-flight
+        round holds a row of these kinds, so this must cover every kind
+        ``__call__`` emits a ``cand`` row for."""
+        return frozenset({"index", "article"} if self.fetch_media else {"index"})
+
     def __call__(self, batch: pa.Table) -> pa.Table:
+        discovers = not self.discovering_kinds.isdisjoint(batch["kind"].to_pylist())
+        schema = UNION_SCHEMA.with_metadata({DISCOVERS_KEY: b"1" if discovers else b"0"})
         out: list[dict] = []
         for row in batch.to_pylist():
             if not row["ok"]:
@@ -107,8 +123,8 @@ class ParseStage:
             elif kind == "media":
                 out.append(self._media_result(row))
         if not out:
-            return UNION_SCHEMA.empty_table()
-        return pa.Table.from_pylist(out, schema=UNION_SCHEMA)
+            return schema.empty_table()
+        return pa.Table.from_pylist(out, schema=schema)
 
     # -- per-kind handlers --------------------------------------------------
 

@@ -112,10 +112,13 @@ class FrontierShard:
         self._politeness_n_shards = politeness_n_shards
         self._delay_hosts: set[str] = set()
         # worker-side offers buffer here (offer_buffered) and are applied in
-        # deterministic (priority, seq) order at the round barrier
+        # deterministic (priority, seq) order when the round drains
         # (commit_offers) — first-wins dedup then matches the plain-Python
         # oracle's sorted-offer rule regardless of block arrival order
         self._offer_buf: list[dict] = []
+        # rows of a round still in flight at the next checkpoint
+        # (hold_for_checkpoint); snapshotted as pending, then dropped
+        self._held: list[dict] = []
         self.max_mem_rows = max_mem_rows
         self.spill_dir = spill_dir
         # spill segments: (min_key, path, n_rows), each file a sorted row list
@@ -236,11 +239,12 @@ class FrontierShard:
             self.metrics["unspilled"] = self.metrics.get("unspilled", 0) + len(rows)
             self._maybe_spill()  # re-bound if the merge overflowed memory
 
-    def _all_rows_sorted(self) -> list[tuple]:
-        """Heap + all spilled rows in (priority, seq) order (checkpointing)."""
+    def _all_rows_sorted(self, extra: list[dict] | tuple = ()) -> list[tuple]:
+        """Heap + all spilled rows + ``extra`` rows in (priority, seq) order
+        (checkpointing)."""
         import pickle
 
-        rows = list(self.heap)
+        rows = list(self.heap) + [(r["priority"], r["seq"], r) for r in extra]
         for _, path, _ in self.segments:
             with open(path, "rb") as f:
                 rows.extend(pickle.load(f))
@@ -378,23 +382,34 @@ class FrontierShard:
 
     # -- checkpoint (north rule: head + filter segment + lineage/metrics) ---
 
+    def hold_for_checkpoint(self, rows: list[dict]) -> None:
+        """Rows this shard handed to a round that is still in flight when
+        the next checkpoint is written. That ``checkpoint_state`` snapshots
+        them as pending, not as taken, so a resume from it dispatches them
+        again; the live heap and counters are unchanged. The snapshot's
+        ``taken`` drops by the held rows only, so ``taken - pushed_back``
+        still counts the rows dispatched by checkpointed rounds."""
+        self._held.extend(rows)
+
     def checkpoint_state(self, epoch: int) -> dict:
         """Snapshot for the per-epoch checkpoint; ``heap`` is every pending
-        row (spilled ones included) in (priority, seq) order, which the
-        caller encodes. The exact seen set is embedded as the DELTA since the
-        previous checkpoint (cleared here), so a restore unions the deltas of
-        all epochs — per-epoch cost stays O(round). Call at most once per
-        epoch (delta-clearing side effect)."""
+        row (spilled and held ones included) in (priority, seq) order, which
+        the caller encodes. The exact seen set is embedded as the DELTA since
+        the previous checkpoint (cleared here), so a restore unions the
+        deltas of all epochs — per-epoch cost stays O(round). Call at most
+        once per epoch (delta- and hold-clearing side effect)."""
         delta = sorted(self.seen_delta) if self.seen_delta is not None else None
         if self.seen_delta is not None:
             self.seen_delta = set()
+        held, self._held = self._held, []
         return {
             "shard_id": self.shard_id,
             "epoch": epoch,
-            "heap": [row for _, _, row in self._all_rows_sorted()],
+            "heap": [row for _, _, row in self._all_rows_sorted(held)],
             "filter": self.filter.to_bytes(),
             "next_seq": 0,
-            "metrics": json.dumps(self.metrics),
+            "metrics": json.dumps({**self.metrics,
+                                   "taken": self.metrics["taken"] - len(held)}),
             # written to its own per-epoch file by the caller (so superseded
             # full snapshots can be deleted while deltas accumulate)
             "seen_delta": delta,

@@ -643,3 +643,168 @@ def test_relaxed_ordering_kill_resume_exact(ray_session, tmp_path):
     got_ids = sorted(combined["doc_id"].to_pylist())
     assert got_ids == sorted(full.docs["doc_id"].to_pylist())
     assert len(got_ids) == len(set(got_ids))
+
+
+def _fetched_slice(site, rows):
+    """A fetched slice as ``fetch_batch_task`` returns it: ``rows`` (frontier
+    rows) fetched from ``site`` without Ray."""
+    import pyarrow as pa
+
+    from ptt_spider_go_ray.schemas import FRONTIER_SCHEMA
+
+    tbl = pa.Table.from_pylist(rows, schema=FRONTIER_SCHEMA)
+    pages = [site.html_for(u) for u in tbl["url"].to_pylist()]
+    return (
+        tbl.append_column("ok", pa.array([s == 200 for s, _ in pages]))
+        .append_column("error", pa.array([""] * len(pages), pa.string()))
+        .append_column("error_kind", pa.array([""] * len(pages), pa.string()))
+        .append_column("body", pa.array([b for _, b in pages], pa.large_binary()))
+    )
+
+
+def test_process_block_rejects_candidates_from_non_discovering_slice():
+    """The lookahead invariant, without Ray: a slice whose kinds the parse
+    stage declares non-discovering must yield no candidate rows, and
+    ``_process_block`` raises if it does (its offers would be committed
+    behind a take that never saw them)."""
+    from ptt_spider_go_ray.pipelines.crawl import _process_block
+    from ptt_spider_go_ray.stages.parse_stages import ParseStage
+    from ptt_spider_go_ray.state.frontier import frontier_row
+
+    site = SyntheticSite(SPEC)
+    assert ParseStage(fetch_media=True).discovering_kinds == {"index", "article"}
+    assert ParseStage(fetch_media=False).discovering_kinds == {"index"}
+    articles = _fetched_slice(site, [
+        frontier_row(site.article_url("Beauty", 5, i), "article", 1, i, depth=1,
+                     board="Beauty")
+        for i in range(5)
+    ])
+    index = _fetched_slice(site, [frontier_row(site.index_url("Beauty", 5), "index",
+                                               0, 0, depth=0, board="Beauty")])
+
+    no_media = ParseStage(fetch_media=False)(articles)
+    assert "cand" not in no_media["row_type"].to_pylist()
+    out = _process_block(no_media, "", 0, 0)
+    assert out["n_cand"] == 0 and out["doc"].num_rows > 0
+    # an index slice discovers articles even without media
+    assert "cand" in ParseStage(fetch_media=False)(index)["row_type"].to_pylist()
+    _process_block(ParseStage(fetch_media=False)(index), "", 0, 0)
+
+    with_media = ParseStage(fetch_media=True)(articles)
+    assert "cand" in with_media["row_type"].to_pylist()
+    _process_block(with_media, "", 0, 0)
+    # the same rows under the non-discovering declaration must not pass
+    bad = with_media.replace_schema_metadata(no_media.schema.metadata)
+    with pytest.raises(RuntimeError, match="non-discovering"):
+        _process_block(bad, "", 0, 0)
+
+
+def _checkpoint_ledger(ckpt_dir):
+    """The dispatch ledger as the checkpoint files record it."""
+    import pyarrow.parquet as pq
+
+    from ptt_spider_go_ray.pipelines.crawl import _epochs
+
+    out = []
+    for e in _epochs(ckpt_dir, "ledger", 1 << 30):
+        t = pq.read_table(f"{ckpt_dir}/ledger_epoch{e}.parquet")
+        out.extend(zip(t["priority"].to_pylist(), t["seq"].to_pylist(),
+                       t["url"].to_pylist()))
+    return out
+
+
+def test_lookahead_rounds_keep_oracle_ledger(ray_session, tmp_path):
+    """Strict mode takes the next round before an article round drains when
+    no media is fetched (article rounds discover nothing). One index round,
+    then several article rounds with checkpoints every second round: the
+    ledger the checkpoints record equals the oracle's, and the lookahead
+    engaged. A crawl of index pages only never looks ahead."""
+    factory = functools.partial(make_transport, SPEC)
+    ck = str(tmp_path / "ck")
+    res = run_crawl(
+        cfg_small(checkpoint_dir=ck, checkpoint_every=2, batch_urls=4),
+        transport_factory=factory, board="Beauty", pages=3, push_threshold=0,
+        fetch_media=False, out_dir=str(tmp_path / "out"),
+    )
+    want = oracle_crawl(SyntheticSite(SPEC), "Beauty", 3, push_threshold=0,
+                        batch_urls=4, fetch_media=False)
+    assert res.finished and res.rounds >= 4
+    assert _checkpoint_ledger(ck) == want["ledger"]
+    assert res.seen_set == want["seen"]
+    assert res.metrics["lookahead_rounds"] > 0
+    shards = res.metrics["shards"]
+    assert sum(m["taken"] - m["pushed_back"] for m in shards) == res.dispatched
+
+    index_only = run_crawl(
+        cfg_small(batch_urls=2, max_depth=0), transport_factory=factory,
+        board="Beauty", pages=5, fetch_media=False,
+    )
+    assert index_only.rounds == 3
+    assert {u for _, _, u in index_only.ledger} == {
+        SyntheticSite(SPEC).index_url("Beauty", p) for p in range(1, 6)}
+    assert index_only.metrics["lookahead_rounds"] == 0
+
+
+def test_resume_from_checkpoint_written_during_lookahead(ray_session, tmp_path):
+    """Kill right after the epoch-2 checkpoint, while the lookahead round 3
+    is in flight (the checkpoint and output dirs are copied from the
+    progress callback): the snapshot holds round 3's rows as pending, and a
+    resume from the copy continues exactly — same ledger, seen set and doc
+    ids as the uninterrupted run, no URL fetched twice."""
+    import json
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from ptt_spider_go_ray.pipelines.crawl import _heap_from_ipc
+    from ptt_spider_go_ray.sources.storage import read_table
+
+    factory = functools.partial(make_transport, SPEC)
+    ck, out = str(tmp_path / "ck"), str(tmp_path / "out")
+    ck_kill, out_kill = str(tmp_path / "ck_kill"), str(tmp_path / "out_kill")
+    at_kill = {}
+
+    def copy_at_epoch_2(p):
+        if p["round"] == 2:
+            shutil.copytree(ck, ck_kill)
+            shutil.copytree(out, out_kill)
+            at_kill["pending"] = p["pending"]
+
+    def cfg(spill):
+        return cfg_small(checkpoint_dir=ck, checkpoint_every=2, batch_urls=4,
+                         frontier_max_mem_rows=2, spill_dir=str(tmp_path / spill))
+
+    full = run_crawl(
+        cfg("spill"), transport_factory=factory, board="Beauty", pages=3,
+        push_threshold=0, fetch_media=False, out_dir=out, retain_ledger=True,
+        progress=copy_at_epoch_2,
+    )
+    assert full.finished and full.metrics["lookahead_rounds"] > 0
+    assert sum(m.get("spilled", 0) for m in full.metrics["shards"]) > 0
+
+    snap = pq.read_table(f"{ck_kill}/shards_epoch2.parquet").to_pylist()
+    with open(f"{ck_kill}/LATEST") as f:
+        assert f.read() == "2"
+    done = _checkpoint_ledger(ck_kill)
+    # round 3 was in flight: its rows are pending in the snapshot, though
+    # the shards had handed them out, and they are not counted as taken
+    assert sum(len(_heap_from_ipc(s["heap"])) for s in snap) > at_kill["pending"]
+    counts = [json.loads(s["metrics"]) for s in snap]
+    assert sum(m["taken"] - m["pushed_back"] for m in counts) == len(done)
+
+    c = cfg("spill_resume")
+    c.crawler.checkpoint_dir = ck_kill
+    rest = run_crawl(
+        c, transport_factory=factory, board="Beauty", pages=3, push_threshold=0,
+        fetch_media=False, out_dir=out_kill, resume=True, retain_ledger=True,
+    )
+    assert rest.finished
+    assert rest.ledger == full.ledger
+    assert rest.seen_set == full.seen_set
+    urls = [u for _, _, u in rest.ledger]
+    assert len(urls) == len(set(urls))
+    # the resumed run fetched none of the checkpointed rounds' pages
+    assert set(rest.docs["url"].to_pylist()).isdisjoint(u for _, _, u in done)
+    got = sorted(read_table(out_kill, "docs")["doc_id"].to_pylist())
+    assert got == sorted(read_table(out, "docs")["doc_id"].to_pylist())
+    assert len(got) == len(set(got))

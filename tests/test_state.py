@@ -305,6 +305,33 @@ def test_shard_spill_checkpoint_includes_spilled_rows(tmp_path):
     assert [r["seq"] for r in s2.take(100)] == list(range(100))
 
 
+def test_shard_checkpoint_holds_in_flight_rows(tmp_path):
+    """Rows handed to a round still in flight when a checkpoint is written
+    are snapshotted as pending and not as taken (once: the next snapshot
+    no longer holds them), and a shard restored from that snapshot hands
+    them out again first; the live shard is unchanged."""
+    import json
+
+    s = FrontierShard(1, seen_capacity=1 << 14, max_mem_rows=8,
+                      spill_dir=str(tmp_path))
+    s.offer([_row(f"https://www.ptt.cc/bbs/B/a{i}.html", 1, i) for i in range(30)])
+    first = s.take(5)
+    s.push_back(first[3:])
+    in_flight = first[:3]
+    s.hold_for_checkpoint(in_flight)
+    state = s.checkpoint_state(epoch=2)
+    assert [r["seq"] for r in state["heap"]] == list(range(30))
+    m = json.loads(state["metrics"])
+    assert (m["taken"], m["pushed_back"]) == (2, 2)  # taken - pushed_back = 0
+    assert s.size() == 27 and s.get_metrics()["taken"] == 5
+    assert len(s.checkpoint_state(epoch=3)["heap"]) == 27
+
+    s2 = FrontierShard(1, seen_capacity=1 << 14, max_mem_rows=8,
+                       spill_dir=str(tmp_path / "restore"))
+    s2.restore_state(state, state["seen_delta"])
+    assert s2.take(3) == in_flight
+
+
 def test_shard_routing_consistent_and_spread():
     n = 8
     rows = [_row(f"https://www.ptt.cc/bbs/Gossiping/a{i}.html", 1, i) for i in range(200)]
