@@ -76,7 +76,7 @@ from ..schemas import CHECKPOINT_SCHEMA, FRONTIER_SCHEMA
 from ..sources import storage
 from ..stages.fetch import _no_sleep, fetch_batch_task, fetch_with_retry
 from ..stages.parse_stages import DISCOVERS_KEY, ParseStage
-from ..state.frontier import SALT_K, FrontierShard, frontier_row, shard_for
+from ..state.frontier import FrontierShard, frontier_row, shard_for
 
 
 @dataclass

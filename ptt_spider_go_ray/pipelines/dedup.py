@@ -393,7 +393,6 @@ def _cc_distributed(edges, labels, cc_schema, max_iter: int, n_buckets: int):
     messages min-combine in a node groupby; convergence is witnessed by the
     distributed label sum (labels only decrease). No local pointer-jumping
     compression here, so rounds = graph diameter — the price of the bound."""
-    import ray.data
     from ray.data.aggregate import Min
 
     def sym(t: pa.Table) -> pa.Table:

@@ -81,6 +81,23 @@ def _combine(ds, partial, keys, sums, batch_size=_COMBINE_BATCH,
     )
 
 
+def _fold(parts, keys, sums) -> pd.DataFrame:
+    """Driver-side merge of per-batch partials: pull ``parts`` once and
+    return one row per distinct ``keys`` (a NULL key is its own group, as
+    in SQL ``GROUP BY``), sorted by ``keys``, each ``sums`` column summed as
+    exact Python ints (object dtype) at any scale."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    df = parts.to_pandas()
+    if not len(df):  # a zero-row pull comes back with no columns at all
+        return pd.DataFrame({c: pd.Series([], dtype=object) for c in keys + sums})
+    # int64 sums are exact only while rows × max|value| provably fits
+    peak = max(max(-int(df[c].min()), int(df[c].max())) for c in sums)
+    if len(df) * peak >= 2**63:
+        df = df.astype({c: object for c in sums})
+    out = df.groupby(keys, as_index=False, dropna=False, sort=True)[sums].sum()
+    return out.astype({c: object for c in sums})
+
+
 def _tok_arrow(texts) -> tuple[np.ndarray, pa.Array]:
     """Vectorized ``[a-z]+`` tokenization in pure Arrow kernels: lowercase
     → split on the complement class → drop the empty edge tokens the split
@@ -1806,13 +1823,11 @@ def q_percentiles(sf_dir: str):
              "n": pa.array(bc[nz].astype(np.int64))}
         )
 
-    counts: dict[str, np.ndarray] = {
-        et: np.zeros(_PCT_BINS, np.int64) for et in meta
-    }
-    for r in ds.map_batches(
+    counts = {et: np.zeros(_PCT_BINS, np.int64) for et in meta}
+    for et, b, n in _fold(ds.map_batches(
         hist_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).take_all():
-        counts[r["event_type"]][int(r["bin"])] += int(r["n"])
+    ), ["event_type", "bin"], ["n"]).itertuples(index=False):
+        counts[et][b] = n
 
     # locate, per (group, target rank), the owning bin + in-bin local rank
     need: dict[tuple, list[tuple]] = {}  # (et, bin) -> [(local_rank, slot)]
@@ -2197,13 +2212,9 @@ def q_value_histogram(sf_dir: str):
         return pa.table({"bin": pa.array(nz.astype(np.int64)),
                          "n": pa.array(bc[nz].astype(np.int64))})
 
-    total = np.zeros(_HIST_BINS, np.int64)
-    for r in ds.map_batches(
+    return _fold(ds.map_batches(
         hist, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).take_all():
-        total[int(r["bin"])] += int(r["n"])
-    nz = np.nonzero(total)[0]
-    return pd.DataFrame({"bin": nz.astype(np.int64), "n": total[nz]})
+    ), "bin", ["n"]).astype({"bin": "int64", "n": "int64"})
 
 
 SQL_VALUE_HISTOGRAM = f"""
@@ -2315,17 +2326,11 @@ def q_corr_qty_price(sf_dir: str):
         ).groupby("flag", as_index=False).sum()
         return _arrow_out(m.astype({c: "int64" for c in m.columns if c != "flag"}))
 
-    acc: dict[str, list[int]] = {}
-    for r in ds.map_batches(
+    m = _fold(ds.map_batches(
         moments, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).take_all():
-        a = acc.setdefault(r["flag"], [0, 0, 0, 0, 0, 0])
-        for i, k in enumerate(("n", "sx", "sy", "sxx", "syy", "sxy")):
-            a[i] += int(r[k])  # Python ints: exact at any scale
-    flags = sorted(acc)
+    ), "flag", ["n", "sx", "sy", "sxx", "syy", "sxy"])
     corr = []
-    for f in flags:
-        n, sx, sy, sxx, syy, sxy = acc[f]
+    for _f, n, sx, sy, sxx, syy, sxy in m.itertuples(index=False):
         num = float(n) * float(sxy) - float(sx) * float(sy)
         den = math.sqrt(
             (float(n) * float(sxx) - float(sx) * float(sx))
@@ -2333,7 +2338,7 @@ def q_corr_qty_price(sf_dir: str):
         )
         corr.append(int(np.rint(num / den * 1_000_000)))
     return pd.DataFrame(
-        {"flag": flags, "n": np.array([acc[f][0] for f in flags], np.int64),
+        {"flag": m["flag"], "n": m["n"].astype(np.int64),
          "corr_e6": np.array(corr, np.int64)}
     )
 
@@ -2587,12 +2592,11 @@ def q_heavy_hitters(sf_dir: str):
     # ≤ capacity rows per block — summaries, not the vocab; the k-way MG
     # merge (keyed-union count sum, one compress) is a vectorized pandas
     # groupby, not a Python loop over blocks × capacity rows
-    parts = ds.map_batches(
+    g = _fold(ds.map_batches(
         partial, batch_format="pandas", batch_size=_TEXT_COMBINE_BATCH
-    ).to_pandas()
-    g = parts.groupby("key", as_index=False)["n"].sum()
+    ), "key", ["n"])
     acc = SpaceSaving(_HH_CAPACITY)
-    acc.counts = dict(zip(g["key"].tolist(), (int(x) for x in g["n"].tolist())))
+    acc.counts = dict(zip(g["key"].tolist(), g["n"].tolist()))
     acc._compress()
     top = acc.top(_HH_K)
     return pd.DataFrame(
@@ -2673,14 +2677,13 @@ def q_nation_revenue(sf_dir: str, broadcast_max: int | None = None):
                 }
             )
 
-        parts = (
+        g = _fold(
             _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
             .map_batches(
                 rev_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-            )
-            .to_pandas()
+            ),
+            "nid", ["revenue_e2", "n_orders"],
         )
-        g = parts.groupby("nid", as_index=False).sum()
         g = g[g["n_orders"] > 0]  # inner-join semantics: only nations hit
         return pd.DataFrame(
             {
@@ -3026,16 +3029,11 @@ def q_zscore_norm(sf_dir: str):
         ).groupby("event_type", as_index=False).sum()
         return _arrow_out(m.astype({c: "int64" for c in ("n", "s", "ss")}))
 
-    acc: dict[str, list[int]] = {}
-    for r in ds.map_batches(
-        moments, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).take_all():
-        a = acc.setdefault(r["event_type"], [0, 0, 0])
-        for i, kk in enumerate(("n", "s", "ss")):
-            a[i] += int(r[kk])  # Python ints: exact at any scale
     stats = {
         t: (float(s) / n, math.sqrt(float(ss) / n - (float(s) / n) * (float(s) / n)))
-        for t, (n, s, ss) in acc.items()
+        for t, n, s, ss in _fold(ds.map_batches(
+            moments, batch_format="pandas", batch_size=_COMBINE_BATCH
+        ), "event_type", ["n", "s", "ss"]).itertuples(index=False)
     }
 
     def z(df: pd.DataFrame) -> pd.DataFrame:
@@ -3090,14 +3088,11 @@ def q_mode_per_type(sf_dir: str):
         ).groupby(["event_type", "c"], as_index=False).sum()
         return _arrow_out(g.astype({"c": "int64", "n": "int64"}))
 
-    # vectorized driver merge: partials arrive as one DataFrame (bounded by
-    # blocks × the cents domain), one C-speed groupby-sum, then an argmax
+    # driver merge (bounded by blocks × the cents domain), then an argmax
     # per type via a (n desc, cents asc) sort + drop_duplicates
-    part = ds.map_batches(
+    g = _fold(ds.map_batches(
         counts, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).to_pandas()
-    g = part.groupby(["event_type", "c"], as_index=False)["n"].sum()
-    g = g.sort_values(
+    ), ["event_type", "c"], ["n"]).sort_values(
         ["event_type", "n", "c"], ascending=[True, False, True]
     ).drop_duplicates("event_type")
     return pd.DataFrame(
@@ -3201,13 +3196,11 @@ def q_percent_rank(sf_dir: str):
         ).groupby(["event_type", "c"], as_index=False).sum()
         return _arrow_out(g.astype({"c": "int64", "n": "int64"}))
 
-    # vectorized driver merge (bounded by blocks × the cents domain): one
-    # C-speed groupby-sum, then per-type sorted cents + exclusive cumsums
-    part = ds.map_batches(
+    # driver merge (bounded by blocks × the cents domain), sorted by
+    # (type, cents), then per-type exclusive cumsums
+    g = _fold(ds.map_batches(
         counts, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).to_pandas()
-    g = part.groupby(["event_type", "c"], as_index=False)["n"].sum()
-    g = g.sort_values(["event_type", "c"])
+    ), ["event_type", "c"], ["n"])
     tables = {}
     for t, sub in g.groupby("event_type", sort=False):
         cents = sub["c"].to_numpy().astype(np.int64)
@@ -3421,16 +3414,13 @@ def q_pack_chunks(sf_dir: str):
         ).groupby("rng", as_index=False).sum()
         return _arrow_out(g.astype({"rng": "int64", "tok": "int64"}))
 
-    sums: dict[int, int] = {}
-    for r in ds.map_batches(
-        range_sums, batch_format="pandas", batch_size=_TEXT_COMBINE_BATCH
-    ).take_all():
-        sums[int(r["rng"])] = sums.get(int(r["rng"]), 0) + int(r["tok"])
     offsets: dict[int, int] = {}
     acc = 0
-    for rng in sorted(sums):
+    for rng, tok in _fold(ds.map_batches(
+        range_sums, batch_format="pandas", batch_size=_TEXT_COMBINE_BATCH
+    ), "rng", ["tok"]).itertuples(index=False):
         offsets[rng] = acc
-        acc += sums[rng]
+        acc += tok
 
     def tag(t: pa.Table) -> pa.Table:
         rng = t["doc_id"].to_numpy(zero_copy_only=False) // width
@@ -3591,10 +3581,9 @@ def q_events_per_day_dense(sf_dir: str):
         return _arrow_out(g.astype({"day": "int64", "n_total": "int64",
                                     "n_match": "int64"}))
 
-    part = ds.map_batches(
+    g = _fold(ds.map_batches(
         partial, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).to_pandas()
-    g = part.groupby("day", as_index=False)[["n_total", "n_match"]].sum()
+    ), "day", ["n_total", "n_match"])
     lo, hi = int(g["day"].min()), int(g["day"].max())
     spine = np.arange(lo, hi + _DAY_US, _DAY_US)
     n = (
@@ -5313,17 +5302,13 @@ def q_mixture_plan(sf_dir: str):
         ).groupby(["rng", "source"], as_index=False).sum()
         return _arrow_out(g.astype({"rng": "int64", "n": "int64"}))
 
-    counts: dict[tuple[int, str], int] = {}
-    for r in ds.map_batches(
-        range_counts, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).take_all():
-        k = (int(r["rng"]), r["source"])
-        counts[k] = counts.get(k, 0) + int(r["n"])
     offsets: dict[int, dict[str, int]] = {}
     acc: dict[str, int] = {}
-    for rng, src in sorted(counts):
+    for rng, src, n in _fold(ds.map_batches(
+        range_counts, batch_format="pandas", batch_size=_COMBINE_BATCH
+    ), ["rng", "source"], ["n"]).itertuples(index=False):
         offsets.setdefault(rng, {})[src] = acc.get(src, 0)
-        acc[src] = acc.get(src, 0) + counts[(rng, src)]
+        acc[src] = acc.get(src, 0) + n
 
     def tag(t: pa.Table) -> pa.Table:
         rng = t["doc_id"].to_numpy(zero_copy_only=False) // width
@@ -5420,8 +5405,6 @@ FROM ranked WHERE rn = 1 AND event_type <> 'purchase'
 # merged on the driver (the collision-rank tiny-partials pattern).
 # ---------------------------------------------------------------------------
 
-_DAY_US = 86_400_000_000
-
 
 def q_cohort_retention(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
@@ -5442,12 +5425,10 @@ def q_cohort_retention(sf_dir: str):
             {"cohort_day": "int64", "offset_days": "int64", "n_users": "int64"}
         )
 
-    parts = _by_key_bucket(ds, "user_id", partial, ds.count()).to_pandas()
-    return (
-        parts.groupby(["cohort_day", "offset_days"], as_index=False)["n_users"]
-        .sum()
-        .astype({"cohort_day": "int64", "offset_days": "int64", "n_users": "int64"})
-    )
+    return _fold(
+        _by_key_bucket(ds, "user_id", partial, ds.count()),
+        ["cohort_day", "offset_days"], ["n_users"],
+    ).astype({"cohort_day": "int64", "offset_days": "int64", "n_users": "int64"})
 
 
 SQL_COHORT_RETENTION = f"""
@@ -5493,12 +5474,10 @@ def q_transition_counts(sf_dir: str):
         )
         return out.astype({"n": "int64"})
 
-    parts = _by_key_bucket(ds, "user_id", partial, ds.count()).to_pandas()
-    return (
-        parts.groupby(["src_type", "dst_type"], as_index=False)["n"]
-        .sum()
-        .astype({"n": "int64"})
-    )
+    return _fold(
+        _by_key_bucket(ds, "user_id", partial, ds.count()),
+        ["src_type", "dst_type"], ["n"],
+    ).astype({"n": "int64"})
 
 
 SQL_TRANSITION_COUNTS = """
@@ -5618,12 +5597,9 @@ def q_event_gap_hist(sf_dir: str):
             {"gap_min_bin": nz.astype(np.int64), "n": bc[nz].astype(np.int64)}
         )
 
-    parts = _by_key_bucket(ds, "user_id", partial, ds.count()).to_pandas()
-    return (
-        parts.groupby("gap_min_bin", as_index=False)["n"]
-        .sum()
-        .astype({"gap_min_bin": "int64", "n": "int64"})
-    )
+    return _fold(
+        _by_key_bucket(ds, "user_id", partial, ds.count()), "gap_min_bin", ["n"]
+    ).astype({"gap_min_bin": "int64", "n": "int64"})
 
 
 SQL_EVENT_GAP_HIST = f"""
@@ -5668,8 +5644,9 @@ def q_jaccard_types(sf_dir: str):
             }
         )
 
-    parts = _by_key_bucket(ds, "user_id", gram, ds.count()).to_pandas()
-    tot = parts.groupby(["type_a", "type_b"], as_index=False)["n"].sum()
+    tot = _fold(
+        _by_key_bucket(ds, "user_id", gram, ds.count()), ["type_a", "type_b"], ["n"]
+    )
     sizes = dict(
         zip(
             tot.loc[tot.type_a == tot.type_b, "type_a"],
@@ -5744,13 +5721,10 @@ def q_split_assign(sf_dir: str):
             out.reset_index().astype({"n_docs": "int64", "sum_chars": "int64"})
         )
 
-    parts = ds.map_batches(
+    return _fold(ds.map_batches(
         partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).to_pandas()
-    return (
-        parts.groupby("split", as_index=False)[["n_docs", "sum_chars"]]
-        .sum()
-        .astype({"n_docs": "int64", "sum_chars": "int64"})
+    ), "split", ["n_docs", "sum_chars"]).astype(
+        {"n_docs": "int64", "sum_chars": "int64"}
     )
 
 
@@ -6455,12 +6429,9 @@ def q_grouping_sets(sf_dir: str):
         ).groupby(["o_orderstatus", "o_orderpriority"], as_index=False).sum()
         return _arrow_out(g.astype({"n": "int64", "cents": "int64"}))
 
-    part = ds.map_batches(
+    fine = _fold(ds.map_batches(
         partial, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).to_pandas()
-    fine = part.groupby(
-        ["o_orderstatus", "o_orderpriority"], as_index=False
-    )[["n", "cents"]].sum()
+    ), ["o_orderstatus", "o_orderpriority"], ["n", "cents"])
     mid = fine.groupby("o_orderstatus", as_index=False)[["n", "cents"]].sum()
     mid["o_orderpriority"] = None
     top = pd.DataFrame(
@@ -6553,10 +6524,10 @@ GROUP BY c.user_id
 
 def _median2_from_hist(merged: pd.DataFrame) -> dict[str, int]:
     """Per-type 2×median (exact int) from a merged (event_type, c, n)
-    histogram: rank floor/ceil((n−1)/2) via cumsum + searchsorted."""
+    histogram sorted by (event_type, c): rank floor/ceil((n−1)/2) via
+    cumsum + searchsorted."""
     out: dict[str, int] = {}
     for et, sub in merged.groupby("event_type"):
-        sub = sub.sort_values("c")
         w = sub["n"].to_numpy()
         v = sub["c"].to_numpy()
         cum = np.cumsum(w)
@@ -6577,12 +6548,9 @@ def q_mad_per_type(sf_dir: str):
         ).groupby(["event_type", "c"], as_index=False).sum()
         return _arrow_out(g.astype({"c": "int64", "n": "int64"}))
 
-    part = ds.map_batches(
+    med2 = _median2_from_hist(_fold(ds.map_batches(
         hist_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).to_pandas()
-    med2 = _median2_from_hist(
-        part.groupby(["event_type", "c"], as_index=False)["n"].sum()
-    )
+    ), ["event_type", "c"], ["n"]))
 
     def dev_partial(df: pd.DataFrame) -> pa.Table:
         c = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
@@ -6596,12 +6564,9 @@ def q_mad_per_type(sf_dir: str):
         ).groupby(["event_type", "c"], as_index=False).sum()
         return _arrow_out(g.astype({"c": "int64", "n": "int64"}))
 
-    dev = ds.map_batches(
+    mad4 = _median2_from_hist(_fold(ds.map_batches(
         dev_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).to_pandas()
-    mad4 = _median2_from_hist(
-        dev.groupby(["event_type", "c"], as_index=False)["n"].sum()
-    )  # 4×MAD in half-cent units
+    ), ["event_type", "c"], ["n"]))  # 4×MAD in half-cent units
     ets = sorted(mad4)
     return pd.DataFrame(
         {
@@ -6984,19 +6949,16 @@ def q_fertility_per_lang(sf_dir: str):
             g.astype({"n_docs": "int64", "n_tokens": "int64", "n_chars": "int64"})
         )
 
-    part = ds.map_batches(
+    out = _fold(ds.map_batches(
         partial, batch_format="pandas", batch_size=_TEXT_COMBINE_BATCH
-    ).to_pandas()
-    out = part.groupby("lang", as_index=False)[
-        ["n_docs", "n_tokens", "n_chars"]
-    ].sum()
+    ), "lang", ["n_docs", "n_tokens", "n_chars"]).astype(
+        {"n_docs": "int64", "n_tokens": "int64", "n_chars": "int64"}
+    )
     out["fert_e6"] = np.rint(
         out["n_tokens"].to_numpy() / out["n_chars"].to_numpy() * 1e6
     ).astype(np.int64)
     out["lang"] = out["lang"].astype(object)
-    return out.astype(
-        {"n_docs": "int64", "n_tokens": "int64", "n_chars": "int64"}
-    )
+    return out
 
 
 SQL_FERTILITY_PER_LANG = r"""
@@ -7123,17 +7085,15 @@ def q_charlm_score(sf_dir: str):
             }
         )
 
-    part = ds.map_batches(
+    counts = _fold(ds.map_batches(
         count_partial, batch_format="pandas", batch_size=_TEXT_COMBINE_BATCH
-    ).to_pandas()
-    counts = part.groupby("bg")["n"].sum()
-    total = int(counts.sum())
+    ), "bg", ["n"])
+    total = int(counts["n"].sum())
     vocab = len(counts)
     # broadcast table: sorted key array + nll array (searchsorted lookup)
-    lp_keys = counts.index.to_numpy(dtype=np.uint64)
+    lp_keys = counts["bg"].to_numpy(dtype=np.uint64)
     lp_vals = np.array(
-        [-math.log2((int(n) + 1) / (total + vocab)) for n in counts.to_numpy()],
-        np.float64,
+        [-math.log2((n + 1) / (total + vocab)) for n in counts["n"]], np.float64
     )
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
@@ -7309,8 +7269,6 @@ FROM events
 # The moments are mergeable, making this a one-pass distributed aggregate.
 # ---------------------------------------------------------------------------
 
-_DAY_US = 86_400_000_000
-
 
 def q_trend_per_type(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
@@ -7335,24 +7293,17 @@ def q_trend_per_type(sf_dir: str):
             m.astype({c: "int64" for c in ("n", "sx", "sy", "sxx", "sxy")})
         )
 
-    acc: dict[str, list[int]] = {}
-    for r in ds.map_batches(
+    m = _fold(ds.map_batches(
         moments, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).take_all():
-        a = acc.setdefault(r["event_type"], [0, 0, 0, 0, 0])
-        for i, kk in enumerate(("n", "sx", "sy", "sxx", "sxy")):
-            a[i] += int(r[kk])  # Python ints: exact at any scale
-    ets = sorted(acc)
-    slopes = []
-    for et in ets:
-        n, sx, sy, sxx, sxy = acc[et]
-        slopes.append(
-            int(round(float(n * sxy - sx * sy) / float(n * sxx - sx * sx) * 1e9))
-        )
+    ), "event_type", ["n", "sx", "sy", "sxx", "sxy"])
+    slopes = [
+        int(round(float(n * sxy - sx * sy) / float(n * sxx - sx * sx) * 1e9))
+        for _et, n, sx, sy, sxx, sxy in m.itertuples(index=False)
+    ]
     return pd.DataFrame(
         {
-            "event_type": pd.Series(ets, dtype=object),
-            "n": np.array([acc[e][0] for e in ets], np.int64),
+            "event_type": m["event_type"].astype(object),
+            "n": m["n"].astype(np.int64),
             "slope_e9": np.array(slopes, np.int64),
         }
     )
@@ -7539,9 +7490,10 @@ FROM f GROUP BY doc_id
 def _disc_quantiles_from_hist(
     merged: pd.DataFrame, qs: tuple
 ) -> dict[str, tuple]:
+    """Per-type discrete quantiles from a merged (event_type, c, n)
+    histogram sorted by (event_type, c)."""
     out: dict[str, tuple] = {}
     for et, sub in merged.groupby("event_type"):
-        sub = sub.sort_values("c")
         w = sub["n"].to_numpy()
         v = sub["c"].to_numpy()
         cum = np.cumsum(w)
@@ -7564,13 +7516,9 @@ def q_winsorized_mean(sf_dir: str):
         ).groupby(["event_type", "c"], as_index=False).sum()
         return _arrow_out(g.astype({"c": "int64", "n": "int64"}))
 
-    part = ds.map_batches(
+    bounds = _disc_quantiles_from_hist(_fold(ds.map_batches(
         hist_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).to_pandas()
-    bounds = _disc_quantiles_from_hist(
-        part.groupby(["event_type", "c"], as_index=False)["n"].sum(),
-        (0.1, 0.9),
-    )
+    ), ["event_type", "c"], ["n"]), (0.1, 0.9))
 
     def clip_partial(df: pd.DataFrame) -> pa.Table:
         c = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
@@ -7582,20 +7530,15 @@ def q_winsorized_mean(sf_dir: str):
         ).groupby("event_type", as_index=False).sum()
         return _arrow_out(g.astype({"s": "int64", "n": "int64"}))
 
-    acc: dict[str, list[int]] = {}
-    for r in ds.map_batches(
+    m = _fold(ds.map_batches(
         clip_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).take_all():
-        a = acc.setdefault(r["event_type"], [0, 0])
-        a[0] += int(r["s"])
-        a[1] += int(r["n"])
-    ets = sorted(acc)
+    ), "event_type", ["s", "n"])
     return pd.DataFrame(
         {
-            "event_type": pd.Series(ets, dtype=object),
-            "n": np.array([acc[e][1] for e in ets], np.int64),
+            "event_type": m["event_type"].astype(object),
+            "n": m["n"].astype(np.int64),
             "wmean_cents": np.array(
-                [float(acc[e][0]) / acc[e][1] for e in ets], np.float64
+                [float(s) / n for s, n in zip(m["s"], m["n"])], np.float64
             ),
         }
     )
@@ -7635,13 +7578,11 @@ def q_gini_per_type(sf_dir: str):
         ).groupby(["event_type", "c"], as_index=False).sum()
         return _arrow_out(g.astype({"c": "int64", "n": "int64"}))
 
-    part = ds.map_batches(
+    merged = _fold(ds.map_batches(
         hist_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).to_pandas()
-    merged = part.groupby(["event_type", "c"], as_index=False)["n"].sum()
+    ), ["event_type", "c"], ["n"])
     ets, ns, ginis = [], [], []
     for et, sub in merged.groupby("event_type"):
-        sub = sub.sort_values("c")
         w = sub["n"].to_numpy()
         v = sub["c"].to_numpy()
         n = int(w.sum())
@@ -7840,23 +7781,19 @@ def q_incremental_agg(sf_dir: str):
         ).groupby("o_orderstatus", as_index=False).sum()
         return _arrow_out(g.astype({"n": "int64", "cents": "int64"}))
 
-    acc: dict[str, list[int]] = {}
-    for which in ("base", "delta"):
-        part = ds.map_batches(
+    m = pd.concat([
+        _fold(ds.map_batches(
             functools.partial(signed_partial, which=which),
             batch_format="pandas",
             batch_size=_COMBINE_BATCH,
-        )
-        for r in part.take_all():
-            a = acc.setdefault(r["o_orderstatus"], [0, 0])
-            a[0] += int(r["n"])
-            a[1] += int(r["cents"])
-    sts = sorted(acc)
+        ), "o_orderstatus", ["n", "cents"])
+        for which in ("base", "delta")
+    ]).groupby("o_orderstatus", as_index=False).sum()
     return pd.DataFrame(
         {
-            "o_orderstatus": pd.Series(sts, dtype=object),
-            "n_orders": np.array([acc[s][0] for s in sts], np.int64),
-            "total_cents": np.array([acc[s][1] for s in sts], np.int64),
+            "o_orderstatus": m["o_orderstatus"].astype(object),
+            "n_orders": m["n"].astype(np.int64),
+            "total_cents": m["cents"].astype(np.int64),
         }
     )
 
@@ -7936,14 +7873,11 @@ def q_psi_drift(sf_dir: str):
             )
         return pa.concat_tables(out)
 
-    counts = {
-        "ref": np.zeros(_PSI_BINS, np.int64),
-        "cur": np.zeros(_PSI_BINS, np.int64),
-    }
-    for r in ds.map_batches(
+    counts = {h: np.zeros(_PSI_BINS, np.int64) for h in ("ref", "cur")}
+    for half, b, n in _fold(ds.map_batches(
         hist_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).take_all():
-        counts[r["half"]][int(r["bin"])] += int(r["n"])
+    ), ["half", "bin"], ["n"]).itertuples(index=False):
+        counts[half][b] = n
     tr = int(counts["ref"].sum()) + _PSI_BINS
     tc = int(counts["cur"].sum()) + _PSI_BINS
     psi = 0.0
@@ -8102,15 +8036,10 @@ def q_ols_outliers(sf_dir: str):
             m.astype({c: "int64" for c in ("n", "sx", "sy", "sxx", "sxy")})
         )
 
-    acc: dict[str, list[int]] = {}
-    for r in ds.map_batches(
-        moments, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).take_all():
-        a = acc.setdefault(r["event_type"], [0, 0, 0, 0, 0])
-        for i, kk in enumerate(("n", "sx", "sy", "sxx", "sxy")):
-            a[i] += int(r[kk])
     coef = {}
-    for et, (n, sx, sy, sxx, sxy) in acc.items():
+    for et, n, sx, sy, sxx, sxy in _fold(ds.map_batches(
+        moments, batch_format="pandas", batch_size=_COMBINE_BATCH
+    ), "event_type", ["n", "sx", "sy", "sxx", "sxy"]).itertuples(index=False):
         den = n * sxx - sx * sx
         coef[et] = (den, sy * sxx - sx * sxy, n * sxy - sx * sy)
         # int64 guard for the per-row vectorized path (SQL stays exact in
@@ -8338,20 +8267,18 @@ def q_tpch_q5(sf_dir: str, broadcast_max: int | None = None):
                 }
             )
 
-        parts = (
+        g = _fold(
             _read(
                 sf_dir,
                 "lineitem",
                 columns=[
                     "l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"
                 ],
-            )
-            .map_batches(
+            ).map_batches(
                 li_zero, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-            )
-            .to_pandas()
+            ),
+            "nid", ["revenue_e4", "n"],
         )
-        g = parts.groupby("nid", as_index=False).sum()
         g = g[g["n"] > 0]  # inner-join semantics: only nations with rows
         return pd.DataFrame(
             {
@@ -8518,10 +8445,9 @@ def q_bpe_top_pairs(sf_dir: str):
             {"k": pa.array(uk), "n": pa.array(cnt.astype(np.int64))}
         )
 
-    parts = ds.map_batches(
+    tot = _fold(ds.map_batches(
         partial, batch_format="pandas", batch_size=_TEXT_COMBINE_BATCH
-    ).to_pandas()
-    tot = parts.groupby("k", as_index=False)["n"].sum()
+    ), "k", ["n"])
     ks = tot["k"].to_numpy()
     left = np.array([chr(int(k) >> 21) for k in ks], dtype=object)
     right = np.array([chr(int(k) & ((1 << 21) - 1)) for k in ks], dtype=object)
@@ -8727,25 +8653,19 @@ def q_skew_per_type(sf_dir: str):
             m.astype({c: "int64" for c in ("n", "s1", "s2", "s3q", "s3r")})
         )
 
-    acc: dict[str, list[int]] = {}
-    for r in ds.map_batches(
+    m = _fold(ds.map_batches(
         moments, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).take_all():
-        a = acc.setdefault(r["event_type"], [0, 0, 0, 0, 0])
-        for i, kk in enumerate(("n", "s1", "s2", "s3q", "s3r")):
-            a[i] += int(r[kk])
-    ets = sorted(acc)
+    ), "event_type", ["n", "s1", "s2", "s3q", "s3r"])
     skews = []
-    for et in ets:
-        n, s1, s2, s3q, s3r = acc[et]
+    for _et, n, s1, s2, s3q, s3r in m.itertuples(index=False):
         s3 = s3q * _S3_SPLIT + s3r  # exact Python bignum
         num = n * n * s3 - 3 * n * s1 * s2 + 2 * s1 * s1 * s1
         den = n * s2 - s1 * s1
         skews.append(float(num) / float(den) ** 1.5)
     return pd.DataFrame(
         {
-            "event_type": pd.Series(ets, dtype=object),
-            "n": np.array([acc[e][0] for e in ets], np.int64),
+            "event_type": m["event_type"].astype(object),
+            "n": m["n"].astype(np.int64),
             "skewness": np.array(skews, np.float64),
         }
     )
@@ -9108,26 +9028,18 @@ def q_ship_delay(sf_dir: str, broadcast_max: int | None = None):
                 }
             )
 
-        acc2: dict[int, list[int]] = {}
-        for r in li.map_batches(
+        g = _fold(li.map_batches(
             delay_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-        ).take_all():
-            a = acc2.setdefault(int(r["pi"]), [0, 0])
-            a[0] += int(r["n"])
-            a[1] += int(r["delay"])
-        ps = [p for p in prios if acc2.get(prio_idx[p], [0])[0] > 0]
+        ), "pi", ["n", "delay"])
+        g = g[g["n"] > 0]
         return pd.DataFrame(
             {
-                "o_orderpriority": pd.Series(ps, dtype=object),
-                "n_lineitems": np.array(
-                    [acc2[prio_idx[p]][0] for p in ps], np.int64
+                "o_orderpriority": pd.Series(
+                    [prios[i] for i in g["pi"]], dtype=object
                 ),
+                "n_lineitems": g["n"].to_numpy(np.int64),
                 "avg_delay_days": np.array(
-                    [
-                        float(acc2[prio_idx[p]][1])
-                        / float(acc2[prio_idx[p]][0])
-                        for p in ps
-                    ],
+                    [float(d) / float(n) for n, d in zip(g["n"], g["delay"])],
                     np.float64,
                 ),
             }
@@ -9219,22 +9131,20 @@ def q_ship_delay(sf_dir: str, broadcast_max: int | None = None):
         ).groupby("o_orderpriority", as_index=False).sum()
         return out.astype({"n_lineitems": "int64", "delay_days": "int64"})
 
-    acc: dict[str, list[int]] = {}
-    for r in (
-        both.groupby("bucket")
-        .map_groups(merge, batch_format="pandas")
-        .take_all()
-    ):
-        a = acc.setdefault(r["o_orderpriority"], [0, 0])
-        a[0] += int(r["n_lineitems"])
-        a[1] += int(r["delay_days"])
-    ps = sorted(acc)
+    g = _fold(
+        both.groupby("bucket").map_groups(merge, batch_format="pandas"),
+        "o_orderpriority", ["n_lineitems", "delay_days"],
+    )
     return pd.DataFrame(
         {
-            "o_orderpriority": pd.Series(ps, dtype=object),
-            "n_lineitems": np.array([acc[p][0] for p in ps], np.int64),
+            "o_orderpriority": g["o_orderpriority"].astype(object),
+            "n_lineitems": g["n_lineitems"].astype(np.int64),
             "avg_delay_days": np.array(
-                [float(acc[p][1]) / float(acc[p][0]) for p in ps], np.float64
+                [
+                    float(d) / float(n)
+                    for n, d in zip(g["n_lineitems"], g["delay_days"])
+                ],
+                np.float64,
             ),
         }
     )
@@ -9333,13 +9243,11 @@ def q_weighted_median(sf_dir: str):
              "w": pa.array(ws, pa.int64())}
         )
 
-    wcounts: dict[str, np.ndarray] = {
-        f: np.zeros(_WM_BINS, np.int64) for f in meta
-    }
-    for r in ds.map_batches(
+    wcounts = {f: np.zeros(_WM_BINS, np.int64) for f in meta}
+    for f, b, w in _fold(ds.map_batches(
         hist_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).take_all():
-        wcounts[r["f"]][int(r["bin"])] += int(r["w"])
+    ), ["f", "bin"], ["w"]).itertuples(index=False):
+        wcounts[f][b] = w
 
     # locate the owning bin per group (degenerate all-equal groups are done)
     target_bin: dict[str, int] = {}
@@ -9366,17 +9274,14 @@ def q_weighted_median(sf_dir: str):
         g = sub.groupby(["f", "v"], as_index=False)["w"].sum()
         return _arrow_out(g.astype({"v": "int64", "w": "int64"}))
 
-    tie: dict[str, dict[int, int]] = {f: {} for f in target_bin}
-    for r in ds.map_batches(
+    tie = _fold(ds.map_batches(
         keep_bin, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).take_all():
-        d = tie[r["f"]]
-        d[int(r["v"])] = d.get(int(r["v"]), 0) + int(r["w"])
-    for f, d in tie.items():
+    ), ["f", "v"], ["w"])
+    for f, d in tie.groupby("f"):
         tw = meta[f][0]
         cw = prefix_w[f]
-        for v in sorted(d):
-            cw += d[v]
+        for v, w in zip(d["v"], d["w"]):
+            cw += w
             if 2 * cw >= tw:
                 result[f] = v
                 break
@@ -9476,14 +9381,12 @@ def q_daily_type_corr(sf_dir: str):
         ).groupby(["event_type", "day"], as_index=False).sum()
         return _arrow_out(df.astype({"day": "int64", "s": "int64"}))
 
-    acc: dict[tuple, int] = {}
-    for r in ds.map_batches(
+    g = _fold(ds.map_batches(
         day_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).take_all():
-        k = (r["event_type"], int(r["day"]))
-        acc[k] = acc.get(k, 0) + int(r["s"])
-    days = sorted({d for (_t, d) in acc})
-    types = sorted({t for (t, _d) in acc})
+    ), ["event_type", "day"], ["s"])
+    acc = dict(zip(zip(g["event_type"], g["day"]), g["s"]))
+    days = sorted(set(g["day"]))
+    types = sorted(set(g["event_type"]))
     series = {
         t: [acc.get((t, d), 0) for d in days] for t in types
     }  # zero-filled O(days × types)
@@ -9598,23 +9501,12 @@ def q_source_overlap(sf_dir: str):
             ["source_a", "source_b"], as_index=False
         ).sum().astype({"n_shared": "int64"})
 
-    acc: dict[tuple, int] = {}
-    for r in (
+    return _fold(
         ds.map_batches(fp, batch_format="pandas")
         .groupby("bucket")
-        .map_groups(pairs, batch_format="pandas")
-        .take_all()
-    ):
-        k = (r["source_a"], r["source_b"])
-        acc[k] = acc.get(k, 0) + int(r["n_shared"])
-    ks = sorted(acc)
-    return pd.DataFrame(
-        {
-            "source_a": pd.Series([k[0] for k in ks], dtype=object),
-            "source_b": pd.Series([k[1] for k in ks], dtype=object),
-            "n_shared": np.array([acc[k] for k in ks], np.int64),
-        }
-    )
+        .map_groups(pairs, batch_format="pandas"),
+        ["source_a", "source_b"], ["n_shared"],
+    ).astype({"source_a": object, "source_b": object, "n_shared": "int64"})
 
 
 SQL_SOURCE_OVERLAP = f"""
@@ -9713,13 +9605,11 @@ def q_dow_kl_per_type(sf_dir: str):
         df = df.groupby(["event_type", "dow"], as_index=False).sum()
         return _arrow_out(df.astype({"dow": "int64", "c": "int64"}))
 
-    cells: dict[tuple, int] = {}
-    for r in ds.map_batches(
+    g = _fold(ds.map_batches(
         cell_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).take_all():
-        k = (r["event_type"], int(r["dow"]))
-        cells[k] = cells.get(k, 0) + int(r["c"])
-    types = sorted({t for (t, _d) in cells})
+    ), ["event_type", "dow"], ["c"])
+    cells = dict(zip(zip(g["event_type"], g["dow"]), g["c"]))
+    types = sorted(set(g["event_type"]))
     n_tot = sum(cells.values())
     dow_tot = [sum(cells.get((t, d), 0) for t in types) for d in range(7)]
     out_t, out_n, out_kl = [], [], []
@@ -9787,24 +9677,17 @@ def q_hhi_per_day(sf_dir: str):
             df.astype({c: "int64" for c in ("day", "sv", "svv", "n")})
         )
 
-    acc: dict[int, list[int]] = {}
-    for r in ds.map_batches(
+    g = _fold(ds.map_batches(
         partials, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).take_all():
-        a = acc.setdefault(int(r["day"]), [0, 0, 0])
-        a[0] += int(r["sv"])
-        a[1] += int(r["svv"])
-        a[2] += int(r["n"])
-    days = sorted(acc)
+    ), "day", ["sv", "svv", "n"])
     return pd.DataFrame(
         {
-            "day": np.array(days, np.int64),
-            "n": np.array([acc[d][2] for d in days], np.int64),
+            "day": g["day"].astype(np.int64),
+            "n": g["n"].astype(np.int64),
             "hhi_e6": np.array(
                 [
-                    int(round(float(acc[d][1])
-                              / float(acc[d][0] * acc[d][0]) * 1e6))
-                    for d in days
+                    int(round(float(svv) / float(sv * sv) * 1e6))
+                    for sv, svv in zip(g["sv"], g["svv"])
                 ],
                 np.int64,
             ),
@@ -9847,11 +9730,10 @@ def q_anomaly_days(sf_dir: str):
         ).sum()
         return _arrow_out(df.astype({"day": "int64", "sv": "int64"}))
 
-    acc: dict[int, int] = {}
-    for r in ds.map_batches(
+    g = _fold(ds.map_batches(
         partials, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).take_all():
-        acc[int(r["day"])] = acc.get(int(r["day"]), 0) + int(r["sv"])
+    ), "day", ["sv"])
+    acc = dict(zip(g["day"], g["sv"]))
     days = sorted(acc)
     n = len(days)
     s1 = sum(acc.values())
@@ -10114,16 +9996,9 @@ def q_vocab_per_source(sf_dir: str):
         ).groupby("source", as_index=False).sum()
         return _arrow_out(df.astype({"n_tokens": "int64"}))
 
-    acc: dict[str, int] = {}
-    for r in counts.map_batches(per_source, batch_format="pyarrow").take_all():
-        acc[r["source"]] = acc.get(r["source"], 0) + int(r["n_tokens"])
-    ss = sorted(acc)
-    return pd.DataFrame(
-        {
-            "source": pd.Series(ss, dtype=object),
-            "n_tokens": np.array([acc[s] for s in ss], np.int64),
-        }
-    )
+    return _fold(
+        counts.map_batches(per_source, batch_format="pyarrow"), "source", ["n_tokens"]
+    ).astype({"source": object, "n_tokens": "int64"})
 
 
 SQL_VOCAB_PER_SOURCE = """
@@ -10156,14 +10031,12 @@ def q_burstiness_per_type(sf_dir: str):
         df = df.groupby(["event_type", "day"], as_index=False).sum()
         return _arrow_out(df.astype({"day": "int64", "c": "int64"}))
 
-    acc: dict[tuple, int] = {}
-    for r in ds.map_batches(
+    g = _fold(ds.map_batches(
         cells, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).take_all():
-        k = (r["event_type"], int(r["day"]))
-        acc[k] = acc.get(k, 0) + int(r["c"])
-    days = sorted({d for (_t, d) in acc})
-    types = sorted({t for (t, _d) in acc})
+    ), ["event_type", "day"], ["c"])
+    acc = dict(zip(zip(g["event_type"], g["day"]), g["c"]))
+    days = sorted(set(g["day"]))
+    types = sorted(set(g["event_type"]))
     n = len(days)
     out_f = []
     for ty in types:
@@ -10239,13 +10112,9 @@ def q_rare_token_docs(sf_dir: str):
             }
         )
 
-    parts = pa.concat_tables(
-        ds.map_batches(df_partial, batch_format="pyarrow",
-                       batch_size=_COMBINE_BATCH)
-        .iter_batches(batch_size=None, batch_format="pyarrow"),
-        promote_options="default",
-    )
-    dfreq = parts.to_pandas().groupby("token", as_index=False)["df"].sum()
+    dfreq = _fold(ds.map_batches(
+        df_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
+    ), "token", ["df"])
     rare = np.sort(
         dfreq.loc[4 * dfreq["df"] < n_docs, "token"].to_numpy(object)
     )
@@ -10386,16 +10255,9 @@ def q_keyword_per_doc(sf_dir: str):
             }
         )
 
-    parts = pa.concat_tables(
-        ds.map_batches(df_partial, batch_format="pyarrow",
-                       batch_size=_COMBINE_BATCH)
-        .iter_batches(batch_size=None, batch_format="pyarrow"),
-        promote_options="default",
-    )
-    dfreq = (
-        parts.to_pandas().groupby("token", as_index=False)["df"].sum()
-        .sort_values("token")
-    )
+    dfreq = _fold(ds.map_batches(
+        df_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
+    ), "token", ["df"])
     vocab = dfreq["token"].to_numpy(object)
     idf = np.log(
         (1.0 + np.float64(n_docs)) / (1.0 + dfreq["df"].to_numpy(np.int64))
@@ -10606,18 +10468,12 @@ def q_rfm_cells(sf_dir: str):
             f[["col", "v", "n"]].astype({"v": "int64", "n": "int64"})
         )
 
-    facc: dict[str, dict[int, int]] = {
-        "last_day": {}, "n_orders": {}, "cents": {}
+    thr = {
+        c: _rank_thresholds(g["v"].to_numpy(np.int64), g["n"].to_numpy(np.int64))
+        for c, g in _fold(
+            per_cust.map_batches(freqs, batch_format="pyarrow"), ["col", "v"], ["n"]
+        ).groupby("col")
     }
-    for r in per_cust.map_batches(freqs, batch_format="pyarrow").take_all():
-        d = facc[r["col"]]
-        d[int(r["v"])] = d.get(int(r["v"]), 0) + int(r["n"])
-
-    def thresholds(acc: dict[int, int]) -> tuple:
-        ks = np.array(sorted(acc), np.int64)
-        return _rank_thresholds(ks, np.array([acc[k] for k in ks], np.int64))
-
-    thr = {c: thresholds(facc[c]) for c in ("last_day", "n_orders", "cents")}
 
     def assign(t: pa.Table) -> pa.Table:
         def band(col):
@@ -10634,19 +10490,10 @@ def q_rfm_cells(sf_dir: str):
         out = df.groupby(["r", "f", "m"], as_index=False).sum()
         return _arrow_out(out.astype({"n_customers": "int64"}))
 
-    acc: dict[tuple, int] = {}
-    for row in per_cust.map_batches(assign, batch_format="pyarrow").take_all():
-        k = (int(row["r"]), int(row["f"]), int(row["m"]))
-        acc[k] = acc.get(k, 0) + int(row["n_customers"])
-    ks = sorted(acc)
-    return pd.DataFrame(
-        {
-            "r": np.array([k[0] for k in ks], np.int64),
-            "f": np.array([k[1] for k in ks], np.int64),
-            "m": np.array([k[2] for k in ks], np.int64),
-            "n_customers": np.array([acc[k] for k in ks], np.int64),
-        }
-    )
+    return _fold(
+        per_cust.map_batches(assign, batch_format="pyarrow"),
+        ["r", "f", "m"], ["n_customers"],
+    ).astype({c: "int64" for c in ("r", "f", "m", "n_customers")})
 
 
 SQL_RFM_CELLS = """
@@ -10739,17 +10586,9 @@ def q_corpus_build_v2(sf_dir: str):
         )
         return pa.table({"n_chars": pa.array(u), "c": pa.array(c.astype(np.int64))})
 
-    freq = (
-        pa.concat_tables(
-            lens_ds.map_batches(len_partial, batch_format="pyarrow",
-                                batch_size=_COMBINE_BATCH)
-            .iter_batches(batch_size=None, batch_format="pyarrow"),
-            promote_options="default",
-        )
-        .to_pandas()
-        .groupby("n_chars", as_index=False)["c"].sum()
-        .sort_values("n_chars")
-    )
+    freq = _fold(lens_ds.map_batches(
+        len_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
+    ), "n_chars", ["c"])
     vals = freq["n_chars"].to_numpy()
     cum = np.cumsum(freq["c"].to_numpy())
     n = int(cum[-1])
@@ -10861,13 +10700,11 @@ def q_ks_weekend(sf_dir: str):
         df = df.groupby(["we", "v"], as_index=False).sum()
         return _arrow_out(df.astype({"we": "int64", "v": "int64", "c": "int64"}))
 
-    acc: dict[tuple, int] = {}
-    for r in ds.map_batches(
+    g = _fold(ds.map_batches(
         side_counts, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).take_all():
-        k = (int(r["we"]), int(r["v"]))
-        acc[k] = acc.get(k, 0) + int(r["c"])
-    support = sorted({v for (_w, v) in acc})
+    ), ["we", "v"], ["c"])
+    acc = dict(zip(zip(g["we"], g["v"]), g["c"]))
+    support = sorted(set(g["v"]))
     n1 = sum(c for (w, _v), c in acc.items() if w == 0)
     n2 = sum(c for (w, _v), c in acc.items() if w == 1)
     d = 0.0
@@ -10936,11 +10773,10 @@ def q_benford_orders(sf_dir: str):
         df = df.groupby("d", as_index=False).sum()
         return _arrow_out(df.astype({"d": "int64", "c": "int64"}))
 
-    acc: dict[int, int] = {}
-    for r in ds.map_batches(
+    g = _fold(ds.map_batches(
         digit_counts, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).take_all():
-        acc[int(r["d"])] = acc.get(int(r["d"]), 0) + int(r["c"])
+    ), "d", ["c"])
+    acc = dict(zip(g["d"], g["c"]))
     n = sum(acc.values())
     chi = 0.0
     for d in range(1, 10):
@@ -11066,17 +10902,11 @@ def q_cluster_size_hist(sf_dir: str):
         ).groupby("sz", as_index=False).sum()
         return _arrow_out(df.astype({"sz": "int64", "n": "int64"}))
 
-    acc: dict[int, int] = {}
-    for r in sizes.map_batches(
+    g = _fold(sizes.map_batches(
         hist_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).take_all():
-        acc[int(r["sz"])] = acc.get(int(r["sz"]), 0) + int(r["n"])
-    ks = sorted(acc)
+    ), "sz", ["n"])
     return pd.DataFrame(
-        {
-            "size": np.array(ks, np.int64),
-            "n_clusters": np.array([acc[k] for k in ks], np.int64),
-        }
+        {"size": g["sz"].astype(np.int64), "n_clusters": g["n"].astype(np.int64)}
     )
 
 
@@ -11154,12 +10984,10 @@ def q_bm25_topk(sf_dir: str):
             }
         )
 
-    folded: dict[str, int] = {t: 0 for t in qterms}
-    folded["\x00tok"] = 0
-    for r in ds.map_batches(
+    g = _fold(ds.map_batches(
         stats_partial, batch_format="pandas", batch_size=_TEXT_COMBINE_BATCH
-    ).take_all():
-        folded[r["term"]] += int(r["v"])
+    ), "term", ["v"])
+    folded = dict(zip(g["term"], g["v"]))
 
     avgdl = folded["\x00tok"] / n_docs  # int/int true division ≡ SQL DOUBLE cast
     idf = {
@@ -11418,14 +11246,9 @@ def q_pagerank_topk(sf_dir: str):
         return pa.table({"node": pa.array(nodes.astype(np.int64)),
                          "deg": pa.array(counts.astype(np.int64))})
 
-    # driver merge of the tiny per-block partials stays vectorized (pandas
-    # groupby-sum) — a per-row Python dict loop here was 3× the query's cost
-    deg_df = (
-        edges.map_batches(deg_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH)
-        .to_pandas()
-        .groupby("node", as_index=False)["deg"].sum()
-        .sort_values("node")
-    )
+    deg_df = _fold(edges.map_batches(
+        deg_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
+    ), "node", ["deg"])
     nodes = deg_df["node"].to_numpy(np.int64)
     deg = deg_df["deg"].to_numpy(np.int64)
     pr = np.full(len(nodes), _PR_SCALE, np.int64)
@@ -11444,12 +11267,9 @@ def q_pagerank_topk(sf_dir: str):
             )
             return _arrow_out(g.astype({"dst": "int64", "s": "int64"}))
 
-        g = (
-            edges.map_batches(send, batch_format="pyarrow", batch_size=_COMBINE_BATCH)
-            .to_pandas()
-            .groupby("dst", as_index=False)["s"].sum()
-            .sort_values("dst")
-        )
+        g = _fold(edges.map_batches(
+            send, batch_format="pyarrow", batch_size=_COMBINE_BATCH
+        ), "dst", ["s"])
         # every node has in-edges (edges are symmetric), but guard anyway:
         # scatter the summed contributions onto the node vector
         sums = np.zeros(len(nodes), np.int64)
@@ -12557,20 +12377,11 @@ def q_embedding_gram(sf_dir: str):
             }
         )
 
-    parts = ds.map_batches(
+    # per-block partials are < 2^63 for blocks up to ~2^23 rows; the
+    # cross-block sum is not, so the driver merge is exact (``_fold``)
+    return _fold(ds.map_batches(
         partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).to_pandas()
-    # driver merge in Python ints: exact at any scale (per-block partials
-    # are < 2^63 for blocks up to ~2^23 rows; the cross-block sum is not)
-    parts["gram_q"] = parts["gram_q"].astype(object)
-    g = parts.groupby(["i", "j"], as_index=False)["gram_q"].sum()
-    return pd.DataFrame(
-        {
-            "i": g["i"].to_numpy().astype(np.int64),
-            "j": g["j"].to_numpy().astype(np.int64),
-            "gram_q": g["gram_q"].astype("int64"),
-        }
-    )
+    ), ["i", "j"], ["gram_q"]).astype({c: "int64" for c in ("i", "j", "gram_q")})
 
 
 SQL_EMBEDDING_GRAM = f"""
@@ -12790,10 +12601,9 @@ def q_dup_rate_by_source(sf_dir: str):
         )
         return out.astype({"n_docs": "int64", "n_dups": "int64"})
 
-    parts = ds.map_batches(
+    g = _fold(ds.map_batches(
         part, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).to_pandas()
-    g = parts.groupby("source", as_index=False, dropna=False)[["n_docs", "n_dups"]].sum()
+    ), "source", ["n_docs", "n_dups"])
     nd = g["n_docs"].to_numpy(np.int64)
     du = g["n_dups"].to_numpy(np.int64)
     return pd.DataFrame(
@@ -13476,13 +13286,12 @@ def q_tpch_q13(sf_dir: str):
             }
         )
 
-    parts = (
+    g = _fold(
         ds.map_batches(part, batch_format="pyarrow")
         .groupby("bucket")
-        .map_groups(bucket_hist, batch_format="pandas")
-        .to_pandas()
+        .map_groups(bucket_hist, batch_format="pandas"),
+        "c_count", ["custdist"],
     )
-    g = parts.groupby("c_count", as_index=False)["custdist"].sum()
     n_zero = n_customers - int(g["custdist"].sum())
     if n_zero > 0:
         g = pd.concat(
@@ -13603,17 +13412,9 @@ def q_tpch_q17(sf_dir: str, brand: str | None = None):
             }
         )
 
-    parts = li.map_batches(qty_part, batch_format="pyarrow").to_pandas()
-    agg = parts.groupby("p", as_index=False)[["sq", "cnt"]].sum()
-    ap = np.ascontiguousarray(agg["p"].to_numpy(np.int64))
-    order = np.argsort(ap)
-    avg_ref = ray.put(
-        (
-            ap[order],
-            agg["sq"].to_numpy(np.int64)[order],
-            agg["cnt"].to_numpy(np.int64)[order],
-        )
-    )
+    agg = _fold(li.map_batches(qty_part, batch_format="pyarrow"), "p", ["sq", "cnt"])
+    # sorted by p: the searchsorted lookup below
+    avg_ref = ray.put(tuple(agg[c].to_numpy(np.int64) for c in ("p", "sq", "cnt")))
 
     li2 = _read(
         sf_dir, "lineitem", columns=["l_partkey", "l_quantity", "l_extendedprice"]
@@ -14060,19 +13861,16 @@ def q_lsh_recall_eval(sf_dir: str):
             }
         )
 
-    pairs = (
+    inter = _fold(
         _read(sf_dir, "documents", columns=["doc_id", "text"])
         .map_batches(emit, batch_format="pandas", batch_size=_TEXT_BATCH)
         .groupby("bucket")
-        .map_groups(isect, batch_format="pandas")
-        .to_pandas()
+        .map_groups(isect, batch_format="pandas"),
+        ["a", "b"], ["i"],
     )
-    if pairs.empty:
-        pairs = pd.DataFrame({c: pd.Series([], dtype="int64") for c in ("a", "b", "i")})
-    inter = pairs.groupby(["a", "b"], as_index=False)["i"].sum()
     nmap = dict(zip(cnt["doc"].tolist(), cnt["n"].tolist()))
-    ia = inter["a"].map(nmap).to_numpy(np.int64) if len(inter) else np.array([], np.int64)
-    ib = inter["b"].map(nmap).to_numpy(np.int64) if len(inter) else np.array([], np.int64)
+    ia = inter["a"].map(nmap).to_numpy(np.int64)
+    ib = inter["b"].map(nmap).to_numpy(np.int64)
     iv = inter["i"].to_numpy(np.int64)
     true_mask = 5 * iv >= 4 * (ia + ib - iv)
     tru = set(
@@ -14314,11 +14112,7 @@ def q_tpch_q7(sf_dir: str):
             "l_orderkey", "l_suppkey", "l_extendedprice", "l_discount", "l_shipdate",
         ],
     )
-    parts = li.map_batches(vol_part, batch_format="pyarrow").to_pandas()
-    if parts.empty:
-        parts = pd.DataFrame({"code": pd.Series([], dtype="int64"),
-                              "rev_e4": pd.Series([], dtype="int64")})
-    agg = parts.groupby("code", as_index=False)["rev_e4"].sum()
+    agg = _fold(li.map_batches(vol_part, batch_format="pyarrow"), "code", ["rev_e4"])
     code = agg["code"].to_numpy(np.int64)
     supp_is_2 = code // 10000 == 1
     out = pd.DataFrame(
@@ -14514,8 +14308,9 @@ def q_tpch_q8(sf_dir: str):
         columns=["l_orderkey", "l_partkey", "l_suppkey",
                  "l_extendedprice", "l_discount"],
     )
-    parts = li.map_batches(vol_part, batch_format="pyarrow").to_pandas()
-    agg = parts.groupby("oyear", as_index=False)[["num_e4", "den_e4"]].sum()
+    agg = _fold(
+        li.map_batches(vol_part, batch_format="pyarrow"), "oyear", ["num_e4", "den_e4"]
+    )
     # single int/int IEEE division per year — matches DuckDB BIGINT/BIGINT
     share = np.array(
         [
@@ -14525,11 +14320,8 @@ def q_tpch_q8(sf_dir: str):
         dtype=np.float64,
     )
     return pd.DataFrame(
-        {
-            "o_year": agg["oyear"].to_numpy(np.int64),
-            "mkt_share": share,
-        }
-    ).sort_values("o_year").reset_index(drop=True)
+        {"o_year": agg["oyear"].to_numpy(np.int64), "mkt_share": share}
+    )
 
 
 SQL_TPCH_Q8 = f"""
@@ -14665,8 +14457,9 @@ def q_tpch_q9(sf_dir: str):
         columns=["l_orderkey", "l_partkey", "l_suppkey",
                  "l_extendedprice", "l_discount"],
     )
-    parts = li.map_batches(profit_part, batch_format="pyarrow").to_pandas()
-    agg = parts.groupby("code", as_index=False)["profit_e4"].sum()
+    agg = _fold(
+        li.map_batches(profit_part, batch_format="pyarrow"), "code", ["profit_e4"]
+    )
     code = agg["code"].to_numpy(np.int64)
     nat_by_key = dict(zip(nk.tolist(), nname.tolist()))
     return pd.DataFrame(
@@ -14791,19 +14584,18 @@ def q_tpch_q22(sf_dir: str):
             }
         )
 
-    parts = (
+    agg = _fold(
         _read(sf_dir, "customer", columns=cust_cols)
-        .map_batches(seg_part, batch_format="pyarrow")
-        .to_pandas()
+        .map_batches(seg_part, batch_format="pyarrow"),
+        "c_mktsegment", ["numcust", "tot_e2"],
     )
-    agg = parts.groupby("c_mktsegment", as_index=False)[["numcust", "tot_e2"]].sum()
     return pd.DataFrame(
         {
             "c_mktsegment": agg["c_mktsegment"].astype(object),
             "numcust": agg["numcust"].to_numpy(np.int64),
             "totacctbal_e2": agg["tot_e2"].to_numpy(np.int64),
         }
-    ).sort_values("c_mktsegment").reset_index(drop=True)
+    )
 
 
 SQL_TPCH_Q22 = f"""
@@ -15254,16 +15046,15 @@ def q_embedding_drift(sf_dir: str):
             }
         )
 
-    parts = (
+    agg = _fold(
         _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-        .map_batches(drift_part, batch_format="pyarrow")
-        .to_pandas()
+        .map_batches(drift_part, batch_format="pyarrow"),
+        "dim", ["sa", "sb"],
     )
-    agg = parts.groupby("dim", as_index=False)[["sa", "sb"]].sum()
     cnt = agg[agg["dim"] == -1]
     na = int(cnt["sa"].iloc[0]) if len(cnt) else 0
     nb = int(cnt["sb"].iloc[0]) if len(cnt) else 0
-    d = agg[agg["dim"] >= 0].sort_values("dim")
+    d = agg[agg["dim"] >= 0]
     sa = d["sa"].to_numpy(np.int64)
     sb = d["sb"].to_numpy(np.int64)
     drift = np.abs(
@@ -15332,17 +15123,11 @@ def q_zipf_coverage(sf_dir: str):
             {"tk": vc.index.to_numpy(object), "n": vc.to_numpy(np.int64)}
         )
 
-    parts = (
+    c = _fold(
         _read(sf_dir, "documents", columns=["text"])
-        .map_batches(tok_counts, batch_format="pandas", batch_size=_TEXT_BATCH)
-        .to_pandas()
-    )
-    if parts.empty:
-        parts = pd.DataFrame(
-            {"tk": pd.Series([], dtype=object), "n": pd.Series([], dtype="int64")}
-        )
-    c = parts.groupby("tk", as_index=False)["n"].sum()
-    c = c.sort_values(["n", "tk"], ascending=[False, True]).reset_index(drop=True)
+        .map_batches(tok_counts, batch_format="pandas", batch_size=_TEXT_BATCH),
+        "tk", ["n"],
+    ).sort_values(["n", "tk"], ascending=[False, True]).reset_index(drop=True)
     counts = c["n"].to_numpy(np.int64)
     total = int(counts.sum())
     cum = np.cumsum(counts)
@@ -15412,16 +15197,14 @@ def q_perplexity_buckets(sf_dir: str):
             {"bg": pa.array(uk.astype(np.int64)), "n": pa.array(cnt.astype(np.int64))}
         )
 
-    part = ds.map_batches(
+    counts = _fold(ds.map_batches(
         count_partial, batch_format="pandas", batch_size=_TEXT_COMBINE_BATCH
-    ).to_pandas()
-    counts = part.groupby("bg")["n"].sum()
-    total = int(counts.sum())
+    ), "bg", ["n"])
+    total = int(counts["n"].sum())
     vocab = len(counts)
-    lp_keys = counts.index.to_numpy(dtype=np.uint64)
+    lp_keys = counts["bg"].to_numpy(dtype=np.uint64)
     lp_vals = np.array(
-        [-math.log2((int(n) + 1) / (total + vocab)) for n in counts.to_numpy()],
-        np.float64,
+        [-math.log2((n + 1) / (total + vocab)) for n in counts["n"]], np.float64
     )
     lp_ref = ray.put((lp_keys, lp_vals))
 
@@ -15467,13 +15250,9 @@ def q_perplexity_buckets(sf_dir: str):
             }
         )
 
-    cnt = (
-        scored.map_batches(band_counts, batch_format="pandas",
-                           batch_size=_TEXT_COMBINE_BATCH)
-        .to_pandas()
-        .groupby(["lang", "band"], as_index=False)["n"].sum()
-        .sort_values(["lang", "band"])
-    )
+    cnt = _fold(scored.map_batches(
+        band_counts, batch_format="pandas", batch_size=_TEXT_COMBINE_BATCH
+    ), ["lang", "band"], ["n"])
     offs: dict[tuple, int] = {}
     totals: dict = {}
     for lang, sub in cnt.groupby("lang", sort=False):
@@ -15562,12 +15341,11 @@ def q_hist2d_qty_discount(sf_dir: str):
             {"code": pa.array(uniq), "n": pa.array(cnt.astype(np.int64))}
         )
 
-    parts = (
+    agg = _fold(
         _read(sf_dir, "lineitem", columns=["l_quantity", "l_discount"])
-        .map_batches(grid_part, batch_format="pyarrow")
-        .to_pandas()
+        .map_batches(grid_part, batch_format="pyarrow"),
+        "code", ["n"],
     )
-    agg = parts.groupby("code", as_index=False)["n"].sum()
     code = agg["code"].to_numpy(np.int64)
     return pd.DataFrame(
         {
@@ -15693,26 +15471,23 @@ def q_tpch_q15(sf_dir: str):
         np.add.at(sums, inv, rev)
         return pa.table({"sk": pa.array(uniq), "rev": pa.array(sums)})
 
-    parts = (
+    agg = _fold(
         _read(
             sf_dir, "lineitem",
             columns=["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
+        ).map_batches(rev_part, batch_format="pyarrow"),
+        "sk", ["rev"],
+    )
+    if agg.empty:
+        return pd.DataFrame(
+            {
+                "s_suppkey": pd.Series([], dtype="int64"),
+                "s_name": pd.Series([], dtype=object),
+                "total_rev_e4": pd.Series([], dtype="int64"),
+            }
         )
-        .map_batches(rev_part, batch_format="pyarrow")
-        .to_pandas()
-    )
-    empty = pd.DataFrame(
-        {
-            "s_suppkey": pd.Series([], dtype="int64"),
-            "s_name": pd.Series([], dtype=object),
-            "total_rev_e4": pd.Series([], dtype="int64"),
-        }
-    )
-    if parts.empty:
-        return empty
-    agg = parts.groupby("sk", as_index=False)["rev"].sum()
     best = int(agg["rev"].max())
-    winners = agg[agg["rev"] == best].sort_values("sk")
+    winners = agg[agg["rev"] == best]
     names = pq.read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"],
         filters=[("s_suppkey", "in", winners["sk"].tolist())],
@@ -15782,12 +15557,11 @@ def q_simhash_bit_balance(sf_dir: str):
             }
         )
 
-    parts = (
+    agg = _fold(
         _read(sf_dir, "documents", columns=["doc_id", "text"])
-        .map_batches(bit_part, batch_format="pandas", batch_size=_TEXT_BATCH)
-        .to_pandas()
+        .map_batches(bit_part, batch_format="pandas", batch_size=_TEXT_BATCH),
+        "bit", ["n_set", "n_docs"],
     )
-    agg = parts.groupby("bit", as_index=False)[["n_set", "n_docs"]].sum()
     ns = agg["n_set"].to_numpy(np.int64)
     nd = agg["n_docs"].to_numpy(np.int64)
     return pd.DataFrame(
@@ -15800,7 +15574,7 @@ def q_simhash_bit_balance(sf_dir: str):
                 np.float64,
             ),
         }
-    ).sort_values("bit").reset_index(drop=True)
+    )
 
 
 SQL_SIMHASH_BIT_BALANCE = f"""
@@ -15850,25 +15624,18 @@ def q_label_centroid_dist(sf_dir: str):
             {"label": pa.array(labs), "dim": pa.array(dims), "v": pa.array(vals)}
         )
 
-    parts = (
-        _read(sf_dir, "embeddings", columns=["label", "embedding"])
-        .map_batches(cent_part, batch_format="pyarrow")
-        .to_pandas()
-    )
-    agg = parts.groupby(["label", "dim"], as_index=False)["v"].sum()
-    labels = sorted(agg["label"].unique().tolist())
-    n = {
-        int(l): int(agg[(agg["label"] == l) & (agg["dim"] == -1)]["v"].iloc[0])
-        for l in labels
+    # per label: the count (dim −1, sorts first), then the per-dim sums
+    v = {
+        int(l): g["v"].tolist()
+        for l, g in _fold(
+            _read(sf_dir, "embeddings", columns=["label", "embedding"])
+            .map_batches(cent_part, batch_format="pyarrow"),
+            ["label", "dim"], ["v"],
+        ).groupby("label")
     }
-    s = {
-        int(l): [
-            int(x)
-            for x in agg[(agg["label"] == l) & (agg["dim"] >= 0)]
-            .sort_values("dim")["v"]
-        ]
-        for l in labels
-    }
+    labels = sorted(v)
+    n = {l: x[0] for l, x in v.items()}
+    s = {l: x[1:] for l, x in v.items()}
     rows = []
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
@@ -15974,24 +15741,22 @@ def q_tpch_q21(sf_dir: str):
             }
         )
 
-    parts = (
+    agg = _fold(
         _read(sf_dir, "lineitem",
               columns=["l_orderkey", "l_suppkey", "l_shipdate"])
         .map_batches(tag, batch_format="pyarrow")
         .groupby("bucket")
-        .map_groups(waiters, batch_format="pandas")
-        .to_pandas()
+        .map_groups(waiters, batch_format="pandas"),
+        "suppkey", ["n"],
     )
-    empty = pd.DataFrame(
-        {
-            "s_suppkey": pd.Series([], dtype="int64"),
-            "s_name": pd.Series([], dtype=object),
-            "numwait": pd.Series([], dtype="int64"),
-        }
-    )
-    if parts.empty:
-        return empty
-    agg = parts.groupby("suppkey", as_index=False)["n"].sum()
+    if agg.empty:
+        return pd.DataFrame(
+            {
+                "s_suppkey": pd.Series([], dtype="int64"),
+                "s_name": pd.Series([], dtype=object),
+                "numwait": pd.Series([], dtype="int64"),
+            }
+        )
     agg = agg.sort_values(["n", "suppkey"], ascending=[False, True]).head(_Q21_TOPK)
     names = pq.read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"],
@@ -16121,16 +15886,11 @@ def q_tpch_q12(sf_dir: str):
             {"sc": pa.array(uniq), "hi_n": pa.array(hi_n), "lo_n": pa.array(lo_n)}
         )
 
-    parts = (
+    agg = _fold(
         _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
-        .map_batches(late_part, batch_format="pyarrow")
-        .to_pandas()
+        .map_batches(late_part, batch_format="pyarrow"),
+        "sc", ["hi_n", "lo_n"],
     )
-    if parts.empty:
-        parts = pd.DataFrame(
-            {c: pd.Series([], dtype="int64") for c in ("sc", "hi_n", "lo_n")}
-        )
-    agg = parts.groupby("sc", as_index=False)[["hi_n", "lo_n"]].sum()
     return pd.DataFrame(
         {
             "o_orderstatus": np.array(
@@ -16207,24 +15967,14 @@ def q_vocab_growth(sf_dir: str):
         counts = (first[None, :] < ns[:, None]).sum(axis=1).astype(np.int64)
         return pd.DataFrame({"n_docs": ns, "vocab": counts})
 
-    parts = (
+    vocab = _fold(
         _read(sf_dir, "documents", columns=["doc_id", "text"])
         .map_batches(emit, batch_format="pandas", batch_size=_TEXT_BATCH)
         .groupby("bucket")
-        .map_groups(first_hist, batch_format="pandas")
-        .to_pandas()
-    )
-    if parts.empty:
-        parts = pd.DataFrame(
-            {"n_docs": ns, "vocab": np.zeros(len(ns), np.int64)}
-        )
-    agg = parts.groupby("n_docs", as_index=False)["vocab"].sum()
-    return pd.DataFrame(
-        {
-            "n_docs": agg["n_docs"].to_numpy(np.int64),
-            "vocab": agg["vocab"].to_numpy(np.int64),
-        }
-    ).sort_values("n_docs").reset_index(drop=True)
+        .map_groups(first_hist, batch_format="pandas"),
+        "n_docs", ["vocab"],
+    ).set_index("n_docs")["vocab"].reindex(ns, fill_value=0)  # no tokens: zeros
+    return pd.DataFrame({"n_docs": ns, "vocab": vocab.to_numpy(np.int64)})
 
 
 SQL_VOCAB_GROWTH = f"""
@@ -16380,16 +16130,11 @@ def q_pareto_8020(sf_dir: str):
         np.add.at(sums, inv, e2)
         return pa.table({"ck": pa.array(uniq), "rev": pa.array(sums)})
 
-    parts = (
+    agg = _fold(
         _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-        .map_batches(rev_part, batch_format="pyarrow")
-        .to_pandas()
+        .map_batches(rev_part, batch_format="pyarrow"),
+        "ck", ["rev"],
     )
-    if parts.empty:
-        parts = pd.DataFrame(
-            {"ck": pd.Series([], dtype="int64"), "rev": pd.Series([], dtype="int64")}
-        )
-    agg = parts.groupby("ck", as_index=False)["rev"].sum()
     n = len(agg)
     k = (n + 4) // 5  # integer ceil(n/5): exact on both engines
     srt = agg.sort_values(["rev", "ck"], ascending=[False, True])
@@ -16748,17 +16493,15 @@ def q_cms_sketch_state(sf_dir: str):
             }
         )
 
-    parts = (
+    agg = _fold(
         _read(sf_dir, "events", columns=["user_id"])
-        .map_batches(cell_part, batch_format="pyarrow")
-        .to_pandas()
+        .map_batches(cell_part, batch_format="pyarrow"),
+        ["row", "col"], ["c"],
     )
     grid = np.zeros((_CMS_D, _CMS_W), np.int64)
-    if not parts.empty:
-        agg = parts.groupby(["row", "col"], as_index=False)["c"].sum()
-        grid[agg["row"].to_numpy(np.int64), agg["col"].to_numpy(np.int64)] = (
-            agg["c"].to_numpy(np.int64)
-        )
+    grid[agg["row"].to_numpy(np.int64), agg["col"].to_numpy(np.int64)] = (
+        agg["c"].to_numpy(np.int64)
+    )
     rows = np.repeat(np.arange(_CMS_D, dtype=np.int64), _CMS_W)
     cols = np.tile(np.arange(_CMS_W, dtype=np.int64), _CMS_D)
     return pd.DataFrame({"row": rows, "col": cols, "total": grid.reshape(-1)})
@@ -17052,11 +16795,9 @@ def q_quality_funnel(sf_dir: str):
             }
         )
 
-    parts = ds.map_batches(
+    agg = _fold(ds.map_batches(
         partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).to_pandas()
-    agg = parts.groupby("stage_idx", as_index=False)[["n_docs", "sum_chars"]].sum()
-    agg = agg.sort_values("stage_idx").reset_index(drop=True)
+    ), "stage_idx", ["n_docs", "sum_chars"])
     total = float(agg["n_docs"].iloc[0])
     return pd.DataFrame(
         {
@@ -17155,15 +16896,13 @@ def q_split_leakage(sf_dir: str):
             {"n": "int64"}
         )
 
-    parts = (
+    agg = _fold(
         ds.map_batches(tag, batch_format="pandas", batch_size=_TEXT_BATCH)
         .groupby("bucket")
-        .map_groups(pair_partials, batch_format="pandas")
-    ).to_pandas()
-    agg = parts.groupby(["split_a", "split_b"], as_index=False)["n"].sum()
-    tot = {
-        a: int(n) for a, b, n in agg.itertuples(index=False) if a == b
-    }
+        .map_groups(pair_partials, batch_format="pandas"),
+        ["split_a", "split_b"], ["n"],
+    )
+    tot = {a: n for a, b, n in agg.itertuples(index=False) if a == b}
     out = []
     for a, b, n in agg.itertuples(index=False):
         if a != b and n > 0:
@@ -17245,10 +16984,9 @@ def q_embedding_norm_hist(sf_dir: str):
         b, n = np.unique(norm_q // _NORM_BIN_W, return_counts=True)
         return pd.DataFrame({"bin": b.astype(np.int64), "n_vecs": n.astype(np.int64)})
 
-    parts = ds.map_batches(
+    agg = _fold(ds.map_batches(
         partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).to_pandas()
-    agg = parts.groupby("bin", as_index=False)["n_vecs"].sum()
+    ), "bin", ["n_vecs"])
     return pd.DataFrame(
         {
             "bin": agg["bin"].to_numpy(np.int64),
@@ -18272,14 +18010,12 @@ def q_pca_power_topk(sf_dir: str):
              "g": pa.array(g.ravel())}
         )
 
-    parts = ds.map_batches(
+    gm = _fold(ds.map_batches(
         gram_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).to_pandas()
-    parts["g"] = parts["g"].astype(object)  # python-int cross-block sum: exact
-    gm = parts.groupby(["i", "j"])["g"].sum()
+    ), ["i", "j"], ["g"])
     G = np.zeros((_EMB_DIM, _EMB_DIM), np.float64)
-    G[gm.index.get_level_values(0), gm.index.get_level_values(1)] = (
-        gm.to_numpy(np.float64)
+    G[gm["i"].to_numpy(np.int64), gm["j"].to_numpy(np.int64)] = (
+        gm["g"].to_numpy(np.float64)
     )
     v = np.zeros(_EMB_DIM, np.float64)
     v[0] = 1.0

@@ -907,6 +907,29 @@ def _ingest_csv_roundtrip(sf_dir: str):
     return ingest_csv(scratch, schema)
 
 
+def _gallery(n: int, doc_prefix: str, ref_fmt: str, make_bytes, batch_size: int):
+    """A deterministic media gallery generated distributed (``ray.data.range``
+    → per-batch encode): row ``i`` is doc_id ``<doc_prefix><i>``, span 0,
+    media_ref ``ref_fmt.format(i)`` and body ``make_bytes(i)``."""
+    import pyarrow as pa
+    import ray.data
+
+    def gen(t: pa.Table) -> pa.Table:
+        ids = t["id"].to_pylist()
+        return pa.table(
+            {
+                "doc_id": pa.array([f"{doc_prefix}{i}" for i in ids], pa.string()),
+                "span_idx": pa.array([0] * len(ids), pa.int32()),
+                "media_ref": pa.array([ref_fmt.format(i) for i in ids], pa.string()),
+                "body": pa.array([make_bytes(i) for i in ids], pa.large_binary()),
+            }
+        )
+
+    return ray.data.range(n).map_batches(
+        gen, batch_format="pyarrow", batch_size=batch_size
+    )
+
+
 _PNG_GALLERY_N = 48
 
 
@@ -930,29 +953,10 @@ def _media_png_gallery(sf_dir: str):
     (media_ref, n_bytes, width, height, phash_hex). sf_dir is ignored (the
     gallery is the fixture — same convention as the crawl/media family)."""
     import pandas as pd
-    import pyarrow as _pa
-    import ray.data
 
     from .stages.multimodal import ImageDecoder, PHashStage
 
-    def gen(t: _pa.Table) -> _pa.Table:
-        ids = [int(x) for x in t["id"].to_pylist()]
-        return _pa.table(
-            {
-                "doc_id": _pa.array([f"g{i}" for i in ids], _pa.string()),
-                "span_idx": _pa.array([0] * len(ids), _pa.int32()),
-                "media_ref": _pa.array(
-                    [f"img-{i:03d}.png" for i in ids], _pa.string()
-                ),
-                "body": _pa.array(
-                    [_png_gallery_bytes(i) for i in ids], _pa.large_binary()
-                ),
-            }
-        )
-
-    media = ray.data.range(_PNG_GALLERY_N).map_batches(
-        gen, batch_format="pyarrow", batch_size=16
-    )
+    media = _gallery(_PNG_GALLERY_N, "g", "img-{:03d}.png", _png_gallery_bytes, 16)
     meta = media.map_batches(
         ImageDecoder,
         fn_constructor_kwargs={"backend": "png"},
@@ -1040,29 +1044,11 @@ def _media_wav_gallery(sf_dir: str):
     is the fixture, crawl/media-family convention)."""
     import pandas as pd
     import pyarrow as _pa
-    import ray.data
 
     from .functions.wav import decode_wav, rms_e6, zero_crossings
     from .stages.multimodal import AudioFeatureStage
 
-    def gen(t: _pa.Table) -> _pa.Table:
-        ids = [int(x) for x in t["id"].to_pylist()]
-        return _pa.table(
-            {
-                "doc_id": _pa.array([f"a{i}" for i in ids], _pa.string()),
-                "span_idx": _pa.array([0] * len(ids), _pa.int32()),
-                "media_ref": _pa.array(
-                    [f"clip-{i:03d}.wav" for i in ids], _pa.string()
-                ),
-                "body": _pa.array(
-                    [_wav_gallery_bytes(i) for i in ids], _pa.large_binary()
-                ),
-            }
-        )
-
-    media = ray.data.range(_WAV_GALLERY_N).map_batches(
-        gen, batch_format="pyarrow", batch_size=16
-    )
+    media = _gallery(_WAV_GALLERY_N, "a", "clip-{:03d}.wav", _wav_gallery_bytes, 16)
     meta = media.map_batches(
         AudioFeatureStage,
         fn_constructor_kwargs={"backend": "wav"},
@@ -1161,28 +1147,11 @@ def _media_y4m_frames(sf_dir: str):
     of the pooled 4×4 grid). sf_dir ignored (gallery is the fixture)."""
     import numpy as np
     import pyarrow as _pa
-    import ray.data
 
     from .stages.multimodal import FrameSampler
 
-    def gen(t: _pa.Table) -> _pa.Table:
-        ids = [int(x) for x in t["id"].to_pylist()]
-        return _pa.table(
-            {
-                "doc_id": _pa.array([f"v{i}" for i in ids], _pa.string()),
-                "span_idx": _pa.array([0] * len(ids), _pa.int32()),
-                "media_ref": _pa.array(
-                    [f"vid-{i:03d}.y4m" for i in ids], _pa.string()
-                ),
-                "body": _pa.array(
-                    [_y4m_gallery_bytes(i) for i in ids], _pa.large_binary()
-                ),
-            }
-        )
-
     frames = (
-        ray.data.range(_Y4M_GALLERY_N)
-        .map_batches(gen, batch_format="pyarrow", batch_size=8)
+        _gallery(_Y4M_GALLERY_N, "v", "vid-{:03d}.y4m", _y4m_gallery_bytes, 8)
         .map_batches(
             FrameSampler,
             fn_constructor_kwargs={"backend": "y4m", "stride": 10,
@@ -1272,32 +1241,13 @@ def _media_png_near_dups(sf_dir: str):
     the banded pigeonhole pipeline (pipelines/dedup.py::phash_near_dups)
     finds Hamming≤3 pairs — a property the fake byte-hash backend can never
     exhibit. Output: (ref_a, ref_b, hamming)."""
-    import pyarrow as _pa
-    import ray.data
-
     from .pipelines.dedup import phash_near_dups
     from .stages.multimodal import PHashStage
 
     n = _PNG_NEARDUP_BASES * 2
 
-    def gen(t: _pa.Table) -> _pa.Table:
-        ids = [int(x) for x in t["id"].to_pylist()]
-        return _pa.table(
-            {
-                "doc_id": _pa.array([f"n{i}" for i in ids], _pa.string()),
-                "span_idx": _pa.array([0] * len(ids), _pa.int32()),
-                "media_ref": _pa.array(
-                    [f"nd-{i:03d}.png" for i in ids], _pa.string()
-                ),
-                "body": _pa.array(
-                    [_png_neardup_bytes(i) for i in ids], _pa.large_binary()
-                ),
-            }
-        )
-
     hashed = (
-        ray.data.range(n)
-        .map_batches(gen, batch_format="pyarrow", batch_size=16)
+        _gallery(n, "n", "nd-{:03d}.png", _png_neardup_bytes, 16)
         .map_batches(
             PHashStage,
             fn_constructor_kwargs={"backend": "png"},

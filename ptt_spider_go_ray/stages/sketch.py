@@ -367,12 +367,6 @@ class SpaceSaving:
              "n": pa.array([c for _, c in items], pa.int64())}
         )
 
-    @classmethod
-    def from_table(cls, t: pa.Table, capacity: int) -> "SpaceSaving":
-        s = cls(capacity)
-        s.counts = dict(zip(t["key"].to_pylist(), t["n"].to_pylist()))
-        return s
-
 
 class CountMinSketch:
     """Count-Min sketch (Cormode & Muthukrishnan 2005): a depth×width counter

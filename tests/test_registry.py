@@ -48,15 +48,78 @@ def _calls(node, name):
     )
 
 
+def _hand_fold_loop(loop: ast.For) -> bool:
+    """``for r in ….take_all():`` whose body only accumulates ``int(r[…])``
+    per key (a subscript store or ``setdefault``), with no other call."""
+    if not (isinstance(loop.iter, ast.Call) and isinstance(loop.iter.func, ast.Attribute)
+            and loop.iter.func.attr == "take_all" and isinstance(loop.target, ast.Name)):
+        return False
+    body = [n for s in loop.body for n in ast.walk(s)]
+    calls = [n for n in body if isinstance(n, ast.Call)]
+    only_folds = all(
+        isinstance(c.func, ast.Name) and c.func.id in ("int", "enumerate")
+        or isinstance(c.func, ast.Attribute) and c.func.attr in ("setdefault", "get")
+        for c in calls
+    )
+    reads_row = any(
+        isinstance(c.func, ast.Name) and c.func.id == "int" and c.args
+        and isinstance(c.args[0], ast.Subscript)
+        and isinstance(c.args[0].value, ast.Name) and c.args[0].value.id == loop.target.id
+        for c in calls
+    )
+    keyed = any(
+        isinstance(t, ast.Subscript)
+        for n in body if isinstance(n, (ast.Assign, ast.AugAssign))
+        for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+    ) or _calls(loop, "setdefault")
+    return only_folds and reads_row and keyed
+
+
+def _pandas_merges(fn: ast.FunctionDef) -> list[int]:
+    """Lines where a ``to_pandas()`` pull of partials (directly, or through a
+    name assigned from it) goes into ``.groupby(…)…sum()``. A pull of a Ray
+    ``aggregate`` is already merged and does not count."""
+    assigned: dict[str, list] = {}
+    for n in ast.walk(fn):
+        if (isinstance(n, ast.Assign) and len(n.targets) == 1
+                and isinstance(n.targets[0], ast.Name)):
+            assigned.setdefault(n.targets[0].id, []).append(n.value)
+    out = []
+    for n in ast.walk(fn):
+        if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "sum"):
+            continue
+        x = n.func.value
+        while isinstance(x, (ast.Call, ast.Subscript, ast.Attribute)):
+            if (isinstance(x, ast.Call) and isinstance(x.func, ast.Attribute)
+                    and x.func.attr == "groupby"):
+                r = x.func.value
+                for v in assigned.get(r.id, []) if isinstance(r, ast.Name) else [r]:
+                    if (isinstance(v, ast.Call) and isinstance(v.func, ast.Attribute)
+                            and v.func.attr == "to_pandas"
+                            and not (isinstance(v.func.value, ast.Call)
+                                     and isinstance(v.func.value.func, ast.Attribute)
+                                     and v.func.value.func.attr == "aggregate")):
+                        out.append(n.lineno)
+                break
+            x = x.func if isinstance(x, ast.Call) else x.value
+    return out
+
+
 def test_query_kernels_have_no_hand_copies():
-    """The key-bucket tag and the Parquet footer row count each live in one
-    kernel (``_by_key_bucket``, ``_rows``); no q_* writes its own copy."""
+    """The key-bucket tag, the Parquet footer row count and the driver-side
+    merge of combiner partials each live in one kernel (``_by_key_bucket``,
+    ``_rows``, ``_fold``); no q_* writes its own copy."""
     tree = ast.parse(inspect.getsource(Q))
-    tags, footers = [], []
+    tags, footers, loops, merges = [], [], [], []
     for fn in tree.body:
         if not isinstance(fn, ast.FunctionDef):
             continue
+        if fn.name != "_fold":
+            merges += [f"{fn.name}:{ln}" for ln in _pandas_merges(fn)]
         for n in ast.walk(fn):
+            if fn.name.startswith("q_") and isinstance(n, ast.For) and _hand_fold_loop(n):
+                loops.append(f"{fn.name}:{n.lineno}")
             if (fn.name.startswith("q_") and isinstance(n, ast.FunctionDef)
                     and n.name == "tag" and len(n.body) == 2
                     and _calls(n, "_bucket_of") and _calls(n, "append_column")):
@@ -69,3 +132,5 @@ def test_query_kernels_have_no_hand_copies():
                 footers.append(fn.name)
     assert tags == [], tags
     assert footers == [], footers
+    assert loops == [], loops
+    assert merges == [], merges
