@@ -85,9 +85,14 @@ def _fold(parts, keys, sums) -> pd.DataFrame:
     """Driver-side merge of per-batch partials: pull ``parts`` once and
     return one row per distinct ``keys`` (a NULL key is its own group, as
     in SQL ``GROUP BY``), sorted by ``keys``, each ``sums`` column summed as
-    exact Python ints (object dtype) at any scale."""
+    exact Python ints (object dtype) at any scale. With no ``keys`` it is
+    one global row, also for an empty pull (whose sums are 0)."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     df = parts.to_pandas()
+    if not keys:
+        return pd.DataFrame(
+            {c: [sum(map(int, df[c])) if len(df) else 0] for c in sums}, dtype=object
+        )
     if not len(df):  # a zero-row pull comes back with no columns at all
         return pd.DataFrame({c: pd.Series([], dtype=object) for c in keys + sums})
     # int64 sums are exact only while rows × max|value| provably fits
@@ -96,6 +101,38 @@ def _fold(parts, keys, sums) -> pd.DataFrame:
         df = df.astype({c: object for c in sums})
     out = df.groupby(keys, as_index=False, dropna=False, sort=True)[sums].sum()
     return out.astype({c: object for c in sums})
+
+
+# the one broadcast-versus-distributed switch: a small side is shipped whole
+# to every worker while its payload stays under this many bytes
+_BROADCAST_MAX_BYTES = 64 << 20
+
+
+def _fits_broadcast(rows: int, row_bytes: int) -> bool:
+    """True while ``rows`` payload rows of ``row_bytes`` bytes each fit the
+    one broadcast bound; past it a site runs its distributed plan."""
+    return rows * row_bytes <= _BROADCAST_MAX_BYTES
+
+
+def _broadcast(keys, *vals):
+    """Ship a key map once: ``keys`` sorted stably with each ``vals`` array
+    aligned to it, all contiguous, as one object-store ref for ``_probe``."""
+    import ray
+
+    o = np.argsort(keys, kind="stable")
+    return ray.put(tuple(np.ascontiguousarray(np.asarray(a)[o]) for a in (keys, *vals)))
+
+
+def _probe(payload, q):
+    """Look up ``q`` in a ``ray.get``'d ``_broadcast`` payload (or any
+    ``(sorted keys, *vals)`` tuple): returns ``(hit, *vals_at_q)``; values at
+    misses are junk the caller masks. An empty key side or probe gives
+    all-False hits and typed values."""
+    keys, *vals = payload
+    if not len(keys) or not len(q):
+        return (np.zeros(len(q), bool), *(np.zeros(len(q), v.dtype) for v in vals))
+    pos = np.clip(np.searchsorted(keys, q), 0, len(keys) - 1)
+    return (keys[pos] == q, *(v[pos] for v in vals))
 
 
 def _tok_arrow(texts) -> tuple[np.ndarray, pa.Array]:
@@ -551,8 +588,8 @@ def q_region_rollup(sf_dir: str):
 
     ds = _read(sf_dir, "customer", columns=["c_nationkey", "c_acctbal"])
 
-    def enrich(t: pa.Table, lookup=lookup_ref) -> pa.Table:
-        m = ray.get(lookup) if isinstance(lookup, ray.ObjectRef) else lookup
+    def enrich(t: pa.Table) -> pa.Table:
+        m = ray.get(lookup_ref)
         keys = t["c_nationkey"].to_numpy(zero_copy_only=False)
         bal = t["c_acctbal"].to_numpy(zero_copy_only=False)
         return pa.table(
@@ -706,8 +743,8 @@ def q_ann_topk(sf_dir: str):
 
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
-    def score(t: pa.Table, qref=q_ref) -> pa.Table:
-        ids, qn = ray.get(qref) if isinstance(qref, ray.ObjectRef) else qref
+    def score(t: pa.Table) -> pa.Table:
+        ids, qn = ray.get(q_ref)
         vids = t["vec_id"].to_numpy(zero_copy_only=False)
         mat = np.stack(t["embedding"].to_pandas().to_numpy()).astype(np.float64)
         norms = np.linalg.norm(mat, axis=1, keepdims=True)
@@ -1634,15 +1671,13 @@ WINDOW w AS (PARTITION BY user_id ORDER BY ts
 # Q: semi/anti join — customers with ≥1 (resp. no) order in a date window.
 # Adaptive shape (the q_tpch_q3 / q_nation_revenue pattern): the key set is
 # bounded a priori by the customer-table row count (free, parquet footer);
-# under the broadcast threshold the window's distinct custkeys fold as
+# under the broadcast bound the window's distinct custkeys fold as
 # per-block unique partials into one driver array (≤ n_cust ints), ship
-# ONCE via ray.put, and the customer scan semi-filters with np.isin — zero
-# shuffles, no join actors. Above the threshold the fallback keeps the
+# ONCE via _broadcast, and the customer scan semi-filters with _probe — zero
+# shuffles, no join actors. Above the broadcast bound the fallback keeps the
 # distributed plan: distinct keys via groupby, then a native hash join
 # (pytest forces and equality-checks the fallback).
 # ---------------------------------------------------------------------------
-
-_SEMI_BROADCAST_MAX = 5_000_000
 
 
 def _window_custkeys(sf_dir: str, lo: str, hi: str) -> np.ndarray:
@@ -1671,22 +1706,20 @@ def _window_custkeys(sf_dir: str, lo: str, hi: str) -> np.ndarray:
     return np.unique(np.concatenate(chunks)) if chunks else np.array([], np.int64)
 
 
-def _semi_anti_join(sf_dir: str, lo: str, hi: str, anti: bool,
-                    broadcast_max: int | None):
+def _semi_anti_join(sf_dir: str, lo: str, hi: str, anti: bool):
     import ray
     from ray.data.aggregate import Count
 
-    if broadcast_max is None:
-        broadcast_max = _SEMI_BROADCAST_MAX
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
-    n_cust = _rows(sf_dir, "customer")
-    if n_cust <= broadcast_max:
-        keys_ref = ray.put(_window_custkeys(sf_dir, lo, hi))
+    # payload: at most one 8-byte custkey per customer
+    if _fits_broadcast(_rows(sf_dir, "customer"), 8):
+        keys_ref = _broadcast(_window_custkeys(sf_dir, lo, hi))
 
         def semi(t: pa.Table) -> pa.Table:
-            ks = ray.get(keys_ref)
-            mask = np.isin(t["c_custkey"].to_numpy(zero_copy_only=False), ks)
-            return t.filter(pa.array(~mask if anti else mask))
+            hit, = _probe(
+                ray.get(keys_ref), t["c_custkey"].to_numpy(zero_copy_only=False)
+            )
+            return t.filter(pa.array(~hit if anti else hit))
 
         return cust.map_batches(semi, batch_format="pyarrow")
 
@@ -1717,9 +1750,8 @@ def _semi_anti_join(sf_dir: str, lo: str, hi: str, anti: bool,
     return joined.select_columns(["c_custkey", "c_name"])
 
 
-def q_semi_join(sf_dir: str, broadcast_max: int | None = None):
-    return _semi_anti_join(sf_dir, "1997-01-01", "1998-01-01", anti=False,
-                           broadcast_max=broadcast_max)
+def q_semi_join(sf_dir: str):
+    return _semi_anti_join(sf_dir, "1997-01-01", "1998-01-01", anti=False)
 
 
 SQL_SEMI_JOIN = """
@@ -1734,9 +1766,8 @@ WHERE EXISTS (SELECT 1 FROM orders
 # the result non-empty at every sf); shape shared with q_semi_join above.
 
 
-def q_anti_join(sf_dir: str, broadcast_max: int | None = None):
-    return _semi_anti_join(sf_dir, "1997-12-01", "1998-01-01", anti=True,
-                           broadcast_max=broadcast_max)
+def q_anti_join(sf_dir: str):
+    return _semi_anti_join(sf_dir, "1997-12-01", "1998-01-01", anti=True)
 
 
 SQL_ANTI_JOIN = """
@@ -2067,8 +2098,8 @@ def q_cc_label_clusters(sf_dir: str):
     }
     map_ref = ray.put(cluster_of)
 
-    def assign(t: pa.Table, mref=map_ref) -> pa.Table:
-        m = ray.get(mref) if isinstance(mref, ray.ObjectRef) else mref
+    def assign(t: pa.Table) -> pa.Table:
+        m = ray.get(map_ref)
         langs = t["lang"].to_pylist()
         chars = t["n_chars"].to_numpy(zero_copy_only=False)
         cl = np.array(
@@ -2622,49 +2653,42 @@ GROUP BY word ORDER BY n DESC, word ASC LIMIT {_HH_K}
 # ---------------------------------------------------------------------------
 
 
-def q_nation_revenue(sf_dir: str, broadcast_max: int | None = None):
+def q_nation_revenue(sf_dir: str):
     import pyarrow.parquet as pq
     import ray
     from ray.data.aggregate import Count, Sum
-
-    if broadcast_max is None:
-        broadcast_max = _Q3_BROADCAST_MAX
 
     nation = pq.read_table(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
     ).to_pylist()
     name_by_key = {n["n_nationkey"]: n["n_name"] for n in nation}
 
-    n_cust = _rows(sf_dir, "customer")
-    if n_cust <= broadcast_max:
+    # payload: (custkey, nation slot), two int64 per customer
+    if _fits_broadcast(_rows(sf_dir, "customer"), 16):
         # Adaptive broadcast-map plan (the q_ship_delay pattern): the
         # customer→nation map ships ONCE via ray.put as sorted arrays, each
         # orders block folds into a 25-slot bincount partial, and the driver
-        # merges O(blocks × nations) rows — ZERO shuffles. Past
-        # broadcast_max the else branch keeps the native hash-join plan.
+        # merges O(blocks × nations) rows — ZERO shuffles. Past the
+        # broadcast bound the else branch keeps the native hash-join plan.
         ct = pq.read_table(
             f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
         )
-        ck = ct["c_custkey"].to_numpy(zero_copy_only=False)
-        co = np.argsort(ck)
         nkeys = sorted(name_by_key)
         nk_idx = {k: i for i, k in enumerate(nkeys)}
         cn = np.array(
             [nk_idx[int(k)] for k in ct["c_nationkey"].to_numpy(zero_copy_only=False)],
             np.int64,
         )
-        cmap_ref = ray.put((np.ascontiguousarray(ck[co]), cn[co]))
+        cmap_ref = _broadcast(ct["c_custkey"].to_numpy(zero_copy_only=False), cn)
         n_nations = len(nkeys)
 
         def rev_partial(t: pa.Table) -> pa.Table:
-            keys, nid = ray.get(cmap_ref)
             oc = t["o_custkey"].to_numpy(zero_copy_only=False)
             price = np.rint(
                 t["o_totalprice"].to_numpy(zero_copy_only=False) * 100
             ).astype(np.int64)
-            pos = np.clip(np.searchsorted(keys, oc), 0, max(len(keys) - 1, 0))
-            hit = keys[pos] == oc if len(keys) else np.zeros(len(oc), bool)
-            ni = nid[pos[hit]]
+            hit, nid = _probe(ray.get(cmap_ref), oc)
+            ni = nid[hit]
             rev = np.zeros(n_nations, np.int64)
             np.add.at(rev, ni, price[hit])  # exact int64 (no float weights)
             return pa.table(
@@ -2717,8 +2741,8 @@ def q_nation_revenue(sf_dir: str, broadcast_max: int | None = None):
         on=("o_custkey",), right_on=("c_custkey",),
     )
 
-    def enrich(t: pa.Table, lookup=lookup_ref) -> pa.Table:
-        m = ray.get(lookup) if isinstance(lookup, ray.ObjectRef) else lookup
+    def enrich(t: pa.Table) -> pa.Table:
+        m = ray.get(lookup_ref)
         keys = t["c_nationkey"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
@@ -2799,8 +2823,8 @@ def q_tfidf_top_terms(sf_dir: str):
     }
     idf_ref = ray.put(idf)
 
-    def score(df: pd.DataFrame, lookup=idf_ref) -> pa.Table:
-        m = ray.get(lookup) if isinstance(lookup, ray.ObjectRef) else lookup
+    def score(df: pd.DataFrame) -> pa.Table:
+        m = ray.get(idf_ref)
         doc_ids, terms = _explode(df)
         if not len(terms):
             return pa.table({"doc_id": pa.array([], pa.int64()),
@@ -3519,8 +3543,8 @@ def q_bloom_semi_join(sf_dir: str):
         bits |= np.frombuffer(r["bitmap"], np.uint64)
     bloom_ref = ray.put(bits)
 
-    def prefilter(t: pa.Table, bref=bloom_ref) -> pa.Table:
-        b = ray.get(bref) if isinstance(bref, ray.ObjectRef) else bref
+    def prefilter(t: pa.Table) -> pa.Table:
+        b = ray.get(bloom_ref)
         keys = t["l_partkey"].to_numpy(zero_copy_only=False)
         ok = np.ones(len(keys), bool)
         for seed in _BLOOM_SEEDS:
@@ -3715,14 +3739,13 @@ FROM documents
 # fact scan, lineitem revenue PRE-AGGREGATED per orderkey before the join
 # (shrinks the shuffle to one row per order), adaptive dim-side strategy
 # (broadcast semi-filter while the filtered key set is small, native hash
-# join above the threshold), partial per-block top-k before the final sort.
+# join above the broadcast bound), partial per-block top-k before the final sort.
 # Money stays integer-exact: revenue in 1e-4 dollar units
 # (price_cents × (100 − discount_pct)).
 # ---------------------------------------------------------------------------
 
 _Q3_SEGMENT = "BUILDING"
 _Q3_CUTOFF = datetime.datetime(1998, 6, 1)
-_Q3_BROADCAST_MAX = 5_000_000  # above this, dim side switches to native join
 
 
 def q_tpch_q3(sf_dir: str):
@@ -3740,24 +3763,23 @@ def q_tpch_q3(sf_dir: str):
     )
 
     # adaptive dim side: the UNFILTERED row count (free, parquet footer)
-    # bounds the filtered key set; under the threshold, build the broadcast
-    # key set with a single column- and row-group-pruned read
-    n_cust_total = _rows(sf_dir, "customer")
-    if n_cust_total <= _Q3_BROADCAST_MAX:
-        keys = np.sort(
+    # bounds the filtered key set (one 8-byte custkey per customer); under
+    # the bound, build the broadcast key set with a single column- and
+    # row-group-pruned read
+    if _fits_broadcast(_rows(sf_dir, "customer"), 8):
+        keys_ref = _broadcast(
             pq.read_table(
                 f"{sf_dir}/customer.parquet",
                 columns=["c_custkey"],
                 filters=[("c_mktsegment", "==", _Q3_SEGMENT)],
             )["c_custkey"].to_numpy(zero_copy_only=False)
         )
-        keys_ref = ray.put(keys)
 
         def semi(t: pa.Table) -> pa.Table:
-            ks = ray.get(keys_ref)
-            return t.filter(
-                pa.array(np.isin(t["o_custkey"].to_numpy(zero_copy_only=False), ks))
+            hit, = _probe(
+                ray.get(keys_ref), t["o_custkey"].to_numpy(zero_copy_only=False)
             )
+            return t.filter(pa.array(hit))
 
         orders = orders.map_batches(semi, batch_format="pyarrow")
     else:
@@ -3774,45 +3796,32 @@ def q_tpch_q3(sf_dir: str):
     orders = orders.select_columns(["o_orderkey", "o_orderdate", "o_orderpriority"])
 
     lineitem_cols = ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"]
-    n_orders_total = _rows(sf_dir, "orders")
-    if n_orders_total <= _Q3_BROADCAST_MAX:
+    # payload: (orderkey, date, priority) ≈ 40 B per order
+    if _fits_broadcast(_rows(sf_dir, "orders"), 40):
         # Broadcast plan: the date+segment-filtered orders (a few % of the
         # table) ship ONCE via ray.put as sorted lookup arrays. The lineitem
         # scan semi-filters to those keys BEFORE any shuffle, so the only
         # all-to-all is one key-bucketed sort shuffle over the ~1-2% of
         # lineitem rows that survive both filters; the order attrs join and
         # the per-bucket top-10 happen inside the bucket, and the driver
-        # merges ≤10×buckets rows. Past _Q3_BROADCAST_MAX the else branch
+        # merges ≤10×buckets rows. Past the broadcast bound the else branch
         # keeps the native hash-join plan (documented switch).
         odf = orders.to_pandas()
-        oo = np.argsort(odf["o_orderkey"].to_numpy())
-        okeys = np.ascontiguousarray(odf["o_orderkey"].to_numpy()[oo])
-        odate = np.ascontiguousarray(
-            odf["o_orderdate"].to_numpy().astype("datetime64[us]").astype(np.int64)[oo]
+        ord_ref = _broadcast(
+            odf["o_orderkey"].to_numpy(),
+            odf["o_orderdate"].to_numpy().astype("datetime64[us]").astype(np.int64),
+            np.asarray(odf["o_orderpriority"].to_numpy(), dtype=object),
         )
-        oprio = np.asarray(odf["o_orderpriority"].to_numpy(), dtype=object)[oo]
-        ord_ref = ray.put((okeys, odate, oprio))
 
         nb = _key_buckets(_rows(sf_dir, "lineitem"))
-        _empty = pd.DataFrame(
-            {
-                "l_orderkey": pd.Series([], dtype="int64"),
-                "revenue_e4": pd.Series([], dtype="int64"),
-                "o_orderdate": pd.Series([], dtype="datetime64[us]"),
-                "o_orderpriority": pd.Series([], dtype=object),
-            }
-        )
 
         def li_semi(t: pa.Table) -> pa.Table:
-            ks, _, _ = ray.get(ord_ref)
             keep = pc.greater(
                 t["l_shipdate"], pa.scalar(_Q3_CUTOFF, pa.timestamp("us"))
             )
             t = t.filter(keep)
             ok = t["l_orderkey"].to_numpy(zero_copy_only=False)
-            hit = (
-                np.isin(ok, ks) if len(ks) else np.zeros(len(ok), dtype=bool)
-            )
+            hit, = _probe(ray.get(ord_ref)[:1], ok)
             price_c = np.rint(
                 t["l_extendedprice"].to_numpy(zero_copy_only=False)[hit] * 100.0
             ).astype(np.int64)
@@ -3826,18 +3835,16 @@ def q_tpch_q3(sf_dir: str):
             return _arrow_out(df)
 
         def finish(g: pd.DataFrame) -> pd.DataFrame:
-            ks, od, op = ray.get(ord_ref)
             out = g.groupby("l_orderkey", as_index=False)["rev"].sum()
-            if not len(out) or not len(ks):
-                return _empty.copy()
             okv = out["l_orderkey"].to_numpy()
-            pos = np.searchsorted(ks, okv)  # semi-filtered: always hits
+            # semi-filtered: every key hits
+            _, od, op = _probe(ray.get(ord_ref), okv)
             res = pd.DataFrame(
                 {
                     "l_orderkey": okv.astype(np.int64),
                     "revenue_e4": out["rev"].to_numpy().astype(np.int64),
-                    "o_orderdate": od[pos].astype("datetime64[us]"),
-                    "o_orderpriority": op[pos],
+                    "o_orderdate": od.astype("datetime64[us]"),
+                    "o_orderpriority": op,
                 }
             )
             return res.sort_values(
@@ -4897,12 +4904,6 @@ def _shingles3(df: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
     return dedup["i"].to_numpy(dtype=np.int64), dedup["s"].to_numpy()
 
 
-# held-out docs whose hashed shingles we'll broadcast whole; above this the
-# bucketed semi-join path runs (the q_bloom_semi_join discipline — never a
-# driver set that grows with the eval corpus)
-_DECON_BCAST_MAX_DOCS = 200_000
-
-
 def _shingle_h64(sh: np.ndarray) -> np.ndarray:
     """Shingle strings → stable 64-bit fingerprints (pd.util.hash_array,
     deterministic across processes). Membership tests run on the int64
@@ -4920,7 +4921,11 @@ def q_decontaminate(sf_dir: str):
     n_docs = _rows(sf_dir, "documents")
     held_docs = n_docs // _DECON_MOD + 1
 
-    if held_docs <= _DECON_BCAST_MAX_DOCS:
+    # the payload counts held-out docs, not rows: ≈64 distinct 8-byte shingle
+    # fingerprints per doc (the documents average ~55 tokens). Past the bound
+    # the bucketed semi-join path runs (the q_bloom_semi_join discipline —
+    # never a broadcast set that grows with the eval corpus)
+    if _fits_broadcast(held_docs, 64 * 8):
         # broadcast path: held-out shingles as SORTED uint64 fingerprints
         # shipped once via ray.put (was a Python-string frozenset)
         def bench_partial(df: pd.DataFrame) -> pa.Table:
@@ -4935,19 +4940,14 @@ def q_decontaminate(sf_dir: str):
             for t in ds.map_batches(bench_partial, batch_format="pandas")
             .iter_batches(batch_size=None, batch_format="pyarrow")
         ]
-        bench = np.unique(np.concatenate(parts)) if parts else np.empty(0, np.uint64)
-        bench_ref = ray.put(bench)
+        bench_ref = _broadcast(
+            np.unique(np.concatenate(parts)) if parts else np.empty(0, np.uint64)
+        )
 
         def flag(df: pd.DataFrame) -> pa.Table:
             df = df[df["doc_id"] % _DECON_MOD != 0].reset_index(drop=True)
             idx, sh = _shingles3(df)
-            b = ray.get(bench_ref)
-            h = _shingle_h64(sh)
-            if len(b):
-                pos = np.searchsorted(b, h)
-                hits = (pos < len(b)) & (b[np.minimum(pos, len(b) - 1)] == h)
-            else:
-                hits = np.zeros(len(h), bool)
+            hits, = _probe(ray.get(bench_ref), _shingle_h64(sh))
             n_sh = np.bincount(idx, minlength=len(df)).astype(np.int64)
             n_hit = np.bincount(idx, weights=hits, minlength=len(df)).astype(np.int64)
             keep = n_sh > 0
@@ -6019,9 +6019,8 @@ def q_triangle_count(sf_dir: str):
         .map_groups(wedge_bucket, batch_format="pandas")
         .groupby("bucket2")
         .map_groups(verify_bucket, batch_format="pandas")
-        .to_pandas()
     )
-    return pd.DataFrame({"n_triangles": pd.Series([parts["n"].sum()], dtype="int64")})
+    return _fold(parts, [], ["n"]).rename(columns={"n": "n_triangles"}).astype(np.int64)
 
 
 SQL_TRIANGLE_COUNT = f"""
@@ -8119,7 +8118,7 @@ FROM k WHERE rk <= {_OLS_TOPK}
 # ASIA nation. Ray-native plan: the three dimension maps (region→nation,
 # supplier→nation, customer→nation) are row-group-pruned driver reads
 # broadcast ONCE via ray.put and applied as searchsorted lookups inside
-# map_batches (adaptive: past _Q5_BROADCAST_MAX customer rows the customer
+# map_batches (adaptive: past the broadcast bound the customer
 # side switches to a native hash join — the q_tpch_q3 pattern; at 100 TB
 # the 150M-row int64-pair customer map stops being broadcastable, the
 # supplier map, 10× smaller, still is). The single all-to-all exchange is
@@ -8132,15 +8131,11 @@ FROM k WHERE rk <= {_OLS_TOPK}
 _Q5_REGION = "ASIA"
 _Q5_LO = "1996-01-01"
 _Q5_HI = "1998-01-01"
-_Q5_BROADCAST_MAX = 3_000_000  # customer rows; above → native hash join
 
 
-def q_tpch_q5(sf_dir: str, broadcast_max: int | None = None):
+def q_tpch_q5(sf_dir: str):
     import ray
     import pyarrow.parquet as pq
-
-    if broadcast_max is None:
-        broadcast_max = _Q5_BROADCAST_MAX
 
     region = pq.read_table(
         f"{sf_dir}/region.parquet", filters=[("r_name", "==", _Q5_REGION)]
@@ -8161,9 +8156,7 @@ def q_tpch_q5(sf_dir: str, broadcast_max: int | None = None):
     sk = supp["s_suppkey"].to_numpy(zero_copy_only=False)
     sn = supp["s_nationkey"].to_numpy(zero_copy_only=False)
     smask = np.isin(sn, nat_keys)
-    so = np.argsort(sk[smask])
-    supp_ref = ray.put((np.ascontiguousarray(sk[smask][so]),
-                        np.ascontiguousarray(sn[smask][so])))
+    supp_ref = _broadcast(sk[smask], sn[smask])
 
     lo = pa.scalar(pd.Timestamp(_Q5_LO).to_pydatetime(), pa.timestamp("us"))
     hi = pa.scalar(pd.Timestamp(_Q5_HI).to_pydatetime(), pa.timestamp("us"))
@@ -8179,34 +8172,27 @@ def q_tpch_q5(sf_dir: str, broadcast_max: int | None = None):
         batch_format="pyarrow",
     )
 
-    n_cust = _rows(sf_dir, "customer")
-    if n_cust <= broadcast_max:
+    # payload: (custkey, nationkey), two int64 per customer
+    if _fits_broadcast(_rows(sf_dir, "customer"), 16):
         cust = pq.read_table(
             f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
         )
         ck = cust["c_custkey"].to_numpy(zero_copy_only=False)
         cn = cust["c_nationkey"].to_numpy(zero_copy_only=False)
         cmask = np.isin(cn, nat_keys)
-        co = np.argsort(ck[cmask])
-        cust_ref = ray.put((np.ascontiguousarray(ck[cmask][co]),
-                            np.ascontiguousarray(cn[cmask][co])))
+        cust_ref = _broadcast(ck[cmask], cn[cmask])
 
         def cust_nat(t: pa.Table) -> pa.Table:
-            keys, nats = ray.get(cust_ref)
-            okeys = t["o_custkey"].to_numpy(zero_copy_only=False)
-            if not len(keys) or not len(okeys):
-                return pa.table(
-                    {"o_orderkey": pa.array([], pa.int64()),
-                     "c_nat": pa.array([], pa.int64())}
-                )
-            pos = np.clip(np.searchsorted(keys, okeys), 0, len(keys) - 1)
-            hit = keys[pos] == okeys
+            hit, nats = _probe(
+                ray.get(cust_ref), t["o_custkey"].to_numpy(zero_copy_only=False)
+            )
             return pa.table(
                 {
                     "o_orderkey": pa.array(
-                        t["o_orderkey"].to_numpy(zero_copy_only=False)[hit]
+                        t["o_orderkey"].to_numpy(zero_copy_only=False)[hit],
+                        pa.int64(),
                     ),
-                    "c_nat": pa.array(nats[pos[hit]].astype(np.int64)),
+                    "c_nat": pa.array(nats[hit].astype(np.int64)),
                 }
             )
 
@@ -8217,39 +8203,21 @@ def q_tpch_q5(sf_dir: str, broadcast_max: int | None = None):
         # per-nation partial; the driver merges O(blocks × nations) rows.
         # No join, no aggregate shuffle — all-to-alls: zero.
         odf = orders.map_batches(cust_nat, batch_format="pyarrow").to_pandas()
-        ok = odf["o_orderkey"].to_numpy()
-        oo = np.argsort(ok)
-        ord_ref = ray.put(
-            (
-                np.ascontiguousarray(ok[oo]),
-                np.ascontiguousarray(odf["c_nat"].to_numpy().astype(np.int64)[oo]),
-            )
+        ord_ref = _broadcast(
+            odf["o_orderkey"].to_numpy(), odf["c_nat"].to_numpy().astype(np.int64)
         )
         n_nat = len(nat_keys)
 
         def li_zero(t: pa.Table) -> pa.Table:
-            skeys, snats = ray.get(supp_ref)
-            okeys, onats = ray.get(ord_ref)
-            zero = pa.table(
-                {
-                    "nid": pa.array(np.arange(n_nat, dtype=np.int64)),
-                    "revenue_e4": pa.array(np.zeros(n_nat, np.int64)),
-                    "n": pa.array(np.zeros(n_nat, np.int64)),
-                }
+            hit, s_nat = _probe(
+                ray.get(supp_ref), t["l_suppkey"].to_numpy(zero_copy_only=False)
             )
-            lsk = t["l_suppkey"].to_numpy(zero_copy_only=False)
-            if not len(skeys) or not len(okeys) or not len(lsk):
-                return zero
-            spos = np.clip(np.searchsorted(skeys, lsk), 0, len(skeys) - 1)
-            hit = skeys[spos] == lsk
             t = t.filter(pa.array(hit))
-            s_nat = snats[spos[hit]].astype(np.int64)
-            lok = t["l_orderkey"].to_numpy(zero_copy_only=False)
-            opos = np.clip(np.searchsorted(okeys, lok), 0, len(okeys) - 1)
-            ohit = okeys[opos] == lok
-            same = ohit & (onats[opos] == s_nat)
-            if not same.any():
-                return zero
+            s_nat = s_nat[hit].astype(np.int64)
+            ohit, onat = _probe(
+                ray.get(ord_ref), t["l_orderkey"].to_numpy(zero_copy_only=False)
+            )
+            same = ohit & (onat == s_nat)
             price_c = np.rint(
                 t["l_extendedprice"].to_numpy(zero_copy_only=False)[same] * 100.0
             ).astype(np.int64)
@@ -8321,17 +8289,10 @@ def q_tpch_q5(sf_dir: str, broadcast_max: int | None = None):
         )
 
     def li_partial(t: pa.Table) -> pa.Table:
-        skeys, snats = ray.get(supp_ref)
-        lsk = t["l_suppkey"].to_numpy(zero_copy_only=False)
-        if not len(skeys) or not len(lsk):
-            return pa.table(
-                {"l_orderkey": pa.array([], pa.int64()),
-                 "s_nat": pa.array([], pa.int64()),
-                 "rev": pa.array([], pa.int64())}
-            )
-        pos = np.clip(np.searchsorted(skeys, lsk), 0, len(skeys) - 1)
-        hit = skeys[pos] == lsk
-        s_nat = snats[pos[hit]].astype(np.int64)
+        hit, s_nat = _probe(
+            ray.get(supp_ref), t["l_suppkey"].to_numpy(zero_copy_only=False)
+        )
+        s_nat = s_nat[hit].astype(np.int64)
         t = t.filter(pa.array(hit))
         price_c = np.rint(
             t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100.0
@@ -8527,31 +8488,22 @@ def q_tpch_q18(sf_dir: str):
     hot = _by_key_bucket(
         partials, "l_orderkey", finish, _rows(sf_dir, "lineitem")
     ).to_pandas()  # HAVING-selective: ~1-2% of orders (see header)
-    ho = np.argsort(hot["l_orderkey"].to_numpy())
-    hot_keys = np.ascontiguousarray(hot["l_orderkey"].to_numpy()[ho])
-    hot_qty = np.ascontiguousarray(
-        hot["sum_qty_c"].to_numpy().astype(np.int64)[ho]
+    hot_ref = _broadcast(
+        hot["l_orderkey"].to_numpy(), hot["sum_qty_c"].to_numpy().astype(np.int64)
     )
-    hot_ref = ray.put((hot_keys, hot_qty))
 
     cust = pq.read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
     )
-    co = np.argsort(cust["c_custkey"].to_numpy(zero_copy_only=False))
-    cust_ref = ray.put(
-        (
-            np.ascontiguousarray(
-                cust["c_custkey"].to_numpy(zero_copy_only=False)[co]
-            ),
-            np.asarray(cust["c_name"].to_pylist(), dtype=object)[co],
-        )
+    cust_ref = _broadcast(
+        cust["c_custkey"].to_numpy(zero_copy_only=False),
+        np.asarray(cust["c_name"].to_pylist(), dtype=object),
     )
 
     def join_orders(t: pa.Table) -> pa.Table:
-        keys, qty = ray.get(hot_ref)
-        ck, cn = ray.get(cust_ref)
         ok = t["o_orderkey"].to_numpy(zero_copy_only=False)
-        if not len(keys) or not len(ok):
+        hit, qty = _probe(ray.get(hot_ref), ok)
+        if not hit.any():  # typed: an empty object column would come out null
             return pa.table(
                 {
                     "c_name": pa.array([], pa.string()),
@@ -8561,22 +8513,20 @@ def q_tpch_q18(sf_dir: str):
                     "sum_qty_c": pa.array([], pa.int64()),
                 }
             )
-        pos = np.clip(np.searchsorted(keys, ok), 0, len(keys) - 1)
-        hit = keys[pos] == ok
         okeys = ok[hit]
         custk = t["o_custkey"].to_numpy(zero_copy_only=False)[hit]
         total_c = np.rint(
             t["o_totalprice"].to_numpy(zero_copy_only=False)[hit] * 100
         ).astype(np.int64)
-        cpos = np.clip(np.searchsorted(ck, custk), 0, len(ck) - 1)
-        names = cn[cpos]  # custkeys are FK-complete; lookup always hits
+        # custkeys are FK-complete; the lookup always hits
+        _, names = _probe(ray.get(cust_ref), custk)
         out = pd.DataFrame(
             {
                 "c_name": names,
                 "c_custkey": custk,
                 "o_orderkey": okeys,
                 "o_total_c": total_c,
-                "sum_qty_c": qty[pos[hit]],
+                "sum_qty_c": qty[hit],
             }
         )
         # per-block partial top-k: deterministic (o_total_c desc, o_orderkey)
@@ -8950,7 +8900,7 @@ FROM r WHERE rk = 1
 
 # ---------------------------------------------------------------------------
 # Q: per-priority shipping delay — a FACT⋈FACT join done adaptively (the
-# q_tpch_q5 pattern): below _SD_BROADCAST_MAX order rows the (okey →
+# q_tpch_q5 pattern): under the broadcast bound the (okey →
 # priority, order-day) map is a pruned driver read broadcast ONCE via
 # ray.put and the whole query is a single ZERO-SHUFFLE lineitem pass
 # (searchsorted lookup + per-priority integer partials, driver fold); past
@@ -8961,54 +8911,38 @@ FROM r WHERE rk = 1
 # bucketed union 12 s, broadcast path 1 s.)
 # ---------------------------------------------------------------------------
 
-_SD_BROADCAST_MAX = 3_000_000  # order rows; above → bucketed shuffle merge
 
-
-def q_ship_delay(sf_dir: str, broadcast_max: int | None = None):
+def q_ship_delay(sf_dir: str):
     import ray
     import pyarrow.parquet as pq
 
-    if broadcast_max is None:
-        broadcast_max = _SD_BROADCAST_MAX
-
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
 
-    n_orders = _rows(sf_dir, "orders")
-    if n_orders <= broadcast_max:
+    # payload: (orderkey, order day, priority slot), three int64 per order
+    if _fits_broadcast(_rows(sf_dir, "orders"), 24):
         ot = pq.read_table(
             f"{sf_dir}/orders.parquet",
             columns=["o_orderkey", "o_orderpriority", "o_orderdate"],
         )
-        ok = ot["o_orderkey"].to_numpy(zero_copy_only=False)
-        oo = np.argsort(ok)
         prios = sorted(set(ot["o_orderpriority"].to_pylist()))
         prio_idx = {p: i for i, p in enumerate(prios)}
-        omap_ref = ray.put(
-            (
-                np.ascontiguousarray(ok[oo]),
-                np.ascontiguousarray(
-                    ot["o_orderdate"]
-                    .cast(pa.int64())
-                    .to_numpy(zero_copy_only=False)[oo]
-                    // _DAY_US
-                ),
-                np.array(
-                    [prio_idx[p] for p in ot["o_orderpriority"].to_pylist()],
-                    np.int64,
-                )[oo],
-            )
+        omap_ref = _broadcast(
+            ot["o_orderkey"].to_numpy(zero_copy_only=False),
+            ot["o_orderdate"].cast(pa.int64()).to_numpy(zero_copy_only=False)
+            // _DAY_US,
+            np.array(
+                [prio_idx[p] for p in ot["o_orderpriority"].to_pylist()], np.int64
+            ),
         )
 
         def delay_partial(t: pa.Table) -> pa.Table:
-            keys, oday, opri = ray.get(omap_ref)
             lk = t["l_orderkey"].to_numpy(zero_copy_only=False)
             day = (
                 t["l_shipdate"].cast(pa.int64()).to_numpy(zero_copy_only=False)
                 // _DAY_US
             )
-            pos = np.clip(np.searchsorted(keys, lk), 0, len(keys) - 1)
-            hit = keys[pos] == lk  # inner join semantics
-            pi = opri[pos[hit]]
+            hit, oday, opri = _probe(ray.get(omap_ref), lk)  # inner join
+            pi = opri[hit]
             return pa.table(
                 {
                     "pi": pa.array(np.arange(len(prios), dtype=np.int64)),
@@ -9017,7 +8951,7 @@ def q_ship_delay(sf_dir: str, broadcast_max: int | None = None):
                     "delay": pa.array(
                         np.bincount(
                             pi,
-                            weights=(day[hit] - oday[pos[hit]]).astype(
+                            weights=(day[hit] - oday[hit]).astype(
                                 np.float64
                             ),
                             minlength=len(prios),
@@ -9106,25 +9040,16 @@ def q_ship_delay(sf_dir: str, broadcast_max: int | None = None):
         )
         og = g[is_o]
         ok = np.argsort(og["okey"].to_numpy(), kind="mergesort")
-        okeys = og["okey"].to_numpy()[ok]
-        oday = og["order_day"].to_numpy()[ok]
-        oprio = og["prio"].to_numpy()[ok]
         lk = lg["okey"].to_numpy()
-        if not len(lk) or not len(okeys):
-            return pd.DataFrame(
-                {
-                    "o_orderpriority": pd.Series([], dtype=object),
-                    "n_lineitems": pd.Series([], dtype="int64"),
-                    "delay_days": pd.Series([], dtype="int64"),
-                }
-            )
-        pos = np.clip(np.searchsorted(okeys, lk), 0, len(okeys) - 1)
-        hit = okeys[pos] == lk  # inner join: drop lineitems w/o order row
+        # inner join: drop lineitems w/o order row
+        hit, oday, oprio = _probe(
+            tuple(og[c].to_numpy()[ok] for c in ("okey", "order_day", "prio")), lk
+        )
         n = lg["n"].to_numpy()[hit]
-        delay = lg["ship_days"].to_numpy()[hit] - n * oday[pos[hit]]
+        delay = lg["ship_days"].to_numpy()[hit] - n * oday[hit]
         out = pd.DataFrame(
             {
-                "o_orderpriority": oprio[pos[hit]],
+                "o_orderpriority": oprio[hit],
                 "n_lineitems": n,
                 "delay_days": delay,
             }
@@ -9842,15 +9767,9 @@ def q_tpch_q10(sf_dir: str):
             ("o_orderdate", "<", pd.Timestamp(_Q10_HI)),
         ],
     )
-    ok = ot["o_orderkey"].to_numpy(zero_copy_only=False)
-    oo = np.argsort(ok)
-    omap_ref = ray.put(
-        (
-            np.ascontiguousarray(ok[oo]),
-            np.ascontiguousarray(
-                ot["o_custkey"].to_numpy(zero_copy_only=False)[oo]
-            ),
-        )
+    omap_ref = _broadcast(
+        ot["o_orderkey"].to_numpy(zero_copy_only=False),
+        ot["o_custkey"].to_numpy(zero_copy_only=False),
     )
 
     li = _read(
@@ -9860,15 +9779,10 @@ def q_tpch_q10(sf_dir: str):
 
     def rev_partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["l_returnflag"], "R"))
-        keys, cust = ray.get(omap_ref)
-        lk = t["l_orderkey"].to_numpy(zero_copy_only=False)
-        if not len(keys) or not len(lk):
-            return pa.table(
-                {"c_custkey": pa.array([], pa.int64()),
-                 "revenue_e4": pa.array([], pa.int64())}
-            )
-        pos = np.clip(np.searchsorted(keys, lk), 0, len(keys) - 1)
-        hit = keys[pos] == lk  # inner join: only quarter orders
+        # inner join: only quarter orders
+        hit, cust = _probe(
+            ray.get(omap_ref), t["l_orderkey"].to_numpy(zero_copy_only=False)
+        )
         rev = (
             np.rint(
                 t["l_extendedprice"].to_numpy(zero_copy_only=False)[hit] * 100
@@ -9881,7 +9795,7 @@ def q_tpch_q10(sf_dir: str):
             )
         )
         df = pd.DataFrame(
-            {"c_custkey": cust[pos[hit]], "revenue_e4": rev}
+            {"c_custkey": cust[hit], "revenue_e4": rev}
         ).groupby("c_custkey", as_index=False).sum()
         return _arrow_out(df.astype({"revenue_e4": "int64"}))
 
@@ -9897,29 +9811,20 @@ def q_tpch_q10(sf_dir: str):
     nmap = dict(
         zip(nat["n_nationkey"].to_pylist(), nat["n_name"].to_pylist())
     )
-    co = np.argsort(cust["c_custkey"].to_numpy(zero_copy_only=False))
-    cmap_ref = ray.put(
-        (
-            np.ascontiguousarray(
-                cust["c_custkey"].to_numpy(zero_copy_only=False)[co]
-            ),
-            np.asarray(cust["c_name"].to_pylist(), dtype=object)[co],
-            np.asarray(
-                [nmap[k] for k in cust["c_nationkey"].to_pylist()],
-                dtype=object,
-            )[co],
-        )
+    cmap_ref = _broadcast(
+        cust["c_custkey"].to_numpy(zero_copy_only=False),
+        np.asarray(cust["c_name"].to_pylist(), dtype=object),
+        np.asarray([nmap[k] for k in cust["c_nationkey"].to_pylist()], dtype=object),
     )
 
     def attach_topk(t: pa.Table) -> pa.Table:
-        ck, names, nats = ray.get(cmap_ref)
         keys = t["c_custkey"].to_numpy(zero_copy_only=False)
-        pos = np.clip(np.searchsorted(ck, keys), 0, len(ck) - 1)
+        _, names, nats = _probe(ray.get(cmap_ref), keys)
         out = pd.DataFrame(
             {
                 "c_custkey": keys,
-                "c_name": names[pos],
-                "n_name": nats[pos],
+                "c_name": names,
+                "n_name": nats,
                 "revenue_e4": t["revenue_e4"].to_numpy(zero_copy_only=False),
             }
         ).sort_values(
@@ -10115,17 +10020,13 @@ def q_rare_token_docs(sf_dir: str):
     dfreq = _fold(ds.map_batches(
         df_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
     ), "token", ["df"])
-    rare = np.sort(
-        dfreq.loc[4 * dfreq["df"] < n_docs, "token"].to_numpy(object)
-    )
-    rare_ref = ray.put(rare)
+    rare_ref = _broadcast(dfreq.loc[4 * dfreq["df"] < n_docs, "token"].to_numpy(object))
 
     def count_rare(t: pa.Table) -> pa.Table:
         # per-doc counts are FINAL per batch (doc rows don't straddle
         # batches) — no downstream groupby
-        rs = ray.get(rare_ref)
         pairs = distinct_pairs(t)
-        keep = np.isin(pairs["token"].to_numpy(object), rs)
+        keep, = _probe(ray.get(rare_ref), pairs["token"].to_numpy(object))
         out = (
             pd.DataFrame({"doc_id": pairs["doc_id"].to_numpy()[keep]})
             .groupby("doc_id", as_index=False)
@@ -10258,14 +10159,12 @@ def q_keyword_per_doc(sf_dir: str):
     dfreq = _fold(ds.map_batches(
         df_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
     ), "token", ["df"])
-    vocab = dfreq["token"].to_numpy(object)
     idf = np.log(
         (1.0 + np.float64(n_docs)) / (1.0 + dfreq["df"].to_numpy(np.int64))
     )
-    vmap_ref = ray.put((vocab, idf))
+    vmap_ref = _broadcast(dfreq["token"].to_numpy(object), idf)
 
     def best_term(t_in: pa.Table) -> pa.Table:
-        vocab_, idf_ = ray.get(vmap_ref)
         ids, terms = explode(t_in)
         if not len(ids):
             return pa.table(
@@ -10279,9 +10178,8 @@ def q_keyword_per_doc(sf_dir: str):
         tf = key.groupby(["d", "t"], as_index=False).size()
         d = tf["d"].to_numpy(np.int64)
         t = tf["t"].to_numpy(object)
-        score = tf["size"].to_numpy(np.int64).astype(np.float64) * idf_[
-            np.searchsorted(vocab_, t)
-        ]
+        _, idf_t = _probe(ray.get(vmap_ref), t)  # the vocabulary covers every term
+        score = tf["size"].to_numpy(np.int64).astype(np.float64) * idf_t
         # per-doc argmax with (score desc, term asc): one stable sort +
         # first-row pick (lexsort can't order object strings)
         best = (
@@ -10996,8 +10894,8 @@ def q_bm25_topk(sf_dir: str):
     }
     ctx_ref = ray.put((idf, avgdl))
 
-    def score(df: pd.DataFrame, ctx=ctx_ref) -> pa.Table:
-        idf_m, avg = ray.get(ctx) if isinstance(ctx, ray.ObjectRef) else ctx
+    def score(df: pd.DataFrame) -> pa.Table:
+        idf_m, avg = ray.get(ctx_ref)
         lens, flat = _tok(df)
         ids = df["doc_id"].to_numpy(np.int64)
         doc_pos = np.repeat(np.arange(len(lens)), lens)
@@ -11124,17 +11022,15 @@ def q_promo_revenue(sf_dir: str):
     import pyarrow.parquet as pq
     import ray
 
-    promo_keys = np.sort(
+    keys_ref = _broadcast(
         pq.read_table(
             f"{sf_dir}/part.parquet",
             columns=["p_partkey"],
             filters=[("p_type", "==", "PROMO")],
         )["p_partkey"].to_numpy(zero_copy_only=False)
     )
-    keys_ref = ray.put(promo_keys)
 
-    def partial(t: pa.Table, keys=keys_ref) -> pa.Table:
-        ks = ray.get(keys) if isinstance(keys, ray.ObjectRef) else keys
+    def partial(t: pa.Table) -> pa.Table:
         keep = pc.and_(
             pc.greater_equal(t["l_shipdate"], pa.scalar(_Q14_LO, pa.timestamp("us"))),
             pc.less(t["l_shipdate"], pa.scalar(_Q14_HI, pa.timestamp("us"))),
@@ -11147,26 +11043,31 @@ def q_promo_revenue(sf_dir: str):
             t["l_discount"].to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
         rev = price_c * (100 - disc_pct)
-        is_promo = np.isin(t["l_partkey"].to_numpy(zero_copy_only=False), ks)
+        is_promo, = _probe(
+            ray.get(keys_ref), t["l_partkey"].to_numpy(zero_copy_only=False)
+        )
         return pa.table(
             {
                 "promo_e4": pa.array([int(rev[is_promo].sum())], pa.int64()),
                 "total_e4": pa.array([int(rev.sum())], pa.int64()),
+                "n": pa.array([len(rev)], pa.int64()),
             }
         )
 
-    promo = total = 0
-    for r in _read(
-        sf_dir, "lineitem",
-        columns=["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
-    ).map_batches(partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH).take_all():
-        promo += int(r["promo_e4"])
-        total += int(r["total_e4"])
+    g = _fold(
+        _read(
+            sf_dir, "lineitem",
+            columns=["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
+        ).map_batches(partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH),
+        [], ["promo_e4", "total_e4", "n"],
+    )
+    promo, total, n = (int(g[c][0]) for c in ("promo_e4", "total_e4", "n"))
+    # as in SQL: a SUM over no rows is NULL, and so is x / 0
     return pd.DataFrame(
         {
-            "promo_e4": np.array([promo], np.int64),
-            "total_e4": np.array([total], np.int64),
-            "promo_pct": np.array([100.0 * (promo / total)], np.float64),
+            "promo_e4": [np.int64(promo) if n else np.nan],
+            "total_e4": [np.int64(total) if n else np.nan],
+            "promo_pct": np.array([100.0 * (promo / total) if total else np.nan]),
         }
     )
 
@@ -11254,14 +11155,14 @@ def q_pagerank_topk(sf_dir: str):
     pr = np.full(len(nodes), _PR_SCALE, np.int64)
 
     for _ in range(_PR_ITERS):
-        contrib_ref = ray.put((nodes, pr // deg))
+        contrib_ref = _broadcast(nodes, pr // deg)
 
-        def send(t: pa.Table, ctx=contrib_ref) -> pa.Table:
-            ns, c = ray.get(ctx) if isinstance(ctx, ray.ObjectRef) else ctx
+        def send(t: pa.Table, ctx=contrib_ref) -> pa.Table:  # this round's ref
             src = t["src"].to_numpy(zero_copy_only=False)
             dst = t["dst"].to_numpy(zero_copy_only=False)
+            _, c = _probe(ray.get(ctx), src)  # every src is a node
             g = (
-                pd.DataFrame({"dst": dst, "s": c[np.searchsorted(ns, src)]})
+                pd.DataFrame({"dst": dst, "s": c})
                 .groupby("dst", as_index=False)
                 .sum()
             )
@@ -11964,8 +11865,8 @@ def q_dedup_clusters(sf_dir: str):
     mapping = {int(r["node"]): int(r["cluster"]) for r in comp.take_all()}
     map_ref = ray.put(mapping)
 
-    def assign(tb: pa.Table, mref=map_ref) -> pa.Table:
-        m = ray.get(mref) if isinstance(mref, ray.ObjectRef) else mref
+    def assign(tb: pa.Table) -> pa.Table:
+        m = ray.get(map_ref)
         ids = tb["doc_id"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
@@ -12309,19 +12210,13 @@ def q_dedup_simhash(sf_dir: str):
     import ray
 
     pairs = q_simhash_hamming_pairs(sf_dir).to_pandas()
-    dup_ids = frozenset(pairs["doc_b"].astype("int64").tolist())
-    dup_ref = ray.put(dup_ids)
+    dup_ref = _broadcast(pairs["doc_b"].to_numpy(np.int64))
 
-    def annotate(t: pa.Table, dref=dup_ref) -> pa.Table:
-        d = ray.get(dref) if isinstance(dref, ray.ObjectRef) else dref
+    def annotate(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        is_dup, = _probe(ray.get(dup_ref), ids)
         return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "is_dup": pa.array(
-                    np.array([int(x) in d for x in ids], dtype=np.int64)
-                ),
-            }
+            {"doc_id": pa.array(ids), "is_dup": pa.array(is_dup.astype(np.int64))}
         )
 
     return _read(sf_dir, "documents", columns=["doc_id"]).map_batches(
@@ -12580,19 +12475,15 @@ def q_dup_rate_by_source(sf_dir: str):
     dups = q_minhash_verified_dups(sf_dir)
     if not isinstance(dups, pd.DataFrame):
         dups = dups.to_pandas()
-    dup_ids = np.unique(dups["doc_b"].to_numpy(np.int64)) if len(dups) else np.array([], np.int64)
-    dup_ref = ray.put(dup_ids)  # sorted — searchsorted membership below
+    dup_ref = _broadcast(
+        np.unique(dups["doc_b"].to_numpy(np.int64)) if len(dups) else np.array([], np.int64)
+    )
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "source"])
 
     def part(df: pd.DataFrame) -> pd.DataFrame:
-        ids = ray.get(dup_ref)
-        doc = df["doc_id"].to_numpy(np.int64)
-        if len(ids):
-            pos = np.clip(np.searchsorted(ids, doc), 0, len(ids) - 1)
-            is_dup = (ids[pos] == doc).astype(np.int64)
-        else:
-            is_dup = np.zeros(len(doc), np.int64)
+        hit, = _probe(ray.get(dup_ref), df["doc_id"].to_numpy(np.int64))
+        is_dup = hit.astype(np.int64)
         g = pd.DataFrame({"source": df["source"].to_numpy(object), "d": is_dup})
         # dropna=False: a NULL source must stay a group (as in the oracle's
         # SQL GROUP BY), not silently vanish from the counts
@@ -12649,12 +12540,9 @@ _CB3_TOK_RE = r"[^\t\n\f\r\v ]+"
 _CB3_BPE_RE = r"[A-Za-z]+|[0-9]+|[^A-Za-z0-9\t\n\f\r\v ]"
 
 
-# dup-id broadcast cap (~32 MB as int64); above it the survivor filter runs
-# as a bucketed ANTI join — at 100 TB with 30-50% dup rates the id array is
-# multi-GB and must never ship whole to every task
-_CB3_BCAST_MAX = 4_000_000
-
-
+# past the broadcast bound the survivor filter runs as a bucketed ANTI
+# join — at 100 TB with 30-50% dup rates the id array is multi-GB and must
+# never ship whole to every task
 def q_corpus_build_v3(sf_dir: str):
     import ray
 
@@ -12693,18 +12581,12 @@ def q_corpus_build_v3(sf_dir: str):
             }
         )
 
-    if len(dup_ids) <= _CB3_BCAST_MAX:
-        dup_ref = ray.put(dup_ids)
+    if _fits_broadcast(len(dup_ids), 8):  # payload: one 8-byte id per dup
+        dup_ref = _broadcast(dup_ids)
 
         def keep(df: pd.DataFrame) -> pd.DataFrame:
             out = metrics(df)
-            ids = ray.get(dup_ref)
-            doc = out["doc_id"].to_numpy(np.int64)
-            if len(ids):
-                pos = np.clip(np.searchsorted(ids, doc), 0, len(ids) - 1)
-                is_dup = ids[pos] == doc
-            else:
-                is_dup = np.zeros(len(doc), bool)
+            is_dup, = _probe(ray.get(dup_ref), out["doc_id"].to_numpy(np.int64))
             return out[~is_dup].reset_index(drop=True)
 
         return ds.map_batches(keep, batch_format="pandas", batch_size=_TEXT_BATCH)
@@ -13215,11 +13097,13 @@ def q_tpch_q6(sf_dir: str):
             }
         )
 
-    parts = ds.map_batches(part, batch_format="pyarrow").to_pandas()
+    g = _fold(ds.map_batches(part, batch_format="pyarrow"), [], ["revenue_e4", "n_rows"])
+    n = int(g["n_rows"][0])
+    # as in SQL: a SUM over no rows is NULL
     return pd.DataFrame(
         {
-            "revenue_e4": [np.int64(parts["revenue_e4"].sum())],
-            "n_rows": [np.int64(parts["n_rows"].sum())],
+            "revenue_e4": [np.int64(g["revenue_e4"][0]) if n else np.nan],
+            "n_rows": [np.int64(n)],
         }
     )
 
@@ -13254,19 +13138,16 @@ def q_tpch_q13(sf_dir: str):
     from .pipelines.dedup import _coarse_buckets
 
     ct = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey"])
-    ckeys = np.sort(ct["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64))
-    n_customers = len(ckeys)
-    ckeys_ref = ray.put(ckeys)
+    n_customers = ct.num_rows
+    ckeys_ref = _broadcast(ct["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64))
     nb = _coarse_buckets(max(n_customers, 1))
 
     ds = _read(sf_dir, "orders", columns=["o_custkey"])
 
     def part(t: pa.Table) -> pa.Table:
-        keys = ray.get(ckeys_ref)
         oc = t["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(keys):
-            pos = np.clip(np.searchsorted(keys, oc), 0, len(keys) - 1)
-            oc = oc[keys[pos] == oc]  # FK-guard: orphan custkeys dropped
+        hit, = _probe(ray.get(ckeys_ref), oc)
+        oc = oc[hit]  # FK-guard: orphan custkeys dropped
         uniq, cnt = np.unique(oc, return_counts=True)
         return pa.table(
             {
@@ -13371,7 +13252,7 @@ GROUP BY 1
 # (qty < 0.2·avg ⇔ 5·qty_e2·n < Σqty_e2 — no float division on either
 # engine) and folds cent-exact revenue partials. Broadcast bound: the
 # per-brand part map is value-domain-bounded (1/25 of parts); past that
-# the q_nation_revenue broadcast_max→hash-join fallback pattern applies.
+# the q_nation_revenue broadcast-bound→hash-join fallback pattern applies.
 # ---------------------------------------------------------------------------
 
 _Q17_BRAND = "Brand#13"
@@ -13384,22 +13265,16 @@ def q_tpch_q17(sf_dir: str, brand: str | None = None):
     brand = _Q17_BRAND if brand is None else brand
     pt = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"])
     pk = pt["p_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    bkeys = np.sort(pk[np.asarray(pt["p_brand"]) == brand])
-    bkeys_ref = ray.put(bkeys)
+    bkeys_ref = _broadcast(pk[np.asarray(pt["p_brand"]) == brand])
 
     li = _read(sf_dir, "lineitem", columns=["l_partkey", "l_quantity"])
 
     def qty_part(t: pa.Table) -> pa.Table:
-        keys = ray.get(bkeys_ref)
         lp = t["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         q_e2 = np.rint(
             t["l_quantity"].to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
-        if len(keys):
-            pos = np.clip(np.searchsorted(keys, lp), 0, len(keys) - 1)
-            m = keys[pos] == lp
-        else:
-            m = np.zeros(len(lp), bool)
+        m, = _probe(ray.get(bkeys_ref), lp)
         uniq, inv = np.unique(lp[m], return_inverse=True)
         sq = np.zeros(len(uniq), np.int64)
         np.add.at(sq, inv, q_e2[m])
@@ -13413,15 +13288,13 @@ def q_tpch_q17(sf_dir: str, brand: str | None = None):
         )
 
     agg = _fold(li.map_batches(qty_part, batch_format="pyarrow"), "p", ["sq", "cnt"])
-    # sorted by p: the searchsorted lookup below
-    avg_ref = ray.put(tuple(agg[c].to_numpy(np.int64) for c in ("p", "sq", "cnt")))
+    avg_ref = _broadcast(*(agg[c].to_numpy(np.int64) for c in ("p", "sq", "cnt")))
 
     li2 = _read(
         sf_dir, "lineitem", columns=["l_partkey", "l_quantity", "l_extendedprice"]
     )
 
     def rev_part(t: pa.Table) -> pa.Table:
-        keys, sq, cnt = ray.get(avg_ref)
         lp = t["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         q_e2 = np.rint(
             t["l_quantity"].to_numpy(zero_copy_only=False) * 100
@@ -13429,12 +13302,8 @@ def q_tpch_q17(sf_dir: str, brand: str | None = None):
         price_e2 = np.rint(
             t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
-        if len(keys):
-            pos = np.clip(np.searchsorted(keys, lp), 0, len(keys) - 1)
-            hit = keys[pos] == lp
-            m = hit & (5 * q_e2 * cnt[pos] < sq[pos])
-        else:
-            m = np.zeros(len(lp), bool)
+        hit, sq, cnt = _probe(ray.get(avg_ref), lp)
+        m = hit & (5 * q_e2 * cnt < sq)
         return pa.table(
             {
                 "revenue_e2": pa.array([int(price_e2[m].sum())], pa.int64()),
@@ -13442,13 +13311,9 @@ def q_tpch_q17(sf_dir: str, brand: str | None = None):
             }
         )
 
-    parts2 = li2.map_batches(rev_part, batch_format="pyarrow").to_pandas()
-    return pd.DataFrame(
-        {
-            "revenue_e2": [np.int64(parts2["revenue_e2"].sum())],
-            "n_rows": [np.int64(parts2["n_rows"].sum())],
-        }
-    )
+    return _fold(
+        li2.map_batches(rev_part, batch_format="pyarrow"), [], ["revenue_e2", "n_rows"]
+    ).astype(np.int64)
 
 
 SQL_TPCH_Q17 = f"""
@@ -13983,27 +13848,6 @@ _Q7_REGIONS = ("AMERICA", "ASIA")
 _Q7_LO, _Q7_HI = "1996-01-01", "1998-01-01"
 
 
-def _sorted_key_map(keys: np.ndarray, vals: np.ndarray, mask: np.ndarray):
-    """(keys[mask], vals[mask]) sorted by key — the searchsorted-lookup
-    broadcast payload used by the TPC-H family."""
-    o = np.argsort(keys[mask])
-    return (
-        np.ascontiguousarray(keys[mask][o]),
-        np.ascontiguousarray(vals[mask][o]),
-    )
-
-
-def _lookup(keys: np.ndarray, vals: np.ndarray, probe: np.ndarray):
-    """Vectorized hash-join probe against a sorted key map: returns
-    (hit_mask, values_for_hits_aligned_to_probe) with vals[0]-typed junk
-    at misses (callers mask)."""
-    if not len(keys) or not len(probe):
-        return np.zeros(len(probe), bool), np.zeros(len(probe), vals.dtype)
-    pos = np.clip(np.searchsorted(keys, probe), 0, len(keys) - 1)
-    hit = keys[pos] == probe
-    return hit, vals[pos]
-
-
 def q_tpch_q7(sf_dir: str):
     import pyarrow.parquet as pq
     import ray
@@ -14019,32 +13863,31 @@ def q_tpch_q7(sf_dir: str):
     nk = nation["n_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
     nreg = nation["n_regionkey"].to_numpy(zero_copy_only=False).astype(np.int64)
     no = np.argsort(nk)
-    nat_keys, nat_regs = np.ascontiguousarray(nk[no]), np.ascontiguousarray(nreg[no])
+    nat_reg = (nk[no], nreg[no])
 
     supp = pq.read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
     )
     sk = supp["s_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    _, sreg = _lookup(
-        nat_keys, nat_regs,
-        supp["s_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64),
+    _, sreg = _probe(
+        nat_reg, supp["s_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
     )
-    supp_ref = ray.put(_sorted_key_map(sk, sreg, (sreg == k1) | (sreg == k2)))
+    sm = (sreg == k1) | (sreg == k2)
+    supp_ref = _broadcast(sk[sm], sreg[sm])
 
     cust = pq.read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
     )
     ck = cust["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    _, creg = _lookup(
-        nat_keys, nat_regs,
-        cust["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64),
+    _, creg = _probe(
+        nat_reg, cust["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
     )
-    cust_ref = ray.put(_sorted_key_map(ck, creg, (creg == k1) | (creg == k2)))
+    cm = (creg == k1) | (creg == k2)
+    cust_ref = _broadcast(ck[cm], creg[cm])
 
     def ord_nat(t: pa.Table) -> pa.Table:
-        keys, regs = ray.get(cust_ref)
         oc = t["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        hit, v = _lookup(keys, regs, oc)
+        hit, v = _probe(ray.get(cust_ref), oc)
         return pa.table(
             {
                 "okey": pa.array(
@@ -14063,13 +13906,7 @@ def q_tpch_q7(sf_dir: str):
     if odf.empty:
         odf = pd.DataFrame({"okey": pd.Series([], dtype="int64"),
                             "cnat": pd.Series([], dtype="int64")})
-    oo = np.argsort(odf["okey"].to_numpy())
-    ord_ref = ray.put(
-        (
-            np.ascontiguousarray(odf["okey"].to_numpy(np.int64)[oo]),
-            np.ascontiguousarray(odf["cnat"].to_numpy(np.int64)[oo]),
-        )
-    )
+    ord_ref = _broadcast(odf["okey"].to_numpy(np.int64), odf["cnat"].to_numpy(np.int64))
 
     lo = np.datetime64(_Q7_LO)
     hi = np.datetime64(_Q7_HI)
@@ -14082,12 +13919,10 @@ def q_tpch_q7(sf_dir: str):
         m = (d >= lo) & (d < hi)
         if not m.any():
             return empty
-        skeys, snats = ray.get(supp_ref)
-        okeys, onats = ray.get(ord_ref)
         ls = t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)[m]
         lok = t["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)[m]
-        shit, snat = _lookup(skeys, snats, ls)
-        ohit, cnat = _lookup(okeys, onats, lok)
+        shit, snat = _probe(ray.get(supp_ref), ls)
+        ohit, cnat = _probe(ray.get(ord_ref), lok)
         keep = shit & ohit & (snat != cnat)
         if not keep.any():
             return empty
@@ -14191,24 +14026,23 @@ def q_tpch_q8(sf_dir: str):
     part = pq.read_table(
         f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"]
     )
-    pkeys = np.sort(
+    part_ref = _broadcast(
         part["p_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)[
             np.asarray(part["p_type"]) == _Q8_TYPE
         ]
     )
-    part_ref = ray.put(pkeys)
 
     supp = pq.read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
     )
     sk = supp["s_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
     sn = supp["s_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    n3keys_ref = ray.put(np.sort(sk[sn == target_nat]))
+    n3keys_ref = _broadcast(sk[sn == target_nat])
 
     cust = pq.read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
     )
-    ckeys = np.sort(
+    ckeys_ref = _broadcast(
         cust["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)[
             np.isin(
                 cust["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64),
@@ -14216,7 +14050,6 @@ def q_tpch_q8(sf_dir: str):
             )
         ]
     )
-    ckeys_ref = ray.put(ckeys)
 
     lo = pa.scalar(pd.Timestamp(_Q8_LO).to_pydatetime(), pa.timestamp("us"))
     hi = pa.scalar(pd.Timestamp(_Q8_HI).to_pydatetime(), pa.timestamp("us"))
@@ -14228,9 +14061,8 @@ def q_tpch_q8(sf_dir: str):
                 pc.less(t["o_orderdate"], hi),
             )
         )
-        cks = ray.get(ckeys_ref)
         oc = t["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        hit, _ = _lookup(cks, cks, oc)
+        hit, = _probe(ray.get(ckeys_ref), oc)
         year = (
             t["o_orderdate"].to_numpy(zero_copy_only=False)[hit]
             .astype("datetime64[Y]").astype(np.int64) + 1970
@@ -14252,13 +14084,7 @@ def q_tpch_q8(sf_dir: str):
         .map_batches(ord_year, batch_format="pyarrow")
         .to_pandas()
     )
-    oo = np.argsort(odf["okey"].to_numpy())
-    ord_ref = ray.put(
-        (
-            np.ascontiguousarray(odf["okey"].to_numpy(np.int64)[oo]),
-            np.ascontiguousarray(odf["oyear"].to_numpy(np.int64)[oo]),
-        )
-    )
+    ord_ref = _broadcast(odf["okey"].to_numpy(np.int64), odf["oyear"].to_numpy(np.int64))
 
     def vol_part(t: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -14268,19 +14094,16 @@ def q_tpch_q8(sf_dir: str):
                 "den_e4": pa.array([], pa.int64()),
             }
         )
-        pks = ray.get(part_ref)
         lp = t["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        phit, _ = _lookup(pks, pks, lp)
+        phit, = _probe(ray.get(part_ref), lp)
         if not phit.any():
             return empty
-        okeys, oyears = ray.get(ord_ref)
         lok = t["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)[phit]
-        ohit, oyear = _lookup(okeys, oyears, lok)
+        ohit, oyear = _probe(ray.get(ord_ref), lok)
         if not ohit.any():
             return empty
-        n3 = ray.get(n3keys_ref)
         ls = t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)[phit][ohit]
-        shit, _ = _lookup(n3, n3, ls)
+        shit, = _probe(ray.get(n3keys_ref), ls)
         price_e2 = np.rint(
             t["l_extendedprice"].to_numpy(zero_copy_only=False)[phit][ohit] * 100
         ).astype(np.int64)
@@ -14378,10 +14201,8 @@ def q_tpch_q9(sf_dir: str):
     pmask = np.array(
         [(_Q9_COLOR in (s or "")) for s in part["p_name"].to_pylist()], bool
     )
-    pkeys_ref = ray.put(
-        np.sort(
-            part["p_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)[pmask]
-        )
+    pkeys_ref = _broadcast(
+        part["p_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)[pmask]
     )
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet")
@@ -14393,7 +14214,7 @@ def q_tpch_q9(sf_dir: str):
     )
     sk = supp["s_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
     sn = supp["s_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-    supp_ref = ray.put(_sorted_key_map(sk, sn, np.ones(len(sk), bool)))
+    supp_ref = _broadcast(sk, sn)
 
     def ord_year(t: pa.Table) -> pa.Table:
         year = (
@@ -14412,29 +14233,20 @@ def q_tpch_q9(sf_dir: str):
         .map_batches(ord_year, batch_format="pyarrow")
         .to_pandas()
     )
-    oo = np.argsort(odf["okey"].to_numpy())
-    ord_ref = ray.put(
-        (
-            np.ascontiguousarray(odf["okey"].to_numpy(np.int64)[oo]),
-            np.ascontiguousarray(odf["oyear"].to_numpy(np.int64)[oo]),
-        )
-    )
+    ord_ref = _broadcast(odf["okey"].to_numpy(np.int64), odf["oyear"].to_numpy(np.int64))
 
     def profit_part(t: pa.Table) -> pa.Table:
         empty = pa.table(
             {"code": pa.array([], pa.int64()), "profit_e4": pa.array([], pa.int64())}
         )
-        pks = ray.get(pkeys_ref)
         lp = t["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        phit, _ = _lookup(pks, pks, lp)
+        phit, = _probe(ray.get(pkeys_ref), lp)
         if not phit.any():
             return empty
-        skeys, snats = ray.get(supp_ref)
-        okeys, oyears = ray.get(ord_ref)
         ls = t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)[phit]
         lok = t["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)[phit]
-        shit, snat = _lookup(skeys, snats, ls)
-        ohit, oyear = _lookup(okeys, oyears, lok)
+        shit, snat = _probe(ray.get(supp_ref), ls)
+        ohit, oyear = _probe(ray.get(ord_ref), lok)
         keep = shit & ohit
         if not keep.any():
             return empty
@@ -14525,13 +14337,12 @@ def q_tpch_q22(sf_dir: str):
             }
         )
 
-    pos = (
+    pos = _fold(
         _read(sf_dir, "customer", columns=["c_acctbal"])
-        .map_batches(pos_part, batch_format="pyarrow")
-        .to_pandas()
+        .map_batches(pos_part, batch_format="pyarrow"),
+        [], ["n", "s"],
     )
-    n_pos = int(pos["n"].sum())
-    sum_pos = int(pos["s"].sum())
+    n_pos, sum_pos = int(pos["n"][0]), int(pos["s"][0])
 
     since = pa.scalar(pd.Timestamp(_Q22_SINCE).to_pydatetime(), pa.timestamp("us"))
 
@@ -14552,7 +14363,7 @@ def q_tpch_q22(sf_dir: str):
         .map_batches(okeys_part, batch_format="pyarrow")
         .to_pandas()
     )
-    have_orders_ref = ray.put(np.unique(okeys["k"].to_numpy(np.int64)))
+    have_orders_ref = _broadcast(np.unique(okeys["k"].to_numpy(np.int64)))
 
     def seg_part(t: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -14562,11 +14373,10 @@ def q_tpch_q22(sf_dir: str):
                 "tot_e2": pa.array([], pa.int64()),
             }
         )
-        ok = ray.get(have_orders_ref)
         bal = t["c_acctbal"].to_numpy(zero_copy_only=False)
         e2 = np.rint(bal * 100).astype(np.int64)
         ck = t["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        hit, _ = _lookup(ok, ok, ck)
+        hit, = _probe(ray.get(have_orders_ref), ck)
         # bal_e2 × n_pos stays in int64 up to ~9e12 positive customers
         keep = (e2 * n_pos > sum_pos) & ~hit
         if not keep.any():
@@ -14664,17 +14474,14 @@ def q_tpch_q4(sf_dir: str):
             }
         )
     ok = odf["o_orderkey"].to_numpy(np.int64)
-    oo = np.argsort(ok)
-    odate = odf["o_orderdate"].to_numpy("datetime64[us]").astype(np.int64)
-    ord_ref = ray.put(
-        (np.ascontiguousarray(ok[oo]), np.ascontiguousarray(odate[oo]))
+    ord_ref = _broadcast(
+        ok, odf["o_orderdate"].to_numpy("datetime64[us]").astype(np.int64)
     )
     late_us = np.int64(_Q4_LATE_DAYS) * 86_400_000_000
 
     def late_part(t: pa.Table) -> pa.Table:
-        keys, dates = ray.get(ord_ref)
         lok = t["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        hit, od = _lookup(keys, dates, lok)
+        hit, od = _probe(ray.get(ord_ref), lok)
         ship = t["l_shipdate"].to_numpy(zero_copy_only=False).astype(np.int64)
         late = hit & (ship > od + late_us)
         return pa.table({"k": pa.array(np.unique(lok[late]))})
@@ -14688,7 +14495,7 @@ def q_tpch_q4(sf_dir: str):
         np.unique(parts["k"].to_numpy(np.int64))
         if not parts.empty else np.array([], np.int64)
     )
-    hit, _ = _lookup(late_keys, late_keys, ok)
+    hit, = _probe((late_keys,), ok)
     sel = odf[hit]
     agg = sel.groupby("o_orderpriority", as_index=False).size()
     return pd.DataFrame(
@@ -14735,17 +14542,17 @@ def q_dup_source_matrix(sf_dir: str):
     )
     if v.empty:
         return empty
-    ids = np.unique(
-        np.concatenate(
-            [v["doc_a"].to_numpy(np.int64), v["doc_b"].to_numpy(np.int64)]
+    ids_ref = _broadcast(
+        np.unique(
+            np.concatenate(
+                [v["doc_a"].to_numpy(np.int64), v["doc_b"].to_numpy(np.int64)]
+            )
         )
     )
-    ids_ref = ray.put(ids)
 
     def src(t: pa.Table) -> pa.Table:
-        s = ray.get(ids_ref)
         d = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        hit, _ = _lookup(s, s, d)
+        hit, = _probe(ray.get(ids_ref), d)
         return pa.table(
             {
                 "doc_id": pa.array(d[hit]),
@@ -14820,31 +14627,15 @@ def q_tpch_q19(sf_dir: str):
     for ci, b in enumerate(brands):
         case_of[pb == b] = ci
     keep = case_of >= 0
-    o = np.argsort(pk[keep])
-    pmap_ref = ray.put(
-        (
-            np.ascontiguousarray(pk[keep][o]),
-            np.ascontiguousarray(case_of[keep][o]),
-            np.ascontiguousarray(ps[keep][o]),
-        )
-    )
+    pmap_ref = _broadcast(pk[keep], case_of[keep], ps[keep])
     slo = np.array([c[1] for c in _Q19_CASES], np.int64)
     shi = np.array([c[2] for c in _Q19_CASES], np.int64)
     qlo = np.array([float(c[3]) for c in _Q19_CASES])
     qhi = np.array([float(c[4]) for c in _Q19_CASES])
 
     def rev_part(t: pa.Table) -> pa.Table:
-        keys, cases, sizes = ray.get(pmap_ref)
         lp = t["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(keys):
-            pos = np.clip(np.searchsorted(keys, lp), 0, len(keys) - 1)
-            hit = keys[pos] == lp
-            ci = cases[pos]
-            sz = sizes[pos]
-        else:
-            hit = np.zeros(len(lp), bool)
-            ci = np.zeros(len(lp), np.int64)
-            sz = np.zeros(len(lp), np.int64)
+        hit, ci, sz = _probe(ray.get(pmap_ref), lp)
         qty = t["l_quantity"].to_numpy(zero_copy_only=False)
         m = (
             hit
@@ -14865,20 +14656,13 @@ def q_tpch_q19(sf_dir: str):
             }
         )
 
-    parts = (
+    return _fold(
         _read(
             sf_dir, "lineitem",
             columns=["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
-        )
-        .map_batches(rev_part, batch_format="pyarrow")
-        .to_pandas()
-    )
-    return pd.DataFrame(
-        {
-            "revenue_e4": np.array([int(parts["revenue_e4"].sum())], np.int64),
-            "n_items": np.array([int(parts["n_items"].sum())], np.int64),
-        }
-    )
+        ).map_batches(rev_part, batch_format="pyarrow"),
+        [], ["revenue_e4", "n_items"],
+    ).astype(np.int64)
 
 
 def _q19_case_sql(c) -> str:
@@ -15202,16 +14986,14 @@ def q_perplexity_buckets(sf_dir: str):
     ), "bg", ["n"])
     total = int(counts["n"].sum())
     vocab = len(counts)
-    lp_keys = counts["bg"].to_numpy(dtype=np.uint64)
-    lp_vals = np.array(
-        [-math.log2((n + 1) / (total + vocab)) for n in counts["n"]], np.float64
+    lp_ref = _broadcast(
+        counts["bg"].to_numpy(dtype=np.uint64),
+        np.array([-math.log2((n + 1) / (total + vocab)) for n in counts["n"]], np.float64),
     )
-    lp_ref = ray.put((lp_keys, lp_vals))
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
-        lpk, lpv = ray.get(lp_ref)
         keys, rows = _batch_bigram_keys(df)
-        nll = lpv[np.searchsorted(lpk, keys)]
+        _, nll = _probe(ray.get(lp_ref), keys)  # the vocabulary covers every key
         nb = np.bincount(rows, minlength=len(df))
         has = nb > 0
         starts = np.zeros(len(df), np.int64)
@@ -15841,23 +15623,17 @@ def q_tpch_q12(sf_dir: str):
         )
     statuses = np.array(sorted(odf["status"].unique().tolist()), dtype=object)
     scode = {s: i for i, s in enumerate(statuses)}
-    oo = np.argsort(odf["okey"].to_numpy())
-    ord_ref = ray.put(
-        (
-            np.ascontiguousarray(odf["okey"].to_numpy(np.int64)[oo]),
-            np.ascontiguousarray(odf["odate"].to_numpy(np.int64)[oo]),
-            np.ascontiguousarray(odf["high"].to_numpy(np.int64)[oo]),
-            np.ascontiguousarray(
-                odf["status"].map(scode).to_numpy(np.int64)[oo]
-            ),
-        )
+    ord_ref = _broadcast(
+        odf["okey"].to_numpy(np.int64),
+        odf["odate"].to_numpy(np.int64),
+        odf["high"].to_numpy(np.int64),
+        odf["status"].map(scode).to_numpy(np.int64),
     )
     lo = np.datetime64(_Q12_LO).astype("datetime64[us]").astype(np.int64)
     hi = np.datetime64(_Q12_HI).astype("datetime64[us]").astype(np.int64)
     late_us = np.int64(_Q12_LATE_DAYS) * 86_400_000_000
 
     def late_part(t: pa.Table) -> pa.Table:
-        keys, dates, high, stat = ray.get(ord_ref)
         ship = t["l_shipdate"].to_numpy(zero_copy_only=False).astype(np.int64)
         m = (ship >= lo) & (ship < hi)
         empty = pa.table(
@@ -15870,13 +15646,12 @@ def q_tpch_q12(sf_dir: str):
         if not m.any():
             return empty
         lok = t["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)[m]
-        hit, od = _lookup(keys, dates, lok)
-        pos = np.clip(np.searchsorted(keys, lok), 0, max(len(keys) - 1, 0))
+        hit, od, high, stat = _probe(ray.get(ord_ref), lok)
         late = hit & (ship[m] > od + late_us)
         if not late.any():
             return empty
-        sc = stat[pos[late]]
-        hi_flag = high[pos[late]]
+        sc = stat[late]
+        hi_flag = high[late]
         uniq, inv = np.unique(sc, return_inverse=True)
         hi_n = np.zeros(len(uniq), np.int64)
         lo_n = np.zeros(len(uniq), np.int64)

@@ -64,11 +64,9 @@ def run(tmp: str, *, relaxed: bool, depth: int, max_rounds=None,
     spec = SiteSpec(boards=dict(SPEC_BOARDS), articles_per_page=ARTICLES_PER_PAGE)
     factory = functools.partial(mock_transport_factory, spec)
     rss_samples: list[int] = []
-    dups = {"n": 0}
 
     def progress(p: dict) -> None:
         rss_samples.append(rss_mb())
-        dups["n"] = p.get("dup_skipped", dups["n"])
 
     t0 = time.monotonic()
     res = run_crawl(

@@ -611,9 +611,9 @@ def test_relaxed_ordering_rejects_depth_below_one():
 
 
 def test_relaxed_ordering_kill_resume_exact(ray_session, tmp_path):
-    """Relaxed mode checkpoints only at quiescent points, so a killed
-    pipelined run resumes without refetching or duplicating — same URL set
-    and doc ids as an uninterrupted relaxed run."""
+    """A checkpoint taken while later rounds are still in flight holds their
+    rows as pending, so a killed pipelined run resumes without refetching or
+    duplicating — same URL set and doc ids as an uninterrupted relaxed run."""
     import pyarrow as pa
 
     factory = functools.partial(make_transport, SPEC)

@@ -58,3 +58,13 @@ def test_fold_all_empty_partials_give_zero_rows(ray_session):
     got = _fold(empty, ["k", "j"], ["n"])
     assert len(got) == 0
     assert list(got.columns) == ["k", "j", "n"]
+
+
+def test_fold_without_keys_is_one_row(ray_session):
+    parts = _parts(pa.table({"n": [2**62], "m": [1]}), pa.table({"n": [2**62], "m": [-4]}))
+    got = _fold(parts, [], ["n", "m"])
+    assert list(got.columns) == ["n", "m"]
+    assert got["n"].tolist() == [2**63] and got["m"].tolist() == [-3]
+    empty = parts.map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow")
+    got = _fold(empty, [], ["n", "m"])  # a zero-row pull still folds to one row
+    assert got.to_dict("list") == {"n": [0], "m": [0]}

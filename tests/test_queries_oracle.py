@@ -5,6 +5,8 @@ order-insensitive values (exact equality — stricter than a value hash)."""
 import duckdb
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from ptt_spider_go_ray.oracle.duck import canon, duck_result, to_pandas
@@ -108,49 +110,59 @@ def test_value_histogram_constant_column(ray_session, tmp_path):
     assert want["bin"].tolist() == [0] and want["n"].tolist() == [100]
 
 
-def test_tpch_q3_native_join_path(ray_session, monkeypatch):
-    """Force the dim side over the broadcast threshold so the native hash
-    join fallback runs; result must still match the broadcast path's oracle."""
+# every query with a broadcast plan and a distributed one, and the call that
+# only its distributed plan makes: (method, the function that calls it)
+_DUAL_PLAN = {
+    "semi_join": ("join", "_semi_anti_join"),
+    "anti_join": ("join", "_semi_anti_join"),
+    "nation_revenue": ("join", "q_nation_revenue"),
+    "tpch_q3": ("join", "q_tpch_q3"),
+    "tpch_q5": ("join", "q_tpch_q5"),
+    "ship_delay": ("map_groups", "q_ship_delay"),
+    "corpus_build_v3": ("map_groups", "q_corpus_build_v3"),
+    "decontaminate": ("map_groups", "q_decontaminate"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DUAL_PLAN))
+def test_forced_fallback_plan(name, ray_session, monkeypatch):
+    """Below the one broadcast bound each dual-plan query broadcasts its
+    small side; with the bound forced under every payload it runs its
+    distributed plan (a native join or a key-bucketed shuffle) instead, and
+    both plans give the oracle's frame."""
+    import sys
+
+    from ray.data import Dataset
+    from ray.data.grouped_data import GroupedData
+
     import ptt_spider_go_ray.queries as Q
 
-    monkeypatch.setattr(Q, "_Q3_BROADCAST_MAX", -1)
-    got = canon(to_pandas(Q.q_tpch_q3(SF)))
-    want = canon(duck_result(Q.SQL_TPCH_Q3, SF))
-    pd.testing.assert_frame_equal(got, want)
+    calls = []
 
+    def spy(cls, method):
+        orig = getattr(cls, method)
 
-def test_corpus_build_v3_anti_join_path(ray_session, monkeypatch):
-    """Force the dup-id set over the broadcast threshold so the bucketed
-    ANTI-join scale path runs; result must still match the oracle exactly
-    (the survivor set is identical — only the filter's distribution moves)."""
-    import ptt_spider_go_ray.queries as Q
+        def wrapped(*a, **k):
+            calls.append((method, sys._getframe(1).f_code.co_name))
+            return orig(*a, **k)
 
-    monkeypatch.setattr(Q, "_CB3_BCAST_MAX", -1)
-    got = canon(to_pandas(Q.q_corpus_build_v3(SF)))
-    want = canon(duck_result(Q.SQL_CORPUS_BUILD_V3, SF))
-    pd.testing.assert_frame_equal(got, want)
+        monkeypatch.setattr(cls, method, wrapped)
 
+    spy(Dataset, "join")
+    spy(GroupedData, "map_groups")
+    fn = getattr(Q, f"q_{name}")
+    want = canon(duck_result(getattr(Q, f"SQL_{name.upper()}"), SF))
 
-def test_decontaminate_bucketed_semi_join_path(ray_session, monkeypatch):
-    """Force the held-out shingle set over the broadcast threshold so the
-    bucketed semi-join scale path runs; per-doc hit counts must still match
-    the oracle exactly."""
-    import ptt_spider_go_ray.queries as Q
+    bcast = canon(to_pandas(fn(SF)))
+    assert _DUAL_PLAN[name] not in calls, f"{name} left its broadcast plan at {SF}"
+    pd.testing.assert_frame_equal(bcast, want)
 
-    monkeypatch.setattr(Q, "_DECON_BCAST_MAX_DOCS", -1)
-    got = canon(to_pandas(Q.q_decontaminate(SF)))
-    want = canon(duck_result(Q.SQL_DECONTAMINATE, SF))
-    pd.testing.assert_frame_equal(got, want)
-
-
-def test_tpch_q5_native_join_path(ray_session):
-    """Force the customer side over the broadcast threshold so the native
-    hash join fallback runs; result must still match the oracle."""
-    import ptt_spider_go_ray.queries as Q
-
-    got = canon(to_pandas(Q.q_tpch_q5(SF, broadcast_max=0)))
-    want = canon(duck_result(Q.SQL_TPCH_Q5, SF))
-    pd.testing.assert_frame_equal(got, want)
+    calls.clear()
+    monkeypatch.setattr(Q, "_BROADCAST_MAX_BYTES", -1)
+    forced = canon(to_pandas(fn(SF)))
+    assert _DUAL_PLAN[name] in calls, f"{name} ignored the broadcast bound"
+    pd.testing.assert_frame_equal(forced, want)
+    pd.testing.assert_frame_equal(forced, bcast)
 
 
 def test_ntile_degenerate_groups(ray_session, tmp_path):
@@ -1550,16 +1562,6 @@ def test_source_overlap_planted(ray_session, tmp_path):
     assert pairs == {("s1", "s2"): 1, ("s1", "s3"): 1, ("s2", "s3"): 1}
 
 
-def test_ship_delay_bucketed_fallback_matches(ray_session):
-    """Past the broadcast bound ship_delay degrades to the key-bucketed
-    shuffle merge; both plans must produce identical frames."""
-    from ptt_spider_go_ray.queries import q_ship_delay
-
-    a = canon(to_pandas(q_ship_delay(SF)))
-    b = canon(to_pandas(q_ship_delay(SF, broadcast_max=0)))
-    pd.testing.assert_frame_equal(a, b)
-
-
 def test_tpch_q10_quarter_and_flag_filters(ray_session, tmp_path):
     """Only flag='R' lineitems of in-quarter orders contribute; revenue is
     the exact price·(100−disc) integer; customer name + nation attach."""
@@ -1946,20 +1948,6 @@ def test_pagerank_star_graph(ray_session, tmp_path):
     assert len({v for n, v in ranks.items() if n != 1}) == 1
 
 
-def test_semi_anti_join_fallback_matches_broadcast(ray_session):
-    """Past the broadcast bound semi/anti degrade to distinct-keys groupby +
-    native hash join; both plans must produce identical frames AND match
-    the oracle."""
-    import ptt_spider_go_ray.queries as Q
-
-    for fn, sql in ((Q.q_semi_join, Q.SQL_SEMI_JOIN),
-                    (Q.q_anti_join, Q.SQL_ANTI_JOIN)):
-        bcast = canon(to_pandas(fn(SF)))
-        native = canon(to_pandas(fn(SF, broadcast_max=0)))
-        pd.testing.assert_frame_equal(bcast, native)
-        pd.testing.assert_frame_equal(bcast, canon(duck_result(sql, SF)))
-
-
 def test_perplexity_buckets_tiny_language_groups(ray_session, tmp_path):
     """ntile fill rule at the degenerate edge: a language with fewer docs
     than buckets (each doc its own bucket, later buckets empty) and one
@@ -2032,4 +2020,35 @@ def test_lsh_recall_eval_no_candidates_null_parity(ray_session, tmp_path):
     want = canon(con.sql(SQL_LSH_RECALL_EVAL).df())
     assert got["n_cand"].iloc[0] == 0 and got["n_true"].iloc[0] == 0
     assert np.isnan(got["lsh_precision"].iloc[0])
+    pd.testing.assert_frame_equal(got, want)
+
+
+@pytest.mark.parametrize("case", ["empty", "no_match"])
+@pytest.mark.parametrize("name", ["tpch_q6", "tpch_q17", "tpch_q19", "promo_revenue"])
+def test_keyless_sums_on_degenerate_lineitem(name, case, ray_session, tmp_path):
+    """The keyless global sums give DuckDB's one row on a zero-row lineitem
+    and on one whose rows all miss q_tpch_q6's ship-date window: a SUM over
+    no rows is NULL unless the SQL COALESCEs it, and so is x / 0."""
+    import datetime
+    import os
+
+    import pyarrow.parquet as pq
+
+    import ptt_spider_go_ray.queries as Q
+    from ptt_spider_go_ray.oracle.duck import TABLES
+
+    for t in TABLES:
+        if t != "lineitem":
+            os.symlink(f"{SF}/{t}.parquet", tmp_path / f"{t}.parquet")
+    li = pq.read_table(f"{SF}/lineitem.parquet")
+    if case == "empty":
+        li = li.slice(0, 0)
+    else:  # every ship date before both the q6 and the promo_revenue window
+        ship = li.schema.get_field_index("l_shipdate")
+        li = li.set_column(ship, "l_shipdate", pc.subtract(
+            li["l_shipdate"], pa.scalar(datetime.timedelta(days=20 * 365), pa.duration("us"))))
+    pq.write_table(li, tmp_path / "lineitem.parquet")
+    got = canon(to_pandas(getattr(Q, f"q_{name}")(str(tmp_path))))
+    want = canon(duck_result(getattr(Q, f"SQL_{name.upper()}"), str(tmp_path)))
+    assert len(want) == 1
     pd.testing.assert_frame_equal(got, want)

@@ -4,8 +4,10 @@ SQL_<NAME>, and the driver contract reading the one merged view. No Ray:
 nothing here runs a query."""
 
 import ast
+import fnmatch
 import hashlib
 import inspect
+import pathlib
 
 import __ray_entry__
 from ptt_spider_go_ray import queries as Q
@@ -106,17 +108,54 @@ def _pandas_merges(fn: ast.FunctionDef) -> list[int]:
     return out
 
 
+def _hand_probes(fn: ast.FunctionDef) -> list[int]:
+    """Lines where a sorted-key probe is written by hand: ``a[i] == q`` with
+    ``i`` (or an expression over it) taken from ``np.searchsorted``."""
+    def has_ss(node) -> bool:
+        return any(isinstance(n, ast.Attribute) and n.attr == "searchsorted"
+                   for n in ast.walk(node))
+
+    pos = {t.id for n in ast.walk(fn) if isinstance(n, ast.Assign) and has_ss(n.value)
+           for t in n.targets if isinstance(t, ast.Name)}
+    out = []
+    for n in ast.walk(fn):
+        if not (isinstance(n, ast.Compare) and any(isinstance(o, ast.Eq) for o in n.ops)):
+            continue
+        for side in [n.left, *n.comparators]:
+            if isinstance(side, ast.Subscript) and (
+                    has_ss(side.slice) or any(isinstance(x, ast.Name) and x.id in pos
+                                              for x in ast.walk(side.slice))):
+                out.append(n.lineno)
+    return out
+
+
 def test_query_kernels_have_no_hand_copies():
-    """The key-bucket tag, the Parquet footer row count and the driver-side
-    merge of combiner partials each live in one kernel (``_by_key_bucket``,
-    ``_rows``, ``_fold``); no q_* writes its own copy."""
+    """The key-bucket tag, the Parquet footer row count, the merge of
+    combiner partials and the sorted-key probe each live in one
+    kernel (``_by_key_bucket``, ``_rows``, ``_fold``, ``_probe``); no q_*
+    writes its own copy. One bound picks every broadcast-or-distributed
+    plan: no ``broadcast_max`` parameter anywhere, one ``*B*CAST_MAX*``
+    name, and no ``ray.ObjectRef`` fork in a broadcast UDF."""
     tree = ast.parse(inspect.getsource(Q))
-    tags, footers, loops, merges = [], [], [], []
+    tags, footers, loops, merges, probes, forks = [], [], [], [], [], []
+    bounds = [t.id for n in tree.body if isinstance(n, ast.Assign) for t in n.targets
+              if isinstance(t, ast.Name) and fnmatch.fnmatchcase(t.id, "*B*CAST_MAX*")]
+    assert bounds == ["_BROADCAST_MAX_BYTES"], bounds
+    pkg = pathlib.Path(Q.__file__).parent
+    params = [f"{path.name}:{f.name}" for path in sorted(pkg.rglob("*.py"))
+              for f in ast.walk(ast.parse(path.read_text()))
+              if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for a in f.args.args + f.args.kwonlyargs if a.arg == "broadcast_max"]
+    assert params == [], params
     for fn in tree.body:
         if not isinstance(fn, ast.FunctionDef):
             continue
         if fn.name != "_fold":
             merges += [f"{fn.name}:{ln}" for ln in _pandas_merges(fn)]
+        if fn.name != "_probe":
+            probes += [f"{fn.name}:{ln}" for ln in _hand_probes(fn)]
+        forks += [f"{fn.name}:{n.lineno}" for n in ast.walk(fn)
+                  if isinstance(n, ast.Attribute) and n.attr == "ObjectRef"]
         for n in ast.walk(fn):
             if fn.name.startswith("q_") and isinstance(n, ast.For) and _hand_fold_loop(n):
                 loops.append(f"{fn.name}:{n.lineno}")
@@ -134,3 +173,5 @@ def test_query_kernels_have_no_hand_copies():
     assert footers == [], footers
     assert loops == [], loops
     assert merges == [], merges
+    assert probes == [], probes
+    assert forks == [], forks
