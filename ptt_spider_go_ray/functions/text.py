@@ -116,22 +116,6 @@ def rolling_fingerprint(text: str) -> int:
     return h
 
 
-def format_bytes(n: int) -> str:
-    """Human-readable byte count, exact semantics of the reference's
-    formatBytes (/root/reference/performance/optimizer.go:108-119):
-    '<n> B' below 1024, else one decimal with KiB/MiB/GiB/TiB/PiB/EiB."""
-    unit = 1024
-    if n < unit:
-        return f"{n} B"
-    div, exp = unit, 0
-    m = n // unit
-    while m >= unit:
-        m //= unit
-        div *= unit
-        exp += 1
-    return f"{n / div:.1f} {'KMGTPE'[exp]}iB"
-
-
 def word_shingles(text: str, k: int = 3) -> set[str]:
     toks = text.split()
     if len(toks) < k:

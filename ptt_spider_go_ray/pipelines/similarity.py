@@ -1,8 +1,8 @@
-"""Similarity search over the embedding column: brute-force cosine top-k
-(baseline — broadcast query matrix, one float64 matmul per batch, partial
-top-k per batch, final merge) and an IVF-bucketed variant (the scale path:
-coarse quantizer assigns each vector to a centroid bucket; queries probe
-only the nearest buckets, so the scan is 1/nlist of the data per probe)."""
+"""Similarity search over the embedding column: approximate cosine top-k
+that must equal exact brute force (the test oracle) when it probes every
+bucket. The IVF variant is the scale path: a coarse quantizer assigns each
+vector to a centroid bucket; queries probe only the nearest buckets, so
+the scan is 1/nlist of the data per probe."""
 
 from __future__ import annotations
 
@@ -33,51 +33,6 @@ def _query_matrix(sf_dir: str, n_queries: int) -> tuple[np.ndarray, np.ndarray]:
     mat = np.stack(df["embedding"].to_numpy()).astype(np.float64)
     mat /= np.linalg.norm(mat, axis=1, keepdims=True)
     return ids, mat
-
-
-def brute_force_topk(sf_dir: str, n_queries: int = 5, k: int = 10):
-    """Partial top-k inside each batch (combiner), tiny final merge — the
-    groupby only moves n_batches × n_queries × k rows."""
-    import ray
-
-    ids, qmat = _query_matrix(sf_dir, n_queries)
-    qref = ray.put((ids, qmat))
-
-    def score_topk(t: pa.Table, qref=qref) -> pa.Table:
-        q_ids, qn = ray.get(qref) if isinstance(qref, ray.ObjectRef) else qref
-        vids = t["vec_id"].to_numpy(zero_copy_only=False)
-        mat = np.stack(t["embedding"].to_pandas().to_numpy()).astype(np.float64)
-        norms = np.linalg.norm(mat, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        cos = (mat / norms) @ qn.T  # (batch, nq)
-        out_q, out_n, out_c = [], [], []
-        for qi in range(cos.shape[1]):
-            col = cos[:, qi]
-            mask = vids != q_ids[qi]
-            cand_idx = np.nonzero(mask)[0]
-            if not len(cand_idx):
-                continue
-            top = cand_idx[np.argsort(-col[cand_idx], kind="stable")[:k]]
-            out_q.extend([q_ids[qi]] * len(top))
-            out_n.extend(vids[top].tolist())
-            out_c.extend(col[top].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "cos": pa.array(out_c, pa.float64()),
-            }
-        )
-
-    partial = _embeddings(sf_dir).map_batches(score_topk, batch_format="pyarrow")
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cos", "neighbor_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return partial.groupby("query_id").map_groups(merge, batch_format="pandas")
 
 
 def _topk_select(idx: np.ndarray, cos_col: np.ndarray, vids: np.ndarray,

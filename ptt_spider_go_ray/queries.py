@@ -81,6 +81,24 @@ def _combine(ds, partial, keys, sums, batch_size=_COMBINE_BATCH,
     )
 
 
+def _partial(cols, keys, sums) -> pa.Table:
+    """One per-batch combiner partial: ``cols`` (an Arrow table, or a
+    mapping of name → array) grouped by ``keys`` (a NULL key is its own
+    group, as in ``_fold``), each ``sums`` column summed under its own name;
+    a group whose values are all NULL sums to 0. An empty batch gives a
+    typed zero-row table."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    t = cols if isinstance(cols, pa.Table) else pa.table(dict(cols))
+    # group on NULL-free dictionary codes: pyarrow 16's multi-key grouper
+    # splits one group into several when a key column holds NULLs
+    enc = [pc.dictionary_encode(t[k].combine_chunks(), null_encoding="encode") for k in keys]
+    codes = pa.table([e.indices for e in enc] + [t[c] for c in sums], keys + list(sums))
+    zero = pc.ScalarAggregateOptions(min_count=0)
+    g = codes.group_by(keys, use_threads=False).aggregate([(c, "sum", zero) for c in sums])
+    return pa.table([e.dictionary.take(g[k]) for k, e in zip(keys, enc)]
+                    + [g[f"{c}_sum"] for c in sums], keys + list(sums))
+
+
 def _fold(parts, keys, sums) -> pd.DataFrame:
     """Driver-side merge of per-batch partials: pull ``parts`` once and
     return one row per distinct ``keys`` (a NULL key is its own group, as
@@ -100,7 +118,23 @@ def _fold(parts, keys, sums) -> pd.DataFrame:
     if len(df) * peak >= 2**63:
         df = df.astype({c: object for c in sums})
     out = df.groupby(keys, as_index=False, dropna=False, sort=True)[sums].sum()
+    for k in keys:  # pandas returns a NULL text key as NaN; SQL's NULL is None
+        if out[k].dtype == object:
+            out[k] = out[k].where(out[k].notna(), None)
     return out.astype({c: object for c in sums})
+
+
+def _cents_hist(ds) -> pd.DataFrame:
+    """The merged (event_type, c, n) histogram of ``ds``'s ``value`` in
+    whole cents: one count partial per batch and one ``_fold``, so it is
+    sorted by (event_type, c) and a NULL type is its own group."""
+    def hist(t: pa.Table) -> pa.Table:
+        c = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100).astype(np.int64)
+        return _partial({"event_type": t["event_type"], "c": c,
+                         "n": np.ones(len(c), np.int64)}, ["event_type", "c"], ["n"])
+
+    return _fold(ds.map_batches(hist, batch_format="pyarrow", batch_size=_COMBINE_BATCH),
+                 ["event_type", "c"], ["n"])
 
 
 # the one broadcast-versus-distributed switch: a small side is shipped whole
@@ -222,10 +256,9 @@ def q_group_counts(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["lang", "n_chars"])
 
     def partial(t: pa.Table) -> pa.Table:
-        # combiner: ≤n_langs partial rows per batch instead of full rows —
-        # Arrow-native group_by, no per-batch pandas conversion of the scan
-        g = t.group_by("lang").aggregate([("n_chars", "count"), ("n_chars", "sum")])
-        return g.rename_columns(["lang", "n_docs", "sum_chars"])
+        # combiner: ≤n_langs partial rows per batch instead of full rows
+        return _partial({"lang": t["lang"], "n_docs": np.ones(t.num_rows, np.int64),
+                         "sum_chars": t["n_chars"]}, "lang", ["n_docs", "sum_chars"])
 
     return _combine(ds, partial, "lang", ["n_docs", "sum_chars"])
 
@@ -252,8 +285,8 @@ def q_mixture_weights(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["source", "n_chars"])
 
     def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("source").aggregate([("n_chars", "count"), ("n_chars", "sum")])
-        return g.rename_columns(["source", "n_docs", "n_units"])
+        return _partial({"source": t["source"], "n_docs": np.ones(t.num_rows, np.int64),
+                         "n_units": t["n_chars"]}, "source", ["n_docs", "n_units"])
 
     agg = _combine(ds, partial, "source", ["n_docs", "n_units"])
     tbl = pa.concat_tables(
@@ -536,27 +569,22 @@ def q_lineitem_agg(sf_dir: str):
         price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
         disc = t["l_discount"].to_numpy(zero_copy_only=False)
         qty = t["l_quantity"].to_numpy(zero_copy_only=False)
-        df = pd.DataFrame(
+        return _partial(
             {
-                "l_returnflag": t["l_returnflag"].to_numpy(zero_copy_only=False),
-                "l_linestatus": t["l_linestatus"].to_numpy(zero_copy_only=False),
+                "l_returnflag": t["l_returnflag"],
+                "l_linestatus": t["l_linestatus"],
                 "sum_qty": np.rint(qty).astype(np.int64),
                 "sum_base_price_e2": np.rint(price * 100).astype(np.int64),
                 "sum_disc_price_e4": np.rint(price * (1 - disc) * 10000).astype(np.int64),
                 "sum_disc_e2": np.rint(disc * 100).astype(np.int64),
                 "count_order": np.ones(len(qty), dtype=np.int64),
-            }
+            },
+            keys, sums,
         )
-        g = df.groupby(["l_returnflag", "l_linestatus"], as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
 
-    return _combine(
-        ds,
-        partial_agg,
-        ["l_returnflag", "l_linestatus"],
-        ["sum_qty", "sum_base_price_e2", "sum_disc_price_e4", "sum_disc_e2",
-         "count_order"],
-    )
+    keys = ["l_returnflag", "l_linestatus"]
+    sums = ["sum_qty", "sum_base_price_e2", "sum_disc_price_e4", "sum_disc_e2", "count_order"]
+    return _combine(ds, partial_agg, keys, sums)
 
 
 SQL_LINEITEM_AGG = """
@@ -930,9 +958,9 @@ def q_active_users(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["user_id"])
 
     def partial(t: pa.Table) -> pa.Table:
-        # combiner: one count row per user per batch (Arrow-native)
-        g = t.group_by("user_id").aggregate([("user_id", "count")])
-        return g.rename_columns(["user_id", "n_events"])
+        # combiner: one count row per user per batch
+        return _partial({"user_id": t["user_id"], "n_events": np.ones(t.num_rows, np.int64)},
+                        "user_id", ["n_events"])
 
     agg = (
         ds.map_batches(partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH)
@@ -1021,9 +1049,8 @@ def q_distinct_users_per_type(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
 
     def local_distinct(t: pa.Table) -> pa.Table:
-        # Arrow-native per-batch dedup: group_by on both columns with no
-        # aggregates yields the distinct pairs
-        return t.group_by(["event_type", "user_id"]).aggregate([])
+        # per-batch dedup: a partial with no sums yields the distinct pairs
+        return _partial(t, ["event_type", "user_id"], [])
 
     pairs = (
         ds.map_batches(local_distinct, batch_format="pyarrow", batch_size=_COMBINE_BATCH)
@@ -1038,8 +1065,8 @@ def q_distinct_users_per_type(sf_dir: str):
     )
 
     def partial_counts(t: pa.Table) -> pa.Table:
-        g = t.group_by("event_type").aggregate([("user_id", "count")])
-        return g.rename_columns(["event_type", "n_users"])
+        n = pc.is_valid(t["user_id"]).cast(pa.int64())  # COUNT(DISTINCT) skips NULL
+        return _partial({"event_type": t["event_type"], "n_users": n}, "event_type", ["n_users"])
 
     return _combine(pairs, partial_counts, "event_type", ["n_users"])
 
@@ -1199,11 +1226,8 @@ def q_events_per_day(sf_dir: str):
 
     def day_partial(t: pa.Table) -> pa.Table:
         # combiner: per-batch day counts (≤ distinct days per batch rows)
-        days = pc.floor_temporal(t["ts"], unit="day")
-        vc = pa.table({"day": days}).group_by("day").aggregate([("day", "count")])
-        return pa.table(
-            {"day": vc["day"], "n_events": pc.cast(vc["day_count"], pa.int64())}
-        )
+        return _partial({"day": pc.floor_temporal(t["ts"], unit="day"),
+                         "n_events": np.ones(t.num_rows, np.int64)}, "day", ["n_events"])
 
     agg = _combine(ds, day_partial, "day", ["n_events"])
 
@@ -2306,12 +2330,12 @@ def q_orders_rollup(sf_dir: str):
 
     ds = _read(sf_dir, "orders", columns=["o_orderstatus", "o_orderpriority"])
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        g = df.groupby(["o_orderstatus", "o_orderpriority"], as_index=False).size()
-        return _arrow_out(g.rename(columns={"size": "n"}).astype({"n": "int64"}))
+    def partial(t: pa.Table) -> pa.Table:
+        return _partial(t.append_column("n", pa.array(np.ones(t.num_rows, np.int64))),
+                        ["o_orderstatus", "o_orderpriority"], ["n"])
 
     base = (
-        ds.map_batches(partial, batch_format="pandas", batch_size=_COMBINE_BATCH)
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH)
         .materialize()  # aggregate-after-map scheduling barrier
         .groupby(["o_orderstatus", "o_orderpriority"])
         .aggregate(Sum("n", alias_name="n"))
@@ -2348,18 +2372,18 @@ def q_corr_qty_price(sf_dir: str):
     ds = _read(sf_dir, "lineitem",
                columns=["l_returnflag", "l_quantity", "l_extendedprice"])
 
-    def moments(df: pd.DataFrame) -> pa.Table:
-        x = np.rint(df["l_quantity"].to_numpy()).astype(np.int64)
-        y = np.rint(df["l_extendedprice"].to_numpy()).astype(np.int64)
-        m = pd.DataFrame(
-            {"flag": df["l_returnflag"], "n": 1, "sx": x, "sy": y,
-             "sxx": x * x, "syy": y * y, "sxy": x * y}
-        ).groupby("flag", as_index=False).sum()
-        return _arrow_out(m.astype({c: "int64" for c in m.columns if c != "flag"}))
+    sums = ["n", "sx", "sy", "sxx", "syy", "sxy"]
+
+    def moments(t: pa.Table) -> pa.Table:
+        x = np.rint(t["l_quantity"].to_numpy(zero_copy_only=False)).astype(np.int64)
+        y = np.rint(t["l_extendedprice"].to_numpy(zero_copy_only=False)).astype(np.int64)
+        return _partial({"flag": t["l_returnflag"], "n": np.ones(len(x), np.int64),
+                         "sx": x, "sy": y, "sxx": x * x, "syy": y * y, "sxy": x * y},
+                        "flag", sums)
 
     m = _fold(ds.map_batches(
-        moments, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ), "flag", ["n", "sx", "sy", "sxx", "syy", "sxy"])
+        moments, batch_format="pyarrow", batch_size=_COMBINE_BATCH
+    ), "flag", sums)
     corr = []
     for _f, n, sx, sy, sxx, syy, sxy in m.itertuples(index=False):
         num = float(n) * float(sxy) - float(sx) * float(sy)
@@ -3046,21 +3070,20 @@ def q_zscore_norm(sf_dir: str):
 
     ds = _read(sf_dir, "events", columns=["event_id", "event_type", "value"])
 
-    def moments(df: pd.DataFrame) -> pa.Table:
-        c = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
-        m = pd.DataFrame(
-            {"event_type": df["event_type"], "n": 1, "s": c, "ss": c * c}
-        ).groupby("event_type", as_index=False).sum()
-        return _arrow_out(m.astype({c: "int64" for c in ("n", "s", "ss")}))
+    def moments(t: pa.Table) -> pa.Table:
+        c = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100).astype(np.int64)
+        return _partial({"event_type": t["event_type"], "n": np.ones(len(c), np.int64),
+                         "s": c, "ss": c * c}, "event_type", ["n", "s", "ss"])
 
     stats = {
         t: (float(s) / n, math.sqrt(float(ss) / n - (float(s) / n) * (float(s) / n)))
         for t, n, s, ss in _fold(ds.map_batches(
-            moments, batch_format="pandas", batch_size=_COMBINE_BATCH
+            moments, batch_format="pyarrow", batch_size=_COMBINE_BATCH
         ), "event_type", ["n", "s", "ss"]).itertuples(index=False)
     }
 
     def z(df: pd.DataFrame) -> pd.DataFrame:
+        df = df[df["event_type"].notna()]  # JOIN USING: a NULL type has no stats row
         c = np.rint(df["value"].to_numpy() * 100).astype(np.int64).astype(np.float64)
         mean = df["event_type"].map({t: m for t, (m, _) in stats.items()}).to_numpy()
         sd = df["event_type"].map({t: s for t, (_, s) in stats.items()}).to_numpy()
@@ -3101,22 +3124,9 @@ FROM c JOIN s USING (event_type)
 
 def q_mode_per_type(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
-
-    def counts(df: pd.DataFrame) -> pa.Table:
-        g = pd.DataFrame(
-            {
-                "event_type": df["event_type"],
-                "c": np.rint(df["value"].to_numpy() * 100).astype(np.int64),
-                "n": 1,
-            }
-        ).groupby(["event_type", "c"], as_index=False).sum()
-        return _arrow_out(g.astype({"c": "int64", "n": "int64"}))
-
     # driver merge (bounded by blocks × the cents domain), then an argmax
     # per type via a (n desc, cents asc) sort + drop_duplicates
-    g = _fold(ds.map_batches(
-        counts, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ), ["event_type", "c"], ["n"]).sort_values(
+    g = _cents_hist(ds).sort_values(
         ["event_type", "n", "c"], ascending=[True, False, True]
     ).drop_duplicates("event_type")
     return pd.DataFrame(
@@ -3209,24 +3219,10 @@ FROM (SELECT * FROM hi EXCEPT SELECT * FROM pur)
 
 def q_percent_rank(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "event_type", "value"])
-
-    def counts(df: pd.DataFrame) -> pa.Table:
-        g = pd.DataFrame(
-            {
-                "event_type": df["event_type"],
-                "c": np.rint(df["value"].to_numpy() * 100).astype(np.int64),
-                "n": 1,
-            }
-        ).groupby(["event_type", "c"], as_index=False).sum()
-        return _arrow_out(g.astype({"c": "int64", "n": "int64"}))
-
     # driver merge (bounded by blocks × the cents domain), sorted by
     # (type, cents), then per-type exclusive cumsums
-    g = _fold(ds.map_batches(
-        counts, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ), ["event_type", "c"], ["n"])
     tables = {}
-    for t, sub in g.groupby("event_type", sort=False):
+    for t, sub in _cents_hist(ds).groupby("event_type", sort=False):
         cents = sub["c"].to_numpy().astype(np.int64)
         cnt = sub["n"].to_numpy().astype(np.int64)
         less = np.concatenate(([0], np.cumsum(cnt)[:-1]))
@@ -3433,10 +3429,8 @@ def q_pack_chunks(sf_dir: str):
         )
 
     def range_sums(df: pd.DataFrame) -> pa.Table:
-        g = pd.DataFrame(
-            {"rng": df["doc_id"].to_numpy() // width, "tok": tok_of(df)}
-        ).groupby("rng", as_index=False).sum()
-        return _arrow_out(g.astype({"rng": "int64", "tok": "int64"}))
+        rng = df["doc_id"].to_numpy().astype(np.int64) // width
+        return _partial({"rng": rng, "tok": tok_of(df)}, "rng", ["tok"])
 
     offsets: dict[int, int] = {}
     acc = 0
@@ -3599,11 +3593,8 @@ def q_events_per_day_dense(sf_dir: str):
             // _DAY_US * _DAY_US
         )
         match = (df["event_type"] == "error") & (df["value"].to_numpy() > 195.0)
-        g = pd.DataFrame(
-            {"day": day, "n_total": 1, "n_match": match.astype(np.int64)}
-        ).groupby("day", as_index=False).sum()
-        return _arrow_out(g.astype({"day": "int64", "n_total": "int64",
-                                    "n_match": "int64"}))
+        return _partial({"day": day, "n_total": np.ones(len(day), np.int64),
+                         "n_match": match.to_numpy(np.int64)}, "day", ["n_total", "n_match"])
 
     g = _fold(ds.map_batches(
         partial, batch_format="pandas", batch_size=_COMBINE_BATCH
@@ -3828,11 +3819,10 @@ def q_tpch_q3(sf_dir: str):
             disc_pct = np.rint(
                 t["l_discount"].to_numpy(zero_copy_only=False)[hit] * 100.0
             ).astype(np.int64)
-            df = pd.DataFrame(
-                {"l_orderkey": ok[hit], "rev": price_c * (100 - disc_pct)}
-            ).groupby("l_orderkey", as_index=False).agg(rev=("rev", "sum"))
-            df["bucket"] = _bucket_of(df["l_orderkey"].to_numpy(), nb)
-            return _arrow_out(df)
+            g = _partial({"l_orderkey": ok[hit], "rev": price_c * (100 - disc_pct)},
+                         "l_orderkey", ["rev"])
+            return g.append_column(
+                "bucket", pa.array(_bucket_of(g["l_orderkey"].to_numpy(), nb)))
 
         def finish(g: pd.DataFrame) -> pd.DataFrame:
             out = g.groupby("l_orderkey", as_index=False)["rev"].sum()
@@ -3881,14 +3871,8 @@ def q_tpch_q3(sf_dir: str):
         disc_pct = np.rint(
             t["l_discount"].to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
-        df = pd.DataFrame(
-            {
-                "l_orderkey": t["l_orderkey"].to_numpy(zero_copy_only=False),
-                "rev": price_c * (100 - disc_pct),
-            }
-        )
-        g = df.groupby("l_orderkey", as_index=False).agg(rev=("rev", "sum"))
-        return _arrow_out(g)
+        return _partial({"l_orderkey": t["l_orderkey"], "rev": price_c * (100 - disc_pct)},
+                        "l_orderkey", ["rev"])
 
     li = (
         _read(sf_dir, "lineitem", columns=lineitem_cols)
@@ -3959,18 +3943,15 @@ def q_salted_agg(sf_dir: str):
         val_c = np.floor(t["value"].to_numpy(zero_copy_only=False) * 100.0).astype(
             np.int64
         )
-        df = pd.DataFrame(
+        return _partial(
             {
-                "event_type": t["event_type"].to_numpy(zero_copy_only=False),
+                "event_type": t["event_type"],
                 "salt": (t["event_id"].to_numpy(zero_copy_only=False) % _SALT_FANOUT),
-                "n": np.int64(1),
+                "n": np.ones(len(val_c), np.int64),
                 "sum_cents": val_c,
-            }
+            },
+            ["event_type", "salt"], ["n", "sum_cents"],
         )
-        g = df.groupby(["event_type", "salt"], as_index=False).agg(
-            n=("n", "sum"), sum_cents=("sum_cents", "sum")
-        )
-        return _arrow_out(g)
 
     salted = _combine(ds, phase1, ["event_type", "salt"], ["n", "sum_cents"])
     return (
@@ -5296,16 +5277,15 @@ def q_mixture_plan(sf_dir: str):
     n_ranges = max(64, -(-n_rows // _TARGET_BUCKET_ROWS))
     width = max(1, -(-n_rows // n_ranges))
 
-    def range_counts(df: pd.DataFrame) -> pa.Table:
-        g = pd.DataFrame(
-            {"rng": df["doc_id"].to_numpy() // width, "source": df["source"], "n": 1}
-        ).groupby(["rng", "source"], as_index=False).sum()
-        return _arrow_out(g.astype({"rng": "int64", "n": "int64"}))
+    def range_counts(t: pa.Table) -> pa.Table:
+        rng = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64) // width
+        return _partial({"rng": rng, "source": t["source"], "n": np.ones(len(rng), np.int64)},
+                        ["rng", "source"], ["n"])
 
     offsets: dict[int, dict[str, int]] = {}
     acc: dict[str, int] = {}
     for rng, src, n in _fold(ds.map_batches(
-        range_counts, batch_format="pandas", batch_size=_COMBINE_BATCH
+        range_counts, batch_format="pyarrow", batch_size=_COMBINE_BATCH
     ), ["rng", "source"], ["n"]).itertuples(index=False):
         offsets.setdefault(rng, {})[src] = acc.get(src, 0)
         acc[src] = acc.get(src, 0) + n
@@ -5708,18 +5688,8 @@ def q_split_assign(sf_dir: str):
         split = np.where(
             h < _SPLIT_TRAIN, "train", np.where(h < _SPLIT_VAL, "val", "test")
         )
-        df = pd.DataFrame(
-            {
-                "split": split,
-                "n_chars": t["n_chars"].to_numpy(zero_copy_only=False),
-            }
-        )
-        out = df.groupby("split", sort=False).agg(
-            n_docs=("n_chars", "size"), sum_chars=("n_chars", "sum")
-        )
-        return _arrow_out(
-            out.reset_index().astype({"n_docs": "int64", "sum_chars": "int64"})
-        )
+        return _partial({"split": split, "n_docs": np.ones(len(split), np.int64),
+                         "sum_chars": t["n_chars"]}, "split", ["n_docs", "sum_chars"])
 
     return _fold(ds.map_batches(
         partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
@@ -6415,21 +6385,15 @@ def q_grouping_sets(sf_dir: str):
         columns=["o_orderstatus", "o_orderpriority", "o_totalprice"],
     )
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        g = pd.DataFrame(
-            {
-                "o_orderstatus": df["o_orderstatus"],
-                "o_orderpriority": df["o_orderpriority"],
-                "n": 1,
-                "cents": np.rint(df["o_totalprice"].to_numpy() * 100).astype(
-                    np.int64
-                ),
-            }
-        ).groupby(["o_orderstatus", "o_orderpriority"], as_index=False).sum()
-        return _arrow_out(g.astype({"n": "int64", "cents": "int64"}))
+    def partial(t: pa.Table) -> pa.Table:
+        cents = np.rint(t["o_totalprice"].to_numpy(zero_copy_only=False) * 100).astype(np.int64)
+        return _partial({"o_orderstatus": t["o_orderstatus"],
+                         "o_orderpriority": t["o_orderpriority"],
+                         "n": np.ones(len(cents), np.int64), "cents": cents},
+                        ["o_orderstatus", "o_orderpriority"], ["n", "cents"])
 
     fine = _fold(ds.map_batches(
-        partial, batch_format="pandas", batch_size=_COMBINE_BATCH
+        partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
     ), ["o_orderstatus", "o_orderpriority"], ["n", "cents"])
     mid = fine.groupby("o_orderstatus", as_index=False)[["n", "cents"]].sum()
     mid["o_orderpriority"] = None
@@ -6540,28 +6504,14 @@ def _median2_from_hist(merged: pd.DataFrame) -> dict[str, int]:
 def q_mad_per_type(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
 
-    def hist_partial(df: pd.DataFrame) -> pa.Table:
-        c = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
-        g = pd.DataFrame(
-            {"event_type": df["event_type"].to_numpy(), "c": c, "n": 1}
-        ).groupby(["event_type", "c"], as_index=False).sum()
-        return _arrow_out(g.astype({"c": "int64", "n": "int64"}))
-
-    med2 = _median2_from_hist(_fold(ds.map_batches(
-        hist_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ), ["event_type", "c"], ["n"]))
+    med2 = _median2_from_hist(_cents_hist(ds))
 
     def dev_partial(df: pd.DataFrame) -> pa.Table:
+        df = df[df["event_type"].isin(med2)]  # JOIN USING: a NULL type has no median
         c = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
         m2 = df["event_type"].map(med2).to_numpy(dtype=np.int64)
-        g = pd.DataFrame(
-            {
-                "event_type": df["event_type"].to_numpy(),
-                "c": np.abs(2 * c - m2),
-                "n": 1,
-            }
-        ).groupby(["event_type", "c"], as_index=False).sum()
-        return _arrow_out(g.astype({"c": "int64", "n": "int64"}))
+        return _partial({"event_type": df["event_type"], "c": np.abs(2 * c - m2),
+                         "n": np.ones(len(c), np.int64)}, ["event_type", "c"], ["n"])
 
     mad4 = _median2_from_hist(_fold(ds.map_batches(
         dev_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
@@ -6936,16 +6886,14 @@ def q_fertility_per_lang(sf_dir: str):
 
     def partial(df: pd.DataFrame) -> pa.Table:
         text = df["text"].fillna("")
-        g = pd.DataFrame(
+        return _partial(
             {
                 "lang": df["lang"],
-                "n_docs": 1,
+                "n_docs": np.ones(len(df), np.int64),
                 "n_tokens": text.str.split().str.len().astype("int64"),
                 "n_chars": text.str.len().astype("int64"),
-            }
-        ).groupby("lang", as_index=False).sum()
-        return _arrow_out(
-            g.astype({"n_docs": "int64", "n_tokens": "int64", "n_chars": "int64"})
+            },
+            "lang", ["n_docs", "n_tokens", "n_chars"],
         )
 
     out = _fold(ds.map_batches(
@@ -7272,29 +7220,20 @@ FROM events
 def q_trend_per_type(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
 
+    sums = ["n", "sx", "sy", "sxx", "sxy"]
+
     def moments(df: pd.DataFrame) -> pa.Table:
         x = (
             df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
             // _DAY_US
         )
         y = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
-        m = pd.DataFrame(
-            {
-                "event_type": df["event_type"].to_numpy(),
-                "n": 1,
-                "sx": x,
-                "sy": y,
-                "sxx": x * x,
-                "sxy": x * y,
-            }
-        ).groupby("event_type", as_index=False).sum()
-        return _arrow_out(
-            m.astype({c: "int64" for c in ("n", "sx", "sy", "sxx", "sxy")})
-        )
+        return _partial({"event_type": df["event_type"], "n": np.ones(len(x), np.int64),
+                         "sx": x, "sy": y, "sxx": x * x, "sxy": x * y}, "event_type", sums)
 
     m = _fold(ds.map_batches(
         moments, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ), "event_type", ["n", "sx", "sy", "sxx", "sxy"])
+    ), "event_type", sums)
     slopes = [
         int(round(float(n * sxy - sx * sy) / float(n * sxx - sx * sx) * 1e9))
         for _et, n, sx, sy, sxx, sxy in m.itertuples(index=False)
@@ -7508,26 +7447,16 @@ def _disc_quantiles_from_hist(
 def q_winsorized_mean(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
 
-    def hist_partial(df: pd.DataFrame) -> pa.Table:
-        c = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
-        g = pd.DataFrame(
-            {"event_type": df["event_type"].to_numpy(), "c": c, "n": 1}
-        ).groupby(["event_type", "c"], as_index=False).sum()
-        return _arrow_out(g.astype({"c": "int64", "n": "int64"}))
-
-    bounds = _disc_quantiles_from_hist(_fold(ds.map_batches(
-        hist_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ), ["event_type", "c"], ["n"]), (0.1, 0.9))
+    bounds = _disc_quantiles_from_hist(_cents_hist(ds), (0.1, 0.9))
 
     def clip_partial(df: pd.DataFrame) -> pa.Table:
+        df = df[df["event_type"].isin(bounds)]  # JOIN USING: a NULL type has no bounds
         c = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
         et = df["event_type"].to_numpy()
         lo = pd.Series(et).map({k: v[0] for k, v in bounds.items()}).to_numpy(np.int64)
         hi = pd.Series(et).map({k: v[1] for k, v in bounds.items()}).to_numpy(np.int64)
-        g = pd.DataFrame(
-            {"event_type": et, "s": np.clip(c, lo, hi), "n": 1}
-        ).groupby("event_type", as_index=False).sum()
-        return _arrow_out(g.astype({"s": "int64", "n": "int64"}))
+        return _partial({"event_type": et, "s": np.clip(c, lo, hi),
+                         "n": np.ones(len(c), np.int64)}, "event_type", ["s", "n"])
 
     m = _fold(ds.map_batches(
         clip_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
@@ -7570,18 +7499,8 @@ SELECT event_type, n, CAST(s AS DOUBLE) / n AS wmean_cents FROM s
 def q_gini_per_type(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
 
-    def hist_partial(df: pd.DataFrame) -> pa.Table:
-        c = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
-        g = pd.DataFrame(
-            {"event_type": df["event_type"].to_numpy(), "c": c, "n": 1}
-        ).groupby(["event_type", "c"], as_index=False).sum()
-        return _arrow_out(g.astype({"c": "int64", "n": "int64"}))
-
-    merged = _fold(ds.map_batches(
-        hist_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ), ["event_type", "c"], ["n"])
     ets, ns, ginis = [], [], []
-    for et, sub in merged.groupby("event_type"):
+    for _, sub in _cents_hist(ds).groupby("event_type", dropna=False):
         w = sub["n"].to_numpy()
         v = sub["c"].to_numpy()
         n = int(w.sum())
@@ -7591,7 +7510,7 @@ def q_gini_per_type(sf_dir: str):
             sv += vi * wi
             s1 += vi * (wi * (2 * p + wi + 1) // 2)
             p += wi
-        ets.append(et)
+        ets.append(sub["event_type"].iloc[0])  # None for NULL; the group key is NaN
         ns.append(n)
         ginis.append(float(2 * s1 - (n + 1) * sv) / float(n * sv))
     return pd.DataFrame(
@@ -7760,30 +7679,25 @@ def q_incremental_agg(sf_dir: str):
         columns=["o_orderkey", "o_orderstatus", "o_totalprice"],
     )
 
-    def signed_partial(df: pd.DataFrame, which: str) -> pa.Table:
-        k = df["o_orderkey"].to_numpy()
-        cents = np.rint(df["o_totalprice"].to_numpy() * 100).astype(np.int64)
+    def signed_partial(t: pa.Table, which: str) -> pa.Table:
+        k = t["o_orderkey"].to_numpy(zero_copy_only=False)
+        cents = np.rint(t["o_totalprice"].to_numpy(zero_copy_only=False) * 100).astype(np.int64)
         if which == "base":
             sel = k % 10 != 0
-            sign = np.ones(len(df), np.int64)
+            sign = np.ones(len(k), np.int64)
         else:  # changelog: +1 inserts of %10 rows, −1 retractions of %7 base rows
             ins = k % 10 == 0
             ret = (k % 7 == 0) & ~ins
             sel = ins | ret
             sign = np.where(ins, 1, -1).astype(np.int64)
-        g = pd.DataFrame(
-            {
-                "o_orderstatus": df["o_orderstatus"].to_numpy()[sel],
-                "n": sign[sel],
-                "cents": sign[sel] * cents[sel],
-            }
-        ).groupby("o_orderstatus", as_index=False).sum()
-        return _arrow_out(g.astype({"n": "int64", "cents": "int64"}))
+        return _partial({"o_orderstatus": t["o_orderstatus"].filter(pa.array(sel)),
+                         "n": sign[sel], "cents": sign[sel] * cents[sel]},
+                        "o_orderstatus", ["n", "cents"])
 
     m = pd.concat([
         _fold(ds.map_batches(
             functools.partial(signed_partial, which=which),
-            batch_format="pandas",
+            batch_format="pyarrow",
             batch_size=_COMBINE_BATCH,
         ), "o_orderstatus", ["n", "cents"])
         for which in ("base", "delta")
@@ -8025,15 +7939,9 @@ def q_ols_outliers(sf_dir: str):
             - d0
         )
         y = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
-        m = pd.DataFrame(
-            {
-                "event_type": df["event_type"].to_numpy(),
-                "n": 1, "sx": x, "sy": y, "sxx": x * x, "sxy": x * y,
-            }
-        ).groupby("event_type", as_index=False).sum()
-        return _arrow_out(
-            m.astype({c: "int64" for c in ("n", "sx", "sy", "sxx", "sxy")})
-        )
+        return _partial({"event_type": df["event_type"], "n": np.ones(len(x), np.int64),
+                         "sx": x, "sy": y, "sxx": x * x, "sxy": x * y},
+                        "event_type", ["n", "sx", "sy", "sxx", "sxy"])
 
     coef = {}
     for et, n, sx, sy, sxx, sxy in _fold(ds.map_batches(
@@ -8300,17 +8208,8 @@ def q_tpch_q5(sf_dir: str):
         disc_pct = np.rint(
             t["l_discount"].to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
-        df = pd.DataFrame(
-            {
-                "l_orderkey": t["l_orderkey"].to_numpy(zero_copy_only=False),
-                "s_nat": s_nat,
-                "rev": price_c * (100 - disc_pct),
-            }
-        )
-        g = df.groupby(["l_orderkey", "s_nat"], as_index=False).agg(
-            rev=("rev", "sum")
-        )
-        return _arrow_out(g)
+        return _partial({"l_orderkey": t["l_orderkey"], "s_nat": s_nat,
+                         "rev": price_c * (100 - disc_pct)}, ["l_orderkey", "s_nat"], ["rev"])
 
     li = _read(
         sf_dir,
@@ -8326,23 +8225,14 @@ def q_tpch_q5(sf_dir: str):
         right_on=("o_orderkey",),
     )
 
-    def same_nation(df: pd.DataFrame) -> pa.Table:
-        m = df["c_nat"].to_numpy() == df["s_nat"].to_numpy()
-        d = df.loc[m]
-        if not len(d):
-            return pa.table(
-                {"n_name": pa.array([], pa.string()),
-                 "revenue_e4": pa.array([], pa.int64())}
-            )
-        pos = np.searchsorted(nat_keys, d["s_nat"].to_numpy())
-        g = pd.DataFrame(
-            {"n_name": nat_names[pos], "revenue_e4": d["rev"].to_numpy()}
-        ).groupby("n_name", as_index=False).agg(revenue_e4=("revenue_e4", "sum"))
-        return _arrow_out(g)
+    def same_nation(t: pa.Table) -> pa.Table:
+        s_nat = t["s_nat"].to_numpy(zero_copy_only=False)
+        m = t["c_nat"].to_numpy(zero_copy_only=False) == s_nat
+        name = pa.array(nat_names[np.searchsorted(nat_keys, s_nat[m])], pa.string())
+        return _partial({"n_name": name, "revenue_e4": t["rev"].to_numpy(zero_copy_only=False)[m]},
+                        "n_name", ["revenue_e4"])
 
-    return _combine(
-        joined, same_nation, "n_name", ["revenue_e4"], batch_format="pandas"
-    ).map_batches(lambda t: t, batch_format="pyarrow")  # arrow-normalize
+    return _combine(joined, same_nation, "n_name", ["revenue_e4"])
 
 
 SQL_TPCH_Q5 = f"""
@@ -8462,15 +8352,9 @@ def q_tpch_q18(sf_dir: str):
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
 
     def qty_partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "l_orderkey": t["l_orderkey"].to_numpy(zero_copy_only=False),
-                "sum_qty_c": np.rint(
-                    t["l_quantity"].to_numpy(zero_copy_only=False) * 100
-                ).astype(np.int64),
-            }
-        ).groupby("l_orderkey", as_index=False).sum()
-        return _arrow_out(df.astype({"sum_qty_c": "int64"}))
+        qty_c = np.rint(t["l_quantity"].to_numpy(zero_copy_only=False) * 100).astype(np.int64)
+        return _partial({"l_orderkey": t["l_orderkey"], "sum_qty_c": qty_c},
+                        "l_orderkey", ["sum_qty_c"])
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("l_orderkey", as_index=False)["sum_qty_c"].sum()
@@ -8586,26 +8470,18 @@ _S3_SPLIT = 1 << 32
 def q_skew_per_type(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
 
-    def moments(df: pd.DataFrame) -> pa.Table:
-        y = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
+    sums = ["n", "s1", "s2", "s3q", "s3r"]
+
+    def moments(t: pa.Table) -> pa.Table:
+        y = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100).astype(np.int64)
         y3 = y * y * y
-        m = pd.DataFrame(
-            {
-                "event_type": df["event_type"].to_numpy(),
-                "n": 1,
-                "s1": y,
-                "s2": y * y,
-                "s3q": y3 // _S3_SPLIT,
-                "s3r": y3 % _S3_SPLIT,
-            }
-        ).groupby("event_type", as_index=False).sum()
-        return _arrow_out(
-            m.astype({c: "int64" for c in ("n", "s1", "s2", "s3q", "s3r")})
-        )
+        return _partial({"event_type": t["event_type"], "n": np.ones(len(y), np.int64),
+                         "s1": y, "s2": y * y, "s3q": y3 // _S3_SPLIT, "s3r": y3 % _S3_SPLIT},
+                        "event_type", sums)
 
     m = _fold(ds.map_batches(
-        moments, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ), "event_type", ["n", "s1", "s2", "s3q", "s3r"])
+        moments, batch_format="pyarrow", batch_size=_COMBINE_BATCH
+    ), "event_type", sums)
     skews = []
     for _et, n, s1, s2, s3q, s3r in m.itertuples(index=False):
         s3 = s3q * _S3_SPLIT + s3r  # exact Python bignum
@@ -9195,9 +9071,7 @@ def q_weighted_median(sf_dir: str):
             mf = (c["f"].to_numpy() == f)
             if mf.any():
                 keep |= mf & (bin_of(f, c["v"].to_numpy()) == bb)
-        sub = c[keep]
-        g = sub.groupby(["f", "v"], as_index=False)["w"].sum()
-        return _arrow_out(g.astype({"v": "int64", "w": "int64"}))
+        return _partial(c[keep], ["f", "v"], ["w"])
 
     tie = _fold(ds.map_batches(
         keep_bin, batch_format="pandas", batch_size=_COMBINE_BATCH
@@ -9297,21 +9171,15 @@ def q_daily_type_corr(sf_dir: str):
         y = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100).astype(
             np.int64
         )
-        df = pd.DataFrame(
-            {
-                "event_type": t["event_type"].to_pandas().to_numpy(),
-                "day": day,
-                "s": y,
-            }
-        ).groupby(["event_type", "day"], as_index=False).sum()
-        return _arrow_out(df.astype({"day": "int64", "s": "int64"}))
+        return _partial({"event_type": t["event_type"], "day": day, "s": y},
+                        ["event_type", "day"], ["s"])
 
     g = _fold(ds.map_batches(
         day_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
     ), ["event_type", "day"], ["s"])
     acc = dict(zip(zip(g["event_type"], g["day"]), g["s"]))
     days = sorted(set(g["day"]))
-    types = sorted(set(g["event_type"]))
+    types = sorted(set(g["event_type"].dropna()))
     series = {
         t: [acc.get((t, d), 0) for d in days] for t in types
     }  # zero-filled O(days × types)
@@ -9463,10 +9331,8 @@ def q_top_terms_per_lang(sf_dir: str):
         lens = toks.str.len().to_numpy(np.int64)
         langs = np.repeat(df["lang"].to_numpy(), lens)
         terms = np.concatenate(toks.to_numpy()) if lens.sum() else np.array([], object)
-        c = pd.DataFrame({"lang": langs, "term": terms})
-        c["n"] = np.int64(1)
-        c = c.groupby(["lang", "term"], as_index=False).sum()
-        return _arrow_out(c.astype({"n": "int64"}))
+        return _partial({"lang": langs, "term": terms, "n": np.ones(len(terms), np.int64)},
+                        ["lang", "term"], ["n"])
 
     counts = _combine(
         ds, tok_partial, ["lang", "term"], ["n"],
@@ -9479,15 +9345,15 @@ def q_top_terms_per_lang(sf_dir: str):
             kind="mergesort",
         )
         return _arrow_out(
-            df.groupby("lang", sort=False).head(_TTL_TOPK).astype({"n": "int64"})
+            df.groupby("lang", sort=False, dropna=False).head(_TTL_TOPK).astype({"n": "int64"})
         )
 
     cands = counts.map_batches(partial_topk, batch_format="pandas").to_pandas()
     cands = cands.sort_values(
         ["lang", "n", "term"], ascending=[True, False, True], kind="mergesort"
     )
-    out = cands.groupby("lang", sort=False).head(_TTL_TOPK).reset_index(drop=True)
-    out["rk"] = out.groupby("lang", sort=False).cumcount() + 1
+    out = cands.groupby("lang", sort=False, dropna=False).head(_TTL_TOPK).reset_index(drop=True)
+    out["rk"] = out.groupby("lang", sort=False, dropna=False).cumcount() + 1
     return out.astype({"n": "int64", "rk": "int64"})
 
 
@@ -9523,18 +9389,14 @@ def q_dow_kl_per_type(sf_dir: str):
         dow = (
             t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) // _DAY_US
         ) % 7
-        df = pd.DataFrame(
-            {"event_type": t["event_type"].to_pandas().to_numpy(), "dow": dow}
-        )
-        df["c"] = np.int64(1)
-        df = df.groupby(["event_type", "dow"], as_index=False).sum()
-        return _arrow_out(df.astype({"dow": "int64", "c": "int64"}))
+        return _partial({"event_type": t["event_type"], "dow": dow,
+                         "c": np.ones(len(dow), np.int64)}, ["event_type", "dow"], ["c"])
 
     g = _fold(ds.map_batches(
         cell_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
     ), ["event_type", "dow"], ["c"])
     cells = dict(zip(zip(g["event_type"], g["dow"]), g["c"]))
-    types = sorted(set(g["event_type"]))
+    types = sorted(set(g["event_type"].dropna()))
     n_tot = sum(cells.values())
     dow_tot = [sum(cells.get((t, d), 0) for t in types) for d in range(7)]
     out_t, out_n, out_kl = [], [], []
@@ -9595,12 +9457,8 @@ def q_hhi_per_day(sf_dir: str):
         v = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100).astype(
             np.int64
         )
-        df = pd.DataFrame({"day": day, "sv": v, "svv": v * v, "n": 1}).groupby(
-            "day", as_index=False
-        ).sum()
-        return _arrow_out(
-            df.astype({c: "int64" for c in ("day", "sv", "svv", "n")})
-        )
+        return _partial({"day": day, "sv": v, "svv": v * v, "n": np.ones(len(v), np.int64)},
+                        "day", ["sv", "svv", "n"])
 
     g = _fold(ds.map_batches(
         partials, batch_format="pyarrow", batch_size=_COMBINE_BATCH
@@ -9650,10 +9508,7 @@ def q_anomaly_days(sf_dir: str):
         v = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100).astype(
             np.int64
         )
-        df = pd.DataFrame({"day": day, "sv": v}).groupby(
-            "day", as_index=False
-        ).sum()
-        return _arrow_out(df.astype({"day": "int64", "sv": "int64"}))
+        return _partial({"day": day, "sv": v}, "day", ["sv"])
 
     g = _fold(ds.map_batches(
         partials, batch_format="pyarrow", batch_size=_COMBINE_BATCH
@@ -9794,10 +9649,7 @@ def q_tpch_q10(sf_dir: str):
                 ).astype(np.int64)
             )
         )
-        df = pd.DataFrame(
-            {"c_custkey": cust[hit], "revenue_e4": rev}
-        ).groupby("c_custkey", as_index=False).sum()
-        return _arrow_out(df.astype({"revenue_e4": "int64"}))
+        return _partial({"c_custkey": cust[hit], "revenue_e4": rev}, "c_custkey", ["revenue_e4"])
 
     per_cust = _combine(li, rev_partial, "c_custkey", ["revenue_e4"])
 
@@ -9896,10 +9748,8 @@ def q_vocab_per_source(sf_dir: str):
     )
 
     def per_source(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {"source": t["source"].to_pandas().to_numpy(), "n_tokens": 1}
-        ).groupby("source", as_index=False).sum()
-        return _arrow_out(df.astype({"n_tokens": "int64"}))
+        return _partial({"source": t["source"], "n_tokens": np.ones(t.num_rows, np.int64)},
+                        "source", ["n_tokens"])
 
     return _fold(
         counts.map_batches(per_source, batch_format="pyarrow"), "source", ["n_tokens"]
@@ -9929,19 +9779,15 @@ def q_burstiness_per_type(sf_dir: str):
 
     def cells(t: pa.Table) -> pa.Table:
         day = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) // _DAY_US
-        df = pd.DataFrame(
-            {"event_type": t["event_type"].to_pandas().to_numpy(), "day": day}
-        )
-        df["c"] = np.int64(1)
-        df = df.groupby(["event_type", "day"], as_index=False).sum()
-        return _arrow_out(df.astype({"day": "int64", "c": "int64"}))
+        return _partial({"event_type": t["event_type"], "day": day,
+                         "c": np.ones(len(day), np.int64)}, ["event_type", "day"], ["c"])
 
     g = _fold(ds.map_batches(
         cells, batch_format="pyarrow", batch_size=_COMBINE_BATCH
     ), ["event_type", "day"], ["c"])
     acc = dict(zip(zip(g["event_type"], g["day"]), g["c"]))
     days = sorted(set(g["day"]))
-    types = sorted(set(g["event_type"]))
+    types = sorted(set(g["event_type"].dropna()))
     n = len(days)
     out_f = []
     for ty in types:
@@ -10354,16 +10200,11 @@ def q_rfm_cells(sf_dir: str):
     # separate dataset executions): emits (col, value, n) partials bounded
     # by the per-column value domains, merged on the driver
     def freqs(t: pa.Table) -> pa.Table:
-        frames = []
-        for c in ("last_day", "n_orders", "cents"):
-            g = pd.DataFrame(
-                {"v": t[c].to_numpy(zero_copy_only=False), "n": 1}
-            ).groupby("v", as_index=False).sum()
-            g["col"] = c
-            frames.append(g)
-        f = pd.concat(frames, ignore_index=True)
-        return _arrow_out(
-            f[["col", "v", "n"]].astype({"v": "int64", "n": "int64"})
+        n = np.ones(t.num_rows, np.int64)
+        return pa.concat_tables(
+            _partial({"col": pa.array([c] * t.num_rows, pa.string()), "v": t[c], "n": n},
+                     ["col", "v"], ["n"])
+            for c in ("last_day", "n_orders", "cents")
         )
 
     thr = {
@@ -10381,12 +10222,9 @@ def q_rfm_cells(sf_dir: str):
                 1 + (v > a).astype(np.int64) + (v > b) + (v > c)
             ).astype(np.int64)
 
-        df = pd.DataFrame(
-            {"r": band("last_day"), "f": band("n_orders"), "m": band("cents")}
-        )
-        df["n_customers"] = np.int64(1)
-        out = df.groupby(["r", "f", "m"], as_index=False).sum()
-        return _arrow_out(out.astype({"n_customers": "int64"}))
+        return _partial({"r": band("last_day"), "f": band("n_orders"), "m": band("cents"),
+                         "n_customers": np.ones(t.num_rows, np.int64)},
+                        ["r", "f", "m"], ["n_customers"])
 
     return _fold(
         per_cust.map_batches(assign, batch_format="pyarrow"),
@@ -10593,10 +10431,7 @@ def q_ks_weekend(sf_dir: str):
         v = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100).astype(
             np.int64
         )
-        df = pd.DataFrame({"we": we, "v": v})
-        df["c"] = np.int64(1)
-        df = df.groupby(["we", "v"], as_index=False).sum()
-        return _arrow_out(df.astype({"we": "int64", "v": "int64", "c": "int64"}))
+        return _partial({"we": we, "v": v, "c": np.ones(len(v), np.int64)}, ["we", "v"], ["c"])
 
     g = _fold(ds.map_batches(
         side_counts, batch_format="pyarrow", batch_size=_COMBINE_BATCH
@@ -10666,10 +10501,7 @@ def q_benford_orders(sf_dir: str):
         first = np.array(
             [int(str(c)[0]) for c in cents], np.int64
         )  # cents ≥ 100 in TPC-H-ish data; str()[0] is the leading digit
-        df = pd.DataFrame({"d": first})
-        df["c"] = np.int64(1)
-        df = df.groupby("d", as_index=False).sum()
-        return _arrow_out(df.astype({"d": "int64", "c": "int64"}))
+        return _partial({"d": first, "c": np.ones(len(first), np.int64)}, "d", ["c"])
 
     g = _fold(ds.map_batches(
         digit_counts, batch_format="pyarrow", batch_size=_COMBINE_BATCH
@@ -10795,10 +10627,7 @@ def q_cluster_size_hist(sf_dir: str):
     sizes = labeled.groupby("cluster_id").aggregate(Count(alias_name="sz"))
 
     def hist_partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {"sz": t["sz"].to_numpy(zero_copy_only=False), "n": 1}
-        ).groupby("sz", as_index=False).sum()
-        return _arrow_out(df.astype({"sz": "int64", "n": "int64"}))
+        return _partial({"sz": t["sz"], "n": np.ones(t.num_rows, np.int64)}, "sz", ["n"])
 
     g = _fold(sizes.map_batches(
         hist_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
@@ -11161,12 +10990,7 @@ def q_pagerank_topk(sf_dir: str):
             src = t["src"].to_numpy(zero_copy_only=False)
             dst = t["dst"].to_numpy(zero_copy_only=False)
             _, c = _probe(ray.get(ctx), src)  # every src is a node
-            g = (
-                pd.DataFrame({"dst": dst, "s": c})
-                .groupby("dst", as_index=False)
-                .sum()
-            )
-            return _arrow_out(g.astype({"dst": "int64", "s": "int64"}))
+            return _partial({"dst": dst, "s": c}, "dst", ["s"])
 
         g = _fold(edges.map_batches(
             send, batch_format="pyarrow", batch_size=_COMBINE_BATCH
@@ -12481,19 +12305,13 @@ def q_dup_rate_by_source(sf_dir: str):
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "source"])
 
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        hit, = _probe(ray.get(dup_ref), df["doc_id"].to_numpy(np.int64))
-        is_dup = hit.astype(np.int64)
-        g = pd.DataFrame({"source": df["source"].to_numpy(object), "d": is_dup})
-        # dropna=False: a NULL source must stay a group (as in the oracle's
-        # SQL GROUP BY), not silently vanish from the counts
-        out = g.groupby("source", as_index=False, dropna=False).agg(
-            n_docs=("d", "size"), n_dups=("d", "sum")
-        )
-        return out.astype({"n_docs": "int64", "n_dups": "int64"})
+    def part(t: pa.Table) -> pa.Table:
+        hit, = _probe(ray.get(dup_ref), t["doc_id"].to_numpy(zero_copy_only=False))
+        return _partial({"source": t["source"], "n_docs": np.ones(len(hit), np.int64),
+                         "n_dups": hit.astype(np.int64)}, "source", ["n_docs", "n_dups"])
 
     g = _fold(ds.map_batches(
-        part, batch_format="pandas", batch_size=_COMBINE_BATCH
+        part, batch_format="pyarrow", batch_size=_COMBINE_BATCH
     ), "source", ["n_docs", "n_dups"])
     nd = g["n_docs"].to_numpy(np.int64)
     du = g["n_dups"].to_numpy(np.int64)
@@ -16256,17 +16074,8 @@ def q_cms_sketch_state(sf_dir: str):
                 rows.append(j)
                 cols.append((h1 + j * h2) % _CMS_W)
                 cs.append(int(c))
-        p = (
-            pd.DataFrame({"row": rows, "col": cols, "c": cs})
-            .groupby(["row", "col"], as_index=False)["c"].sum()
-        )
-        return pa.table(
-            {
-                "row": pa.array(p["row"].to_numpy(np.int64)),
-                "col": pa.array(p["col"].to_numpy(np.int64)),
-                "c": pa.array(p["c"].to_numpy(np.int64)),
-            }
-        )
+        return _partial({"row": np.array(rows, np.int64), "col": np.array(cols, np.int64),
+                         "c": np.array(cs, np.int64)}, ["row", "col"], ["c"])
 
     agg = _fold(
         _read(sf_dir, "events", columns=["user_id"])
@@ -16476,8 +16285,7 @@ def q_temperature_mixture(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["source", "n_chars"])
 
     def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("source").aggregate([("n_chars", "sum")])
-        return g.rename_columns(["source", "n_units"])
+        return _partial({"source": t["source"], "n_units": t["n_chars"]}, "source", ["n_units"])
 
     agg = _combine(ds, partial, "source", ["n_units"])
     tbl = pa.concat_tables(
@@ -16809,12 +16617,6 @@ def q_boilerplate_tails(sf_dir: str):
 
     def headtail_partial(t: pa.Table) -> pa.Table:
         par, toks = _tok_arrow(t["text"])
-        if not len(par):
-            return pa.table(
-                {"pos": pa.array([], pa.string()),
-                 "gram": pa.array([], pa.string()),
-                 "n_docs": pa.array([], pa.int64())}
-            )
         flat = np.asarray(toks.to_pylist(), dtype=object)
         # par is nondecreasing (list order): first index + length per doc
         _, first, counts_ = np.unique(par, return_index=True, return_counts=True)
@@ -16823,16 +16625,10 @@ def q_boilerplate_tails(sf_dir: str):
         last = first + counts_[ok] - 1
         heads = flat[first] + " " + flat[first + 1] + " " + flat[first + 2]
         tails = flat[last - 2] + " " + flat[last - 1] + " " + flat[last]
-        c = pd.DataFrame(
-            {
-                "pos": np.repeat(["head", "tail"], len(first)),
-                "gram": np.concatenate([heads, tails]),
-            }
-        )
-        c["n_docs"] = np.int64(1)
-        return _arrow_out(
-            c.groupby(["pos", "gram"], as_index=False).sum().astype({"n_docs": "int64"})
-        )
+        return _partial({"pos": np.repeat(["head", "tail"], len(first)),
+                         "gram": pa.array(np.concatenate([heads, tails]), pa.string()),
+                         "n_docs": np.ones(2 * len(first), np.int64)},
+                        ["pos", "gram"], ["n_docs"])
 
     counts = _combine(ds, headtail_partial, ["pos", "gram"], ["n_docs"])
 
@@ -17992,21 +17788,8 @@ def q_haar_energy(sf_dir: str):
     def partial(df: pd.DataFrame) -> pa.Table:
         v = df["value"].to_numpy(np.float64) * 100.0
         e2 = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
-        g = (
-            pd.DataFrame(
-                {"event_type": df["event_type"].astype(str),
-                 "day": df["ts"].dt.floor("D"),
-                 "e2": e2}
-            )
-            .groupby(["event_type", "day"], sort=False)["e2"]
-            .sum()
-            .reset_index()
-        )
-        return pa.table(
-            {"event_type": pa.array(g["event_type"].astype(str)),
-             "day": pa.array(g["day"]),
-             "s": pa.array(g["e2"].to_numpy(np.int64))}
-        )
+        return _partial({"event_type": df["event_type"].astype(str),
+                         "day": df["ts"].dt.floor("D"), "s": e2}, ["event_type", "day"], ["s"])
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("day")["s"].sum().sort_index()

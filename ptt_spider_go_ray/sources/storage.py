@@ -101,53 +101,3 @@ def pruned_files(root: str, name: str, column: str, lo, hi) -> tuple[list[str], 
                 keep.append(path)
     return keep, total
 
-
-def read_dataset_pruned(root: str, name: str, column: str, lo, hi):
-    """Streaming Ray Dataset over ONLY the part files whose zone maps can
-    contain ``column`` ∈ [lo, hi] (row-group/row filtering within the kept
-    files is the caller's map_batches filter — this layer decides which
-    files are opened at all). Returns (dataset | None, n_kept, n_total)."""
-    import ray.data
-
-    files, total = pruned_files(root, name, column, lo, hi)
-    if not files:
-        return None, 0, total
-    return ray.data.read_parquet(files), len(files), total
-
-
-def compact_partitions(root: str, name: str, target_rows: int = 1 << 20) -> dict:
-    """Small-file compaction — the maintenance pass every long crawl needs:
-    per-block worker-side sinks leave many tiny ``part-*`` files per
-    partition; this rewrites EACH partition whose files are all below
-    ``target_rows`` into a single part file (atomically: write
-    ``part-0.parquet.tmp`` first, then delete the old parts and rename).
-    Partition dirs stay the unit of work, so a compaction can itself be
-    distributed (one task per partition) and interrupted safely — a
-    partition is always either its old parts or the one compacted file.
-
-    Returns {partition: (files_before, files_after)} for the partitions
-    touched."""
-    base = os.path.join(root, name)
-    out: dict = {}
-    if not os.path.isdir(base):
-        return out
-    for part_dir in sorted(os.listdir(base)):
-        d = os.path.join(base, part_dir)
-        files = sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
-        if len(files) < 2:
-            continue
-        if any(
-            pq.read_metadata(os.path.join(d, f)).num_rows >= target_rows
-            for f in files
-        ):
-            continue
-        merged = pa.concat_tables(
-            [pq.read_table(os.path.join(d, f)) for f in files]
-        )
-        tmp = os.path.join(d, "part-0.parquet.tmp")
-        pq.write_table(merged, tmp)
-        for f in files:
-            os.remove(os.path.join(d, f))
-        os.replace(tmp, os.path.join(d, "part-0.parquet"))
-        out[part_dir] = (len(files), 1)
-    return out

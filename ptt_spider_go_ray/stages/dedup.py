@@ -131,19 +131,6 @@ def minhash_batch_task(batch: pa.Table, n_perm: int = 64, shingle_k: int = 3,
     return h(batch)
 
 
-def lsh_band_keys(sig: np.ndarray, n_bands: int) -> list[str]:
-    """Split the signature into bands; each band hashes to a bucket key.
-    (Per-row reference form; the pipelines use the vectorized
-    :func:`band_key_matrix`.)"""
-    rows = len(sig) // n_bands
-    keys = []
-    for band in range(n_bands):
-        chunk = sig[band * rows : (band + 1) * rows]
-        digest = hashlib.blake2b(chunk.tobytes(), digest_size=8).hexdigest()
-        keys.append(f"{band}:{digest}")
-    return keys
-
-
 _BAND_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -220,17 +207,6 @@ def simhash_block_keys(h: int, n_blocks: int = 4) -> list[str]:
     bits = 64 // n_blocks
     mask = (1 << bits) - 1
     return [f"{i}:{(h >> (i * bits)) & mask:x}" for i in range(n_blocks)]
-
-
-# ---------------------------------------------------------------------------
-# n-gram Jaccard (exact verification for candidate pairs)
-# ---------------------------------------------------------------------------
-
-
-def ngram_jaccard(a: str, b: str, k: int = 3) -> float:
-    from ..functions.text import jaccard, word_shingles
-
-    return jaccard(word_shingles(a, k), word_shingles(b, k))
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,9 @@ import pytest
 from ptt_spider_go_ray.functions import text as T
 from ptt_spider_go_ray.stages.dedup import (
     MinHasher,
+    band_key_matrix,
     hamming64,
-    lsh_band_keys,
     minhash_jaccard,
-    ngram_jaccard,
     simhash64,
     simhash_block_keys,
 )
@@ -67,9 +66,11 @@ def test_minhash_similar_docs_agree():
 def test_minhash_lsh_bands_collide_for_dups():
     mh = MinHasher(n_perm=64)
     s = mh.signature("identical text " * 20)
-    assert lsh_band_keys(s, 16) == lsh_band_keys(s, 16)
     s2 = mh.signature("identical text " * 20)
     assert (s == s2).all()
+    far = mh.signature("completely different content " * 20)
+    keys = band_key_matrix(np.stack([s, s2, far]), 16)
+    assert (keys[0] == keys[1]).all() and not (keys[0] == keys[2]).any()
 
 
 def test_simhash_near_dup_small_hamming():
@@ -84,6 +85,9 @@ def test_simhash_near_dup_small_hamming():
 
 
 def test_ngram_jaccard():
+    def ngram_jaccard(a, b):
+        return T.jaccard(T.word_shingles(a, 3), T.word_shingles(b, 3))
+
     assert ngram_jaccard("a b c d e", "a b c d e") == 1.0
     assert ngram_jaccard("a b c d e", "v w x y z") == 0.0
 
@@ -197,19 +201,6 @@ def test_bottomk_quantiles_accuracy(ray_session):
         gv = np.sort(df.loc[df["event_type"] == row["event_type"], "value"].to_numpy())
         rank = np.searchsorted(gv, row["value_approx"]) / len(gv)
         assert abs(rank - row["q"]) < 0.07, (row["event_type"], row["q"], rank)
-
-
-def test_format_bytes_reference_parity():
-    from ptt_spider_go_ray.functions.text import format_bytes
-
-    # optimizer.go formatBytes semantics
-    assert format_bytes(0) == "0 B"
-    assert format_bytes(1023) == "1023 B"
-    assert format_bytes(1024) == "1.0 KiB"
-    assert format_bytes(1536) == "1.5 KiB"
-    assert format_bytes(1024**2) == "1.0 MiB"
-    assert format_bytes(5 * 1024**3 + 512 * 1024**2) == "5.5 GiB"
-    assert format_bytes(1024**6) == "1.0 EiB"
 
 
 # --- multimodal stub -------------------------------------------------------
@@ -481,13 +472,35 @@ def test_dedup_clusters_match_union_find_oracle(ray_session, dup_docs_dir):
     assert got_map[9001] == 0
 
 
-def test_brute_force_vs_ivf_topk(ray_session):
-    from ptt_spider_go_ray.pipelines.similarity import brute_force_topk, ivf_topk
+def brute_force_topk(n_queries: int, k: int) -> pd.DataFrame:
+    """Exact cosine top-k of the first ``n_queries`` vectors over the whole
+    sf0.001 table (a query is not its own neighbour), ranked by (cos desc,
+    neighbor_id asc): the oracle the ANN pipelines equal when they probe
+    every bucket."""
+    import pyarrow.parquet as pq
 
-    bf = brute_force_topk(SF, n_queries=3, k=5).to_pandas()
+    from ptt_spider_go_ray.pipelines.similarity import _query_matrix
+
+    ids, qmat = _query_matrix(SF, n_queries)
+    t = pq.read_table(f"{SF}/embeddings.parquet", columns=["vec_id", "embedding"])
+    vids = t["vec_id"].to_numpy()
+    mat = np.stack(t["embedding"].to_numpy(zero_copy_only=False)).astype(np.float64)
+    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    cos = (mat / np.where(norms == 0, 1.0, norms)) @ qmat.T
+    rows = []
+    for qi, q in enumerate(ids):
+        cand = np.nonzero(vids != q)[0]
+        top = cand[np.lexsort((vids[cand], -cos[cand, qi]))][:k]
+        rows += [(q, v, r) for r, v in enumerate(vids[top].tolist(), 1)]
+    return pd.DataFrame(rows, columns=["query_id", "neighbor_id", "rank"])
+
+
+def test_brute_force_vs_ivf_topk(ray_session):
+    from ptt_spider_go_ray.pipelines.similarity import ivf_topk
+
+    bf = brute_force_topk(n_queries=3, k=5)
     assert set(bf["query_id"]) == {0, 1, 2}
     assert (bf.groupby("query_id").size() == 5).all()
-    # brute force matches the q_ann_topk oracle ordering per query
     ivf = ivf_topk(SF, n_queries=3, k=5, nlist=4, nprobe=4).to_pandas()
     # nprobe == nlist ⇒ IVF probes everything ⇒ identical to brute force
     for q in (0, 1, 2):
@@ -497,9 +510,9 @@ def test_brute_force_vs_ivf_topk(ray_session):
 
 
 def test_brute_force_vs_lsh_topk(ray_session):
-    from ptt_spider_go_ray.pipelines.similarity import brute_force_topk, lsh_topk
+    from ptt_spider_go_ray.pipelines.similarity import lsh_topk
 
-    bf = brute_force_topk(SF, n_queries=3, k=5).to_pandas()
+    bf = brute_force_topk(n_queries=3, k=5)
     # probe_hamming == n_bits ⇒ every bucket probed ⇒ identical to brute force
     full = lsh_topk(SF, n_queries=3, k=5, n_bits=4, n_tables=2,
                     probe_hamming=4).to_pandas()

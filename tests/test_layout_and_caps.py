@@ -138,44 +138,13 @@ def test_fetch_batch_task_oversize_and_cap():
     assert out[1]["ok"] and len(out[1]["body"]) > 0
 
 
-def test_compact_partitions_merges_small_parts(tmp_path):
-    """Many tiny part files per partition collapse to one; partitions with
-    a large part are left alone; the rows read back are identical."""
-    import pyarrow as pa
-
-    from ptt_spider_go_ray.sources import storage
-
-    root = str(tmp_path)
-    for part in range(4):
-        storage.write_partition(
-            pa.table({"x": pa.array([part * 10 + 1, part * 10 + 2], pa.int64())}),
-            root, "docs", "round=1", part=part,
-        )
-    storage.write_partition(
-        pa.table({"x": pa.array(list(range(100)), pa.int64())}),
-        root, "docs", "round=2", part=0,
-    )
-    storage.write_partition(
-        pa.table({"x": pa.array([999], pa.int64())}),
-        root, "docs", "round=2", part=1,
-    )
-    before = storage.read_table(root, "docs").to_pandas().sort_values("x")
-
-    touched = storage.compact_partitions(root, "docs", target_rows=50)
-    assert touched == {"round=1": (4, 1)}  # round=2 has a big part: skipped
-
-    after = storage.read_table(root, "docs").to_pandas().sort_values("x")
-    assert after.reset_index(drop=True).equals(before.reset_index(drop=True))
-    import os
-    assert sorted(os.listdir(f"{root}/docs/round=1")) == ["part-0.parquet"]
-
-
 def test_zone_map_pruning_end_to_end(ray_session, tmp_path):
     """Sorted writes produce tight footer zone maps; pruned reads open only
     the intersecting files and return exactly the full-scan-filter rows;
     stats-less columns are conservatively kept."""
     import numpy as np
     import pyarrow as pa
+    import ray.data
 
     from ptt_spider_go_ray.sources import storage
 
@@ -191,16 +160,13 @@ def test_zone_map_pruning_end_to_end(ray_session, tmp_path):
         )
     files, total = storage.pruned_files(root, "docs", "k", 150, 250)
     assert total == 4 and len(files) == 2  # only [100,199] and [200,299]
-    ds, kept, tot = storage.read_dataset_pruned(root, "docs", "k", 150, 250)
-    assert (kept, tot) == (2, 4)
-    df = ds.to_pandas()
+    df = ray.data.read_parquet(files).to_pandas()
     assert len(df) == 200  # file-level pruning; row filter is the caller's
     assert df["k"].min() >= 100 and df["k"].max() <= 299
     got = sorted(df[(df["k"] >= 150) & (df["k"] <= 250)]["k"].tolist())
     assert got == list(range(150, 251))
-    # disjoint range → no files, dataset is None
-    ds2, kept2, tot2 = storage.read_dataset_pruned(root, "docs", "k", 1000, 2000)
-    assert ds2 is None and kept2 == 0 and tot2 == 4
+    # disjoint range → no files
+    assert storage.pruned_files(root, "docs", "k", 1000, 2000) == ([], 4)
     # unknown column → unprunable → everything kept
     files3, _ = storage.pruned_files(root, "docs", "nope", 0, 1)
     assert len(files3) == 4

@@ -2052,3 +2052,32 @@ def test_keyless_sums_on_degenerate_lineitem(name, case, ray_session, tmp_path):
     want = canon(duck_result(getattr(Q, f"SQL_{name.upper()}"), str(tmp_path)))
     assert len(want) == 1
     pd.testing.assert_frame_equal(got, want)
+
+
+@pytest.mark.parametrize("name", [
+    "mode_per_type", "gini_per_type", "skew_per_type", "trend_per_type", "salted_agg",
+    "zscore_norm", "mad_per_type", "winsorized_mean", "daily_type_corr",
+])
+def test_null_event_type_is_a_group(name, ray_session, tmp_path):
+    """Every 10th event_type NULL: a NULL key is its own group in the
+    combiner partials (``_partial``) as in DuckDB's GROUP BY, and the
+    queries whose SQL joins USING (event_type) drop it as DuckDB does."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    import ptt_spider_go_ray.queries as Q
+    from ptt_spider_go_ray.oracle.duck import TABLES
+
+    for t in TABLES:
+        if t != "events":
+            os.symlink(f"{SF}/{t}.parquet", tmp_path / f"{t}.parquet")
+    ev = pq.read_table(f"{SF}/events.parquet")
+    i = ev.schema.get_field_index("event_type")
+    null = pa.array(np.arange(ev.num_rows) % 10 == 0)
+    ev = ev.set_column(i, ev.schema.field(i),
+                       pc.if_else(null, pa.scalar(None, pa.string()), ev["event_type"]))
+    pq.write_table(ev, tmp_path / "events.parquet")
+    got = canon(to_pandas(getattr(Q, f"q_{name}")(str(tmp_path))))
+    want = canon(duck_result(getattr(Q, f"SQL_{name.upper()}"), str(tmp_path)))
+    pd.testing.assert_frame_equal(got, want)

@@ -129,15 +129,86 @@ def _hand_probes(fn: ast.FunctionDef) -> list[int]:
     return out
 
 
+_SUM_AGGS = {"sum", "size", "count"}
+
+
+def _sum_only(call: ast.Call) -> bool:
+    """A pandas ``.sum()``/``.size()``, or an ``.agg(…)`` whose every
+    aggregation is a sum or a count."""
+    name = call.func.attr
+    if name != "agg":
+        return name in _SUM_AGGS
+    funcs = [a.value for a in call.args if isinstance(a, ast.Constant)] + [
+        e.value for k in call.keywords if isinstance(k.value, ast.Tuple)
+        for e in k.value.elts[1:] if isinstance(e, ast.Constant)]
+    return set(funcs) <= _SUM_AGGS
+
+
+def _grouped_sum(expr, assigned, seen=frozenset()) -> bool:
+    """``expr`` (or a name it was assigned from) is a pandas ``groupby(…)``
+    whose aggregation only sums or counts."""
+    if isinstance(expr, ast.Name):
+        seen |= {expr.id}
+    for x in assigned.get(expr.id, []) if isinstance(expr, ast.Name) else [expr]:
+        agg = None  # the call nearest the groupby is its aggregation
+        while isinstance(x, (ast.Call, ast.Subscript, ast.Attribute)):
+            if isinstance(x, ast.Call) and isinstance(x.func, ast.Attribute):
+                if x.func.attr == "groupby":
+                    if agg is not None and _sum_only(agg):
+                        return True
+                    break
+                agg = x
+            x = x.func if isinstance(x, ast.Call) else x.value
+        else:
+            if isinstance(x, ast.Name) and x.id not in seen and _grouped_sum(x, assigned, seen):
+                return True
+    return False
+
+
+def _hand_partials(fn: ast.FunctionDef) -> list[int]:
+    """Lines where a combiner partial is written by hand: a nested UDF
+    returns ``_arrow_out(…)``/``pa.Table.from_pandas(…)`` of a pandas
+    groupby that only sums or counts, or an Arrow ``group_by(…).aggregate``
+    asks only for sums and counts."""
+    out = []
+    for sub in ast.walk(fn):
+        if sub is fn or not isinstance(sub, ast.FunctionDef):
+            continue
+        assigned: dict[str, list] = {}
+        for n in ast.walk(sub):
+            if (isinstance(n, ast.Assign) and len(n.targets) == 1
+                    and isinstance(n.targets[0], ast.Name)):
+                assigned.setdefault(n.targets[0].id, []).append(n.value)
+        for n in ast.walk(sub):
+            f = n.value.func if isinstance(n, ast.Return) and isinstance(n.value, ast.Call) else None
+            if (f is not None and n.value.args
+                    and (isinstance(f, ast.Name) and f.id == "_arrow_out"
+                         or isinstance(f, ast.Attribute) and f.attr == "from_pandas")
+                    and _grouped_sum(n.value.args[0], assigned)):
+                out.append(n.lineno)
+    for n in ast.walk(fn):
+        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "aggregate" and isinstance(n.func.value, ast.Call)
+                and isinstance(n.func.value.func, ast.Attribute)
+                and n.func.value.func.attr == "group_by"):
+            funcs = [e.elts[1].value for a in n.args if isinstance(a, ast.List)
+                     for e in a.elts if isinstance(e, ast.Tuple) and len(e.elts) > 1
+                     and isinstance(e.elts[1], ast.Constant)]
+            if set(funcs) <= _SUM_AGGS:
+                out.append(n.lineno)
+    return sorted(set(out))
+
+
 def test_query_kernels_have_no_hand_copies():
-    """The key-bucket tag, the Parquet footer row count, the merge of
-    combiner partials and the sorted-key probe each live in one
-    kernel (``_by_key_bucket``, ``_rows``, ``_fold``, ``_probe``); no q_*
-    writes its own copy. One bound picks every broadcast-or-distributed
-    plan: no ``broadcast_max`` parameter anywhere, one ``*B*CAST_MAX*``
-    name, and no ``ray.ObjectRef`` fork in a broadcast UDF."""
+    """The key-bucket tag, the Parquet footer row count, the per-batch
+    combiner partial, the merge of combiner partials and the sorted-key
+    probe each live in one kernel (``_by_key_bucket``, ``_rows``,
+    ``_partial``, ``_fold``, ``_probe``); no q_* writes its own copy. One
+    bound picks every broadcast-or-distributed plan: no ``broadcast_max``
+    parameter anywhere, one ``*B*CAST_MAX*`` name, and no ``ray.ObjectRef``
+    fork in a broadcast UDF."""
     tree = ast.parse(inspect.getsource(Q))
-    tags, footers, loops, merges, probes, forks = [], [], [], [], [], []
+    tags, footers, loops, merges, probes, forks, partials = [], [], [], [], [], [], []
     bounds = [t.id for n in tree.body if isinstance(n, ast.Assign) for t in n.targets
               if isinstance(t, ast.Name) and fnmatch.fnmatchcase(t.id, "*B*CAST_MAX*")]
     assert bounds == ["_BROADCAST_MAX_BYTES"], bounds
@@ -154,6 +225,8 @@ def test_query_kernels_have_no_hand_copies():
             merges += [f"{fn.name}:{ln}" for ln in _pandas_merges(fn)]
         if fn.name != "_probe":
             probes += [f"{fn.name}:{ln}" for ln in _hand_probes(fn)]
+        if fn.name != "_partial":
+            partials += [f"{fn.name}:{ln}" for ln in _hand_partials(fn)]
         forks += [f"{fn.name}:{n.lineno}" for n in ast.walk(fn)
                   if isinstance(n, ast.Attribute) and n.attr == "ObjectRef"]
         for n in ast.walk(fn):
@@ -175,3 +248,4 @@ def test_query_kernels_have_no_hand_copies():
     assert merges == [], merges
     assert probes == [], probes
     assert forks == [], forks
+    assert partials == [], partials
