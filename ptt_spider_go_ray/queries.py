@@ -68,56 +68,70 @@ def _arrow_out(df: pd.DataFrame) -> pa.Table:
     return pa.Table.from_pandas(df, preserve_index=False)
 
 
-def _combine(ds, partial, keys, sums, batch_size=_COMBINE_BATCH,
+def _combine(ds, partial, keys, sums, *, mins=(), maxs=(), batch_size=_COMBINE_BATCH,
              batch_format="pyarrow"):
     """Per-batch ``partial`` combiner, then one ``groupby(keys)`` that sums
-    each column in ``sums`` under its own name."""
-    from ray.data.aggregate import Sum
+    each column in ``sums`` and takes the least of each ``mins`` and the
+    greatest of each ``maxs`` column, each under its own name."""
+    from ray.data.aggregate import Max, Min, Sum
 
     return (
         ds.map_batches(partial, batch_format=batch_format, batch_size=batch_size)
         .groupby(keys)
-        .aggregate(*(Sum(c, alias_name=c) for c in sums))
+        .aggregate(*(Sum(c, alias_name=c) for c in sums),
+                   *(Min(c, alias_name=c) for c in mins),
+                   *(Max(c, alias_name=c) for c in maxs))
     )
 
 
-def _partial(cols, keys, sums) -> pa.Table:
+def _partial(cols, keys, sums, *, mins=(), maxs=()) -> pa.Table:
     """One per-batch combiner partial: ``cols`` (an Arrow table, or a
     mapping of name → array) grouped by ``keys`` (a NULL key is its own
-    group, as in ``_fold``), each ``sums`` column summed under its own name;
-    a group whose values are all NULL sums to 0. An empty batch gives a
-    typed zero-row table."""
+    group, as in ``_fold``; no keys is one row), each ``sums`` column summed
+    and each ``mins``/``maxs`` column reduced to its least/greatest value,
+    under its own name, in the order keys + sums + mins + maxs. Sums skip
+    NULL and a group whose values are all NULL sums to 0; mins and maxs skip
+    NULL and give NULL for such a group, as SQL does. An empty batch gives a
+    typed zero-row table (with no keys, one row: sums 0, mins and maxs NULL)."""
     keys = [keys] if isinstance(keys, str) else list(keys)
+    vals = [*sums, *mins, *maxs]
     t = cols if isinstance(cols, pa.Table) else pa.table(dict(cols))
     # group on NULL-free dictionary codes: pyarrow 16's multi-key grouper
     # splits one group into several when a key column holds NULLs
     enc = [pc.dictionary_encode(t[k].combine_chunks(), null_encoding="encode") for k in keys]
-    codes = pa.table([e.indices for e in enc] + [t[c] for c in sums], keys + list(sums))
-    zero = pc.ScalarAggregateOptions(min_count=0)
-    g = codes.group_by(keys, use_threads=False).aggregate([(c, "sum", zero) for c in sums])
+    codes = pa.table([e.indices for e in enc] + [t[c] for c in vals], keys + vals)
+    zero, one = pc.ScalarAggregateOptions(min_count=0), pc.ScalarAggregateOptions(min_count=1)
+    aggs = ([(c, "sum", zero) for c in sums] + [(c, "min", one) for c in mins]
+            + [(c, "max", one) for c in maxs])
+    g = codes.group_by(keys, use_threads=False).aggregate(aggs)
     return pa.table([e.dictionary.take(g[k]) for k, e in zip(keys, enc)]
-                    + [g[f"{c}_sum"] for c in sums], keys + list(sums))
+                    + [g[f"{c}_{f}"] for c, f, _opt in aggs], keys + vals)
 
 
-def _fold(parts, keys, sums) -> pd.DataFrame:
+def _fold(parts, keys, sums, *, mins=(), maxs=()) -> pd.DataFrame:
     """Driver-side merge of per-batch partials: pull ``parts`` once and
     return one row per distinct ``keys`` (a NULL key is its own group, as
     in SQL ``GROUP BY``), sorted by ``keys``, each ``sums`` column summed as
-    exact Python ints (object dtype) at any scale. With no ``keys`` it is
-    one global row, also for an empty pull (whose sums are 0)."""
+    exact Python ints (object dtype) at any scale, and the least of each
+    ``mins`` and the greatest of each ``maxs`` column, skipping NULL (NULL
+    when a group has no value), in pandas' dtype for the column. With no
+    ``keys`` it is one global row, also for an empty pull (sums 0, mins and
+    maxs NULL)."""
     keys = [keys] if isinstance(keys, str) else list(keys)
+    sums, mins, maxs = list(sums), list(mins), list(maxs)
     df = parts.to_pandas()
-    if not keys:
-        return pd.DataFrame(
-            {c: [sum(map(int, df[c])) if len(df) else 0] for c in sums}, dtype=object
-        )
     if not len(df):  # a zero-row pull comes back with no columns at all
-        return pd.DataFrame({c: pd.Series([], dtype=object) for c in keys + sums})
+        n = 0 if keys else 1
+        return pd.DataFrame({c: pd.Series([0 if c in sums else None] * n, dtype=object)
+                             for c in keys + sums + mins + maxs})
     # int64 sums are exact only while rows × max|value| provably fits
-    peak = max(max(-int(df[c].min()), int(df[c].max())) for c in sums)
+    peak = max((max(-int(df[c].min()), int(df[c].max())) for c in sums), default=0)
     if len(df) * peak >= 2**63:
         df = df.astype({c: object for c in sums})
-    out = df.groupby(keys, as_index=False, dropna=False, sort=True)[sums].sum()
+    aggs = {**dict.fromkeys(sums, "sum"), **dict.fromkeys(mins, "min"),
+            **dict.fromkeys(maxs, "max")}
+    out = df.groupby(keys or np.zeros(len(df), np.int8), dropna=False,
+                     sort=True).agg(aggs).reset_index(drop=not keys)
     for k in keys:  # pandas returns a NULL text key as NaN; SQL's NULL is None
         if out[k].dtype == object:
             out[k] = out[k].where(out[k].notna(), None)
@@ -340,22 +354,14 @@ FROM agg, tot
 
 
 def q_dedup_exact(sf_dir: str):
-    from ray.data.aggregate import Count, Min
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def add_hash(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "text_hash": pa.array(_md5_col(t["text"].to_pylist()), pa.string()),
-            }
-        )
+        return _partial({"text_hash": pa.array(_md5_col(t["text"].to_pylist()), pa.string()),
+                         "n_copies": np.ones(t.num_rows, np.int64), "keeper_id": t["doc_id"]},
+                        "text_hash", ["n_copies"], mins=["keeper_id"])
 
-    ds = ds.map_batches(add_hash, batch_format="pyarrow")
-    return ds.groupby("text_hash").aggregate(
-        Min("doc_id", alias_name="keeper_id"), Count(alias_name="n_copies")
-    )
+    return _combine(ds, add_hash, "text_hash", ["n_copies"], mins=["keeper_id"], batch_size=None)
 
 
 SQL_DEDUP_EXACT = """
@@ -1155,7 +1161,7 @@ def q_asof_join(sf_dir: str):
                 "order_key": pc.cast(t["o_orderkey"], pa.int64()),
             }
         )
-        tb = tb.group_by(["key", "ts"]).aggregate([("order_key", "max")])
+        tb = _partial(tb, ["key", "ts"], [], maxs=["order_key"])
         keys = tb["key"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
@@ -1164,7 +1170,7 @@ def q_asof_join(sf_dir: str):
                 "side": pa.array(["o"] * tb.num_rows),
                 "event_id": pa.array(np.full(tb.num_rows, -1, dtype=np.int64)),
                 "ts": tb["ts"],
-                "order_key": pc.cast(tb["order_key_max"], pa.int64()),
+                "order_key": tb["order_key"],
             }
         )
 
@@ -1251,23 +1257,17 @@ SELECT date_trunc('day', ts) AS day, count(*) AS n_events FROM events GROUP BY 1
 
 
 def q_value_extremes(sf_dir: str):
-    from ray.data.aggregate import Max, Min
-
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
 
-    def partial(df: pd.DataFrame) -> pa.Table:
+    def partial(t: pa.Table) -> pa.Table:
         # combiner: one (min, max) row per type per batch
-        g = df.groupby("event_type", as_index=False).agg(
-            min_value=("value", "min"), max_value=("value", "max")
-        )
-        return _arrow_out(g)
+        return _partial({"event_type": t["event_type"], "min_value": t["value"],
+                         "max_value": t["value"]}, "event_type", [],
+                        mins=["min_value"], maxs=["max_value"])
 
-    return ds.map_batches(
-        partial, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).groupby("event_type").aggregate(
-        Min("min_value", alias_name="min_value"),
-        Max("max_value", alias_name="max_value"),
-    )
+    return _fold(ds.map_batches(partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH),
+                 "event_type", [], mins=["min_value"], maxs=["max_value"]).astype(
+        {"min_value": "float64", "max_value": "float64"})
 
 
 SQL_VALUE_EXTREMES = """
@@ -1820,7 +1820,7 @@ def q_percentiles(sf_dir: str):
       0. per-group (count, min, max) — per-batch combiner partials (≤
          groups rows each) merged on the driver (the q_collision_rank
          partial + driver-offset-merge pattern);
-      1. per-group fixed-width histogram — per-batch bincount partials,
+      1. per-group fixed-width histogram — per-batch count partials,
          driver-merged into O(groups × {_PCT_BINS}) counts that locate, for
          each target rank floor/ceil((n-1)·q), the bin holding it and its
          in-bin rank (at extreme block counts swap the driver merge for a
@@ -1836,111 +1836,91 @@ def q_percentiles(sf_dir: str):
     path is the KLL sketch (approx_quantiles_sketch)."""
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
 
-    # pass 0: per-group count / min / max (per-batch partials, driver merge;
-    # Arrow-native group_by — no per-batch pandas conversion)
+    # pass 0: per-group count / min / max of the non-NULL values (per-batch
+    # partials, one driver fold); group g is the g-th row of the fold
     def stats_partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("event_type").aggregate(
-            [("value", "count"), ("value", "min"), ("value", "max")]
-        )
-        return g.rename_columns(["event_type", "n", "lo", "hi"])
+        v = t["value"]
+        return _partial({"event_type": t["event_type"], "n": pc.cast(pc.is_valid(v), pa.int64()),
+                         "lo": v, "hi": v}, "event_type", ["n"], mins=["lo"], maxs=["hi"])
 
-    meta: dict[str, tuple] = {}
-    for r in ds.map_batches(
+    meta = _fold(ds.map_batches(
         stats_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).take_all():
-        n, lo, hi = meta.get(r["event_type"], (0, np.inf, -np.inf))
-        meta[r["event_type"]] = (
-            n + int(r["n"]), min(lo, float(r["lo"])), max(hi, float(r["hi"]))
-        )
+    ), "event_type", ["n"], mins=["lo"], maxs=["hi"])
+    gid = {et: g for g, et in enumerate(meta["event_type"])}
+    lo = meta["lo"].to_numpy(np.float64)
+    w = (meta["hi"].to_numpy(np.float64) - lo) / _PCT_BINS
 
-    def bin_of(et: str, v: np.ndarray) -> np.ndarray:
-        _n, lo, hi = meta[et]
-        w = (hi - lo) / _PCT_BINS
-        if w <= 0:
-            return np.zeros(len(v), np.int64)
-        return np.minimum(((v - lo) / w).astype(np.int64), _PCT_BINS - 1)
+    def binned(t: pa.Table):
+        """(group, bin, value) of each non-NULL value (quantile_cont skips
+        NULL), one fixed-width histogram per group"""
+        t = t.filter(pc.is_valid(t["value"]))
+        enc = pc.dictionary_encode(t["event_type"].combine_chunks(), null_encoding="encode")
+        g = np.array([gid[et] for et in enc.dictionary.to_pylist()], np.int64)[
+            enc.indices.to_numpy(zero_copy_only=False)]
+        v = t["value"].to_numpy(zero_copy_only=False)
+        b = np.zeros(len(v), np.int64)
+        m = w[g] > 0
+        b[m] = np.minimum(((v[m] - lo[g][m]) / w[g][m]).astype(np.int64), _PCT_BINS - 1)
+        return g, b, v
 
-    # pass 1: per-(group, bin) counts — one combined bincount over
-    # (group_index · BINS + bin), no per-group pandas subframes
+    # pass 1: per-(group, bin) counts
     def hist_partial(t: pa.Table) -> pa.Table:
-        et_np = t["event_type"].to_numpy(zero_copy_only=False)
-        vals = t["value"].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(et_np, return_inverse=True)
-        bins = np.empty(len(vals), np.int64)
-        for i, et in enumerate(uniq):
-            m = inv == i
-            bins[m] = bin_of(et, vals[m])
-        bc = np.bincount(inv * _PCT_BINS + bins, minlength=len(uniq) * _PCT_BINS)
-        nz = np.nonzero(bc)[0]
-        return pa.table(
-            {"event_type": pa.array(uniq[nz // _PCT_BINS].astype(str)),
-             "bin": pa.array((nz % _PCT_BINS).astype(np.int64)),
-             "n": pa.array(bc[nz].astype(np.int64))}
-        )
+        g, b, _v = binned(t)
+        return _partial({"g": g, "bin": b, "n": np.ones(len(g), np.int64)}, ["g", "bin"], ["n"])
 
-    counts = {et: np.zeros(_PCT_BINS, np.int64) for et in meta}
-    for et, b, n in _fold(ds.map_batches(
+    hist = _fold(ds.map_batches(
         hist_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ), ["event_type", "bin"], ["n"]).itertuples(index=False):
-        counts[et][b] = n
+    ), ["g", "bin"], ["n"])
+    counts = np.zeros((len(gid), _PCT_BINS), np.int64)
+    counts[hist["g"].to_numpy(np.int64), hist["bin"].to_numpy(np.int64)] = hist["n"].to_numpy(np.int64)
 
     # locate, per (group, target rank), the owning bin + in-bin local rank
-    need: dict[tuple, list[tuple]] = {}  # (et, bin) -> [(local_rank, slot)]
-    for et, (n, _lo, _hi) in meta.items():
-        cum = np.cumsum(counts[et])
+    need: dict[tuple, list[tuple]] = {}  # (g, bin) -> [(local_rank, slot)]
+    for g, n in enumerate(meta["n"]):
+        cum = np.cumsum(counts[g])
         for qi, q in enumerate(_PCT_QS):
             h = (n - 1) * q
             for side, r in enumerate((int(np.floor(h)), int(np.ceil(h)))):
                 b = int(np.searchsorted(cum, r, side="right"))
                 local = r - (int(cum[b - 1]) if b else 0)
-                need.setdefault((et, b), []).append((local, (et, qi, side)))
+                need.setdefault((g, b), []).append((local, (g, qi, side)))
+    needed = np.zeros((len(gid), _PCT_BINS), bool)
+    for g, b in need:
+        needed[g, b] = True
 
     # pass 2: select the needed order statistics inside per-bin tasks
-    need_bins = {et: np.array(sorted({b for (e, b) in need if e == et}), np.int64)
-                 for et in meta}
+    def keep_needed(t: pa.Table) -> pa.Table:
+        g, b, v = binned(t)
+        m = needed[g, b]
+        return pa.table({"g": g[m], "bin": b[m], "value": v[m]})
 
-    def keep_needed(df: pd.DataFrame) -> pa.Table:
-        dfs = []
-        for et, sub in df.groupby("event_type", sort=False):
-            b = bin_of(et, sub["value"].to_numpy())
-            mask = np.isin(b, need_bins[et])
-            if mask.any():
-                dfs.append(sub[mask].assign(bin=b[mask]))
-        if not dfs:
-            return pa.table({"event_type": pa.array([], pa.string()),
-                             "value": pa.array([], pa.float64()),
-                             "bin": pa.array([], pa.int64())})
-        return _arrow_out(pd.concat(dfs))
-
-    def pick(g: pd.DataFrame) -> pd.DataFrame:
-        et, b = g["event_type"].iloc[0], int(g["bin"].iloc[0])
-        v = np.sort(g["value"].to_numpy())
-        want = need[(et, b)]
+    def pick(grp: pd.DataFrame) -> pd.DataFrame:
+        g, b = int(grp["g"].iloc[0]), int(grp["bin"].iloc[0])
+        v = np.sort(grp["value"].to_numpy())
+        want = need[(g, b)]
         return pd.DataFrame(
-            {"event_type": [et] * len(want),
+            {"g": np.full(len(want), g, np.int64),
              "qi": np.array([s[1] for _l, s in want], np.int64),
              "side": np.array([s[2] for _l, s in want], np.int64),
              "value": np.array([v[local] for local, _s in want], np.float64)}
         )
 
     picked = (
-        ds.map_batches(keep_needed, batch_format="pandas")
-        .groupby(["event_type", "bin"])
+        ds.map_batches(keep_needed, batch_format="pyarrow")
+        .groupby(["g", "bin"])
         .map_groups(pick, batch_format="pandas")
         .take_all()
     )
     vals: dict[tuple, float] = {
-        (r["event_type"], int(r["qi"]), int(r["side"])): float(r["value"])
-        for r in picked
+        (int(r["g"]), int(r["qi"]), int(r["side"])): float(r["value"]) for r in picked
     }
-    out = {"event_type": sorted(meta)}
+    out = {"event_type": meta["event_type"]}
     for qi, q in enumerate(_PCT_QS):
         col = []
-        for et in out["event_type"]:
-            n = meta[et][0]
+        for g, n in enumerate(meta["n"]):
             h = (n - 1) * q
-            v0 = vals[(et, qi, 0)]
-            v1 = vals[(et, qi, 1)]
+            v0 = vals[(g, qi, 0)]
+            v1 = vals[(g, qi, 1)]
             col.append(np.rint((v0 + (h - np.floor(h)) * (v1 - v0)) * 10000))
         out[f"p{int(q * 100)}_e4"] = np.array(col, np.int64)
     return pd.DataFrame(out)
@@ -2045,15 +2025,18 @@ WHERE (CAST(event_id % {_SAMPLE_MOD} AS HUGEINT) * {_SAMPLE_MULT}) % {_SAMPLE_MO
 def q_cc_label_clusters(sf_dir: str):
     import ray
     import ray.data
-    from ray.data.aggregate import Min
 
     from .pipelines.dedup import connected_components
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
+
+    def reps(t: pa.Table) -> pa.Table:
+        return _partial({"lang": t["lang"], "n_chars": t["n_chars"], "rep": t["doc_id"]},
+                        ["lang", "n_chars"], [], mins=["rep"])
+
     # value-nodes: one per (lang, n_chars), id = min doc_id (representative)
     vals = (
-        ds.groupby(["lang", "n_chars"])
-        .aggregate(Min("doc_id", alias_name="rep"))
+        _combine(ds, reps, ["lang", "n_chars"], [], mins=["rep"], batch_size=None)
         # normalize to Arrow blocks (aggregate emits pandas blocks)
         .map_batches(lambda t: t, batch_format="pyarrow")
         .materialize()
@@ -2247,25 +2230,19 @@ def q_value_histogram(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["value"])
 
     def minmax(t: pa.Table) -> pa.Table:
-        v = t["value"].to_numpy(zero_copy_only=False)
-        return pa.table({"lo": pa.array([float(v.min())]),
-                         "hi": pa.array([float(v.max())])})
+        return _partial({"lo": t["value"], "hi": t["value"]}, [], [], mins=["lo"], maxs=["hi"])
 
-    lo, hi = np.inf, -np.inf
-    for r in ds.map_batches(
+    lo, hi = _fold(ds.map_batches(
         minmax, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).take_all():
-        lo, hi = min(lo, r["lo"]), max(hi, r["hi"])
+    ), [], [], mins=["lo"], maxs=["hi"]).astype(np.float64).iloc[0]
     w = (hi - lo) / _HIST_BINS
 
     def hist(t: pa.Table) -> pa.Table:
         v = t["value"].to_numpy(zero_copy_only=False)
-        b = np.minimum(np.floor((v - lo) / w).astype(np.int64), _HIST_BINS - 1) \
-            if w > 0 else np.zeros(len(v), np.int64)
-        bc = np.bincount(b, minlength=_HIST_BINS)
-        nz = np.nonzero(bc)[0]
-        return pa.table({"bin": pa.array(nz.astype(np.int64)),
-                         "n": pa.array(bc[nz].astype(np.int64))})
+        # DuckDB's LEAST skips NULL: a NULL value (or bound) is in the top bin
+        b = np.zeros(len(v), np.int64) if w == 0 else \
+            np.fmin(np.floor((v - lo) / w), _HIST_BINS - 1).astype(np.int64)
+        return _partial({"bin": b, "n": np.ones(len(b), np.int64)}, "bin", ["n"])
 
     return _fold(ds.map_batches(
         hist, batch_format="pyarrow", batch_size=_COMBINE_BATCH
@@ -2428,8 +2405,6 @@ FROM m
 
 
 def q_json_extract_agg(sf_dir: str):
-    from ray.data.aggregate import Max, Sum
-
     ds = _read(sf_dir, "events", columns=["event_type", "props"])
 
     def partial(df: pd.DataFrame) -> pa.Table:
@@ -2437,20 +2412,13 @@ def q_json_extract_agg(sf_dir: str):
             df["props"].fillna("").str.extract(r'"k": ([0-9]+)', expand=False)
             .fillna("0").astype(np.int64)
         )
-        g = (
-            pd.DataFrame({"event_type": df["event_type"], "k": k})
-            .groupby("event_type", as_index=False)
-            .agg(sum_k=("k", "sum"), max_k=("k", "max"), n=("k", "size"))
-        )
-        return _arrow_out(g.astype({"sum_k": "int64", "max_k": "int64", "n": "int64"}))
+        return _partial({"event_type": df["event_type"], "sum_k": k, "max_k": k,
+                         "n": np.ones(len(k), np.int64)}, "event_type", ["sum_k", "n"],
+                        maxs=["max_k"])
 
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=_COMBINE_BATCH)
-        .materialize()  # aggregate-after-map scheduling barrier
-        .groupby("event_type")
-        .aggregate(Sum("sum_k", alias_name="sum_k"), Max("max_k", alias_name="max_k"),
-                   Sum("n", alias_name="n"))
-    )
+    return _fold(ds.map_batches(partial, batch_format="pandas", batch_size=_COMBINE_BATCH),
+                 "event_type", ["sum_k", "n"], maxs=["max_k"]).astype(
+        {"sum_k": "int64", "n": "int64", "max_k": "int64"})
 
 
 SQL_JSON_EXTRACT_AGG = """
@@ -3162,19 +3130,12 @@ def q_set_ops_users(sf_dir: str):
     nb = _key_buckets(_rows(sf_dir, "events"))
 
     def flags(df: pd.DataFrame) -> pa.Table:
-        g = pd.DataFrame(
-            {
-                "user_id": df["user_id"].astype("int64"),
-                "hi": (
-                    (df["event_type"] == "click") & (df["value"] > 150.0)
-                ).astype("int64"),
-                "pur": (
-                    (df["event_type"] == "purchase") & (df["value"] > 150.0)
-                ).astype("int64"),
-            }
-        ).groupby("user_id", as_index=False).max()
-        g["bucket"] = _bucket_of(g["user_id"].to_numpy(), nb)
-        return _arrow_out(g)
+        hot = df["value"] > 150.0
+        g = _partial({"user_id": df["user_id"].astype("int64"),
+                      "hi": ((df["event_type"] == "click") & hot).astype("int64"),
+                      "pur": ((df["event_type"] == "purchase") & hot).astype("int64")},
+                     "user_id", [], maxs=["hi", "pur"])
+        return g.append_column("bucket", pa.array(_bucket_of(g["user_id"].to_numpy(), nb)))
 
     def tag(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("user_id", as_index=False)[["hi", "pur"]].max()
@@ -3220,9 +3181,11 @@ FROM (SELECT * FROM hi EXCEPT SELECT * FROM pur)
 def q_percent_rank(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "event_type", "value"])
     # driver merge (bounded by blocks × the cents domain), sorted by
-    # (type, cents), then per-type exclusive cumsums
+    # (type, cents), then per-type exclusive cumsums; a NULL type is its own
+    # group, keyed by the stored None (pandas' group key would be NaN)
     tables = {}
-    for t, sub in _cents_hist(ds).groupby("event_type", sort=False):
+    for _, sub in _cents_hist(ds).groupby("event_type", sort=False, dropna=False):
+        t = sub["event_type"].iloc[0]
         cents = sub["c"].to_numpy().astype(np.int64)
         cnt = sub["n"].to_numpy().astype(np.int64)
         less = np.concatenate(([0], np.cumsum(cnt)[:-1]))
@@ -3986,8 +3949,6 @@ FROM events GROUP BY event_type
 
 
 def q_dedup_keep_best(sf_dir: str):
-    from ray.data.aggregate import Count, Max
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "n_chars"])
 
     def add_packed(t: pa.Table) -> pa.Table:
@@ -3995,18 +3956,11 @@ def q_dedup_keep_best(sf_dir: str):
         n_chars = t["n_chars"].to_numpy(zero_copy_only=False)
         assert (n_chars < (1 << 31)).all() and (doc_id < (1 << 32)).all()
         packed = (n_chars.astype(np.int64) << 32) | ((1 << 32) - 1 - doc_id)
-        return pa.table(
-            {
-                "text_hash": pa.array(_md5_col(t["text"].to_pylist()), pa.string()),
-                "packed": pa.array(packed),
-            }
-        )
+        return _partial({"text_hash": pa.array(_md5_col(t["text"].to_pylist()), pa.string()),
+                         "n_copies": np.ones(t.num_rows, np.int64), "best": packed},
+                        "text_hash", ["n_copies"], maxs=["best"])
 
-    agg = (
-        ds.map_batches(add_packed, batch_format="pyarrow")
-        .groupby("text_hash")
-        .aggregate(Max("packed", alias_name="best"), Count(alias_name="n_copies"))
-    )
+    agg = _combine(ds, add_packed, "text_hash", ["n_copies"], maxs=["best"], batch_size=None)
 
     def decode(t: pa.Table) -> pa.Table:
         best = t["best"].to_numpy(zero_copy_only=False)
@@ -5294,20 +5248,22 @@ def q_mixture_plan(sf_dir: str):
         rng = t["doc_id"].to_numpy(zero_copy_only=False) // width
         return t.append_column("rng", pa.array(rng.astype(np.int64)))
 
-    def plan(g: pd.DataFrame) -> pd.DataFrame:
+    def plan(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["source", "doc_id"])
-        local = g.groupby("source", sort=False).cumcount().to_numpy()
+        local = g.groupby("source", sort=False, dropna=False).cumcount().to_numpy()
         offs = g["source"].map(offsets[int(g["rng"].iloc[0])]).to_numpy()
         src_rank = (offs + local).astype(np.int64)
-        wt = (g["source"].str[3:].astype(np.int64).to_numpy() % 4) + 1
-        mix_pos = src_rank * (_MIX_LCM // wt)
-        return pd.DataFrame(
+        # a NULL source ranks among its own rows; its weight, position and
+        # epoch flag are NULL
+        wt = pd.to_numeric(g["source"].str[3:]).to_numpy() % 4 + 1
+        mix_pos = pd.Series(src_rank * (_MIX_LCM // wt)).astype("Int64")
+        return pa.table(
             {
                 "doc_id": g["doc_id"].astype("int64").to_numpy(),
-                "source": g["source"].to_numpy(),
+                "source": pa.array(g["source"], pa.string()),
                 "src_rank": src_rank,
-                "mix_pos": mix_pos,
-                "in_epoch": mix_pos < _MIX_EPOCH,
+                "mix_pos": pa.array(mix_pos),
+                "in_epoch": pa.array(mix_pos < _MIX_EPOCH),
             }
         )
 
@@ -5494,43 +5450,24 @@ def _dedup_affix(sf_dir: str, start: int, stop: int | None):
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     n_buckets = _key_buckets(ds.count())
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        g = (
-            pd.DataFrame(
-                {"p": df["text"].str.slice(start, stop), "doc_id": df["doc_id"]}
-            )
-            .groupby("p", sort=False, dropna=False)
-            .agg(min_id=("doc_id", "min"), cnt=("doc_id", "size"))
-            .reset_index()
-        )
-        h = np.fromiter(
-            (hash64(x) if isinstance(x, str) else 0 for x in g["p"]),
-            np.uint64, len(g),
-        )
-        return pa.table(
-            {
-                "p": pa.array(g["p"].astype(object), pa.string(), from_pandas=True),
-                "min_id": pa.array(g["min_id"], pa.int64()),
-                "cnt": pa.array(g["cnt"], pa.int64()),
-                "bucket": pa.array((h % np.uint64(n_buckets)).astype(np.int64)),
-            }
-        )
+    def merge_bucket(t: pa.Table) -> pa.Table:
+        return _partial(t, "p", ["n_dups"], mins=["doc_id"])
 
-    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("p", sort=False, dropna=False, as_index=False).agg(
-            doc_id=("min_id", "min"), n_dups=("cnt", "sum")
+    def partial(df: pd.DataFrame) -> pa.Table:
+        g = merge_bucket(pa.table({
+            "p": pa.array(df["text"].str.slice(start, stop), pa.string(), from_pandas=True),
+            "n_dups": np.ones(len(df), np.int64), "doc_id": df["doc_id"],
+        }))
+        h = np.fromiter(
+            (hash64(x) if x is not None else 0 for x in g["p"].to_pylist()),
+            np.uint64, g.num_rows,
         )
-        return pd.DataFrame(
-            {
-                "doc_id": out["doc_id"].astype("int64"),
-                "n_dups": out["n_dups"].astype("int64"),
-            }
-        )
+        return g.append_column("bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64)))
 
     return (
         ds.map_batches(partial, batch_format="pandas", batch_size=_COMBINE_BATCH)
         .groupby("bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
+        .map_groups(merge_bucket, batch_format="pyarrow")
         .select_columns(["doc_id", "n_dups"])
     )
 
@@ -6150,11 +6087,9 @@ def q_embedding_dim_extremes(sf_dir: str):
             }
         )
 
-    parts = ds.map_batches(
+    return _fold(ds.map_batches(
         partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
-    ).to_pandas()
-    out = parts.groupby("dim", as_index=False).agg(lo=("lo", "min"), hi=("hi", "max"))
-    return out.astype({"dim": "int64", "lo": "float64", "hi": "float64"})
+    ), "dim", [], mins=["lo"], maxs=["hi"]).astype({"dim": "int64", "lo": "float64", "hi": "float64"})
 
 
 SQL_EMBEDDING_DIM_EXTREMES = """
@@ -7743,52 +7678,33 @@ def q_psi_drift(sf_dir: str):
 
     ds = _read(sf_dir, "events", columns=["ts", "value"])
 
-    def lims_partial(df: pd.DataFrame) -> pa.Table:
-        t = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        c = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
-        return pa.table(
-            {
-                "lo": pa.array([int(t.min())]),
-                "hi": pa.array([int(t.max())]),
-                "vmax": pa.array([int(c.max())]),
-            }
-        )
+    def us_cents(t: pa.Table):
+        # epoch µs and whole cents (NaN for a NULL value)
+        return (t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False),
+                np.rint(t["value"].to_numpy(zero_copy_only=False) * 100))
 
-    lo = hi = vmax = None
-    for r in ds.map_batches(
-        lims_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).take_all():
-        lo = r["lo"] if lo is None else min(lo, r["lo"])
-        hi = r["hi"] if hi is None else max(hi, r["hi"])
-        vmax = r["vmax"] if vmax is None else max(vmax, r["vmax"])
-    vmax = int(vmax) + 1
+    def lims_partial(t: pa.Table) -> pa.Table:
+        us, c = us_cents(t)
+        return _partial({"lo": us, "hi": us, "vmax": c}, [], [],
+                        mins=["lo"], maxs=["hi", "vmax"])
+
+    (lo, hi, vmax), = _fold(ds.map_batches(
+        lims_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
+    ), [], [], mins=["lo"], maxs=["hi", "vmax"]).itertuples(index=False)
+    if lo is None:  # no events: DuckDB's PSI over two empty halves is NULL
+        return pd.DataFrame({"psi_e6": [np.nan]})
     mid2 = int(lo) + int(hi)  # 2·t < mid2 ⟺ first half
 
-    def hist_partial(df: pd.DataFrame) -> pa.Table:
-        t = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        c = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
-        ref = 2 * t < mid2
-        bins = np.minimum(c * _PSI_BINS // vmax, _PSI_BINS - 1)
-        out = []
-        for half, sel in (("ref", ref), ("cur", ~ref)):
-            bc = np.bincount(bins[sel], minlength=_PSI_BINS)
-            nz = np.nonzero(bc)[0]
-            out.append(
-                pa.table(
-                    {
-                        # explicit types: a time-contiguous block can be
-                        # entirely one half, and pa.array([]) is null-typed
-                        "half": pa.array([half] * len(nz), pa.string()),
-                        "bin": pa.array(nz.astype(np.int64), pa.int64()),
-                        "n": pa.array(bc[nz].astype(np.int64), pa.int64()),
-                    }
-                )
-            )
-        return pa.concat_tables(out)
+    def hist_partial(t: pa.Table) -> pa.Table:
+        us, c = us_cents(t)
+        # DuckDB's least() skips NULL: a NULL value is in the top bin
+        bins = np.fmin(c * _PSI_BINS // (vmax + 1), _PSI_BINS - 1).astype(np.int64)
+        return _partial({"half": np.where(2 * us < mid2, "ref", "cur"), "bin": bins,
+                         "n": np.ones(len(bins), np.int64)}, ["half", "bin"], ["n"])
 
     counts = {h: np.zeros(_PSI_BINS, np.int64) for h in ("ref", "cur")}
     for half, b, n in _fold(ds.map_batches(
-        hist_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
+        hist_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
     ), ["half", "bin"], ["n"]).itertuples(index=False):
         counts[half][b] = n
     tr = int(counts["ref"].sum()) + _PSI_BINS
@@ -7840,48 +7756,24 @@ def q_profile_columns(sf_dir: str):
         columns=["o_custkey", "o_totalprice", "o_orderdate"],
     )
 
-    def prof_partial(df: pd.DataFrame) -> pa.Table:
-        rows = []
-        for col in ("o_custkey", "o_totalprice", "o_orderdate"):
-            s = df[col]
-            if col == "o_orderdate":
-                v = s.to_numpy().astype("datetime64[us]").astype(np.int64)
-            elif col == "o_totalprice":
-                v = np.rint(s.to_numpy() * 100).astype(np.int64)
-            else:
-                v = s.to_numpy().astype(np.int64)
-            rows.append(
-                (col, len(s), int(s.isna().sum()), int(v.min()), int(v.max()))
-            )
-        return pa.table(
-            {
-                "column": pa.array([r[0] for r in rows]),
-                "n": pa.array([r[1] for r in rows], pa.int64()),
-                "n_null": pa.array([r[2] for r in rows], pa.int64()),
-                "min_v": pa.array([r[3] for r in rows], pa.int64()),
-                "max_v": pa.array([r[4] for r in rows], pa.int64()),
-            }
+    def prof_partial(t: pa.Table) -> pa.Table:
+        # one (column, n, n_null, min_v, max_v) row per column: money in
+        # whole cents, dates in epoch µs, a NULL kept NULL
+        ones = np.ones(t.num_rows, np.int64)
+        return pa.concat_tables(
+            _partial({"column": pa.array([c] * t.num_rows, pa.string()), "n": ones,
+                      "n_null": pc.cast(pc.is_null(v), pa.int64()),
+                      "min_v": pc.cast(v, pa.int64()), "max_v": pc.cast(v, pa.int64())},
+                     "column", ["n", "n_null"], mins=["min_v"], maxs=["max_v"])
+            for c, v in (("o_custkey", t["o_custkey"]),
+                         ("o_totalprice", pc.round(pc.multiply(t["o_totalprice"], 100))),
+                         ("o_orderdate", t["o_orderdate"]))
         )
 
-    acc: dict[str, list[int]] = {}
-    for r in ds.map_batches(
-        prof_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).take_all():
-        a = acc.setdefault(r["column"], [0, 0, None, None])
-        a[0] += int(r["n"])
-        a[1] += int(r["n_null"])
-        a[2] = int(r["min_v"]) if a[2] is None else min(a[2], int(r["min_v"]))
-        a[3] = int(r["max_v"]) if a[3] is None else max(a[3], int(r["max_v"]))
-    cols = sorted(acc)
-    return pd.DataFrame(
-        {
-            "column": pd.Series(cols, dtype=object),
-            "n": np.array([acc[c][0] for c in cols], np.int64),
-            "n_null": np.array([acc[c][1] for c in cols], np.int64),
-            "min_v": np.array([acc[c][2] for c in cols], np.int64),
-            "max_v": np.array([acc[c][3] for c in cols], np.int64),
-        }
-    )
+    return _fold(ds.map_batches(
+        prof_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
+    ), "column", ["n", "n_null"], mins=["min_v"], maxs=["max_v"]).astype(
+        {c: "int64" for c in ("n", "n_null", "min_v", "max_v")})
 
 
 SQL_PROFILE_COLUMNS = """
@@ -7923,14 +7815,11 @@ def q_ols_outliers(sf_dir: str):
 
     def d0_partial(df: pd.DataFrame) -> pa.Table:
         t = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        return pa.table({"d0": pa.array([int(t.min() // _DAY_US)])})
+        return _partial({"d0": t // _DAY_US}, [], [], mins=["d0"])
 
-    d0 = min(
-        int(r["d0"])
-        for r in ds.map_batches(
-            d0_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
-        ).take_all()
-    )
+    d0 = _fold(ds.map_batches(
+        d0_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
+    ), [], [], mins=["d0"])["d0"][0]
 
     def moments(df: pd.DataFrame) -> pa.Table:
         x = (
@@ -7983,7 +7872,7 @@ def q_ols_outliers(sf_dir: str):
 
     part = ds.map_batches(
         topk_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).to_pandas()
+    ).to_pandas().reindex(columns=["event_type", "event_id", "resid_scaled"])  # none if empty
     out = (
         part.sort_values(["event_type", "resid_scaled", "event_id"],
                          ascending=[True, False, True])
@@ -9004,22 +8893,16 @@ def q_weighted_median(sf_dir: str):
             }
         )
 
-    # pass 0: per-group total weight + value range
+    # pass 0: per-group total weight + value range; the oracle's JOIN …
+    # USING (f) drops a NULL flag
     def stats_partial(df: pd.DataFrame) -> pa.Table:
         c = vw(df)
-        g = c.groupby("f", as_index=False).agg(
-            tw=("w", "sum"), lo=("v", "min"), hi=("v", "max")
-        )
-        return _arrow_out(g.astype({"tw": "int64", "lo": "int64", "hi": "int64"}))
+        return _partial({"f": c["f"], "tw": c["w"], "lo": c["v"], "hi": c["v"]}, "f", ["tw"],
+                        mins=["lo"], maxs=["hi"])
 
-    meta: dict[str, list[int]] = {}
-    for r in ds.map_batches(
+    meta = {f: (tw, lo, hi) for f, tw, lo, hi in _fold(ds.map_batches(
         stats_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
-    ).take_all():
-        m = meta.setdefault(r["f"], [0, int(r["lo"]), int(r["hi"])])
-        m[0] += int(r["tw"])
-        m[1] = min(m[1], int(r["lo"]))
-        m[2] = max(m[2], int(r["hi"]))
+    ), "f", ["tw"], mins=["lo"], maxs=["hi"]).itertuples(index=False) if f is not None}
 
     def bin_of(f: str, v: np.ndarray) -> np.ndarray:
         _tw, lo, hi = meta[f]
@@ -9561,8 +9444,6 @@ WHERE abs(CAST(n*t - s1 AS DOUBLE)
 
 
 def q_dedup_exact_normalized(sf_dir: str):
-    from ray.data.aggregate import Min
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     ws = _re_mod.compile(r"\s+")
 
@@ -9570,19 +9451,12 @@ def q_dedup_exact_normalized(sf_dir: str):
         texts = [
             ws.sub(" ", (t or "").lower()).strip() for t in df["text"].tolist()
         ]
-        return pa.table(
-            {
-                "fp": pa.array(_md5_col(texts), pa.string()),
-                "doc_id": pa.array(df["doc_id"].to_numpy(), pa.int64()),
-            }
-        )
+        return _partial({"fp": pa.array(_md5_col(texts), pa.string()),
+                         "doc_id": pa.array(df["doc_id"].to_numpy(), pa.int64())},
+                        "fp", [], mins=["doc_id"])
 
-    return (
-        ds.map_batches(norm_fp, batch_format="pandas")
-        .groupby("fp")
-        .aggregate(Min("doc_id", alias_name="doc_id"))
-        .select_columns(["doc_id"])
-    )
+    return _combine(ds, norm_fp, "fp", [], mins=["doc_id"], batch_size=None,
+                    batch_format="pandas").select_columns(["doc_id"])
 
 
 SQL_DEDUP_EXACT_NORMALIZED = r"""
@@ -10149,50 +10023,27 @@ def q_rfm_cells(sf_dir: str):
     )
     nb = _key_buckets(_rows(sf_dir, "orders"))
 
-    def per_order(t: pa.Table) -> pa.Table:
-        # per-block partial (max/count/sum per custkey) + bucket tag: one
-        # key-bucketed sort shuffle finishes the per-customer rollup below
-        g = pd.DataFrame(
-            {
-                "o_custkey": t["o_custkey"].to_numpy(zero_copy_only=False),
-                "last_day": t["o_orderdate"]
-                .cast(pa.int64())
-                .to_numpy(zero_copy_only=False)
-                // _DAY_US,
-                "n_orders": np.int64(1),
-                "cents": np.rint(
-                    t["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-                ).astype(np.int64),
-            }
-        ).groupby("o_custkey", as_index=False).agg(
-            last_day=("last_day", "max"),
-            n_orders=("n_orders", "sum"),
-            cents=("cents", "sum"),
-        )
-        g["bucket"] = _bucket_of(g["o_custkey"].to_numpy(), nb)
-        return _arrow_out(g)
+    def combine(t: pa.Table) -> pa.Table:
+        # per-customer count/sum of cents/max of the order day
+        return _partial(t, "o_custkey", ["n_orders", "cents"], maxs=["last_day"])
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("o_custkey", as_index=False).agg(
-            last_day=("last_day", "max"),
-            n_orders=("n_orders", "sum"),
-            cents=("cents", "sum"),
-        )
-        return out.astype(
-            {
-                "o_custkey": "int64",
-                "last_day": "int64",
-                "n_orders": "int64",
-                "cents": "int64",
-            }
-        )
+    def per_order(t: pa.Table) -> pa.Table:
+        # per-block partial + bucket tag: one key-bucketed sort shuffle
+        # finishes the per-customer rollup in ``combine``
+        g = combine(pa.table({
+            "o_custkey": t["o_custkey"], "n_orders": np.ones(t.num_rows, np.int64),
+            "cents": np.rint(t["o_totalprice"].to_numpy(zero_copy_only=False) * 100
+                             ).astype(np.int64),
+            "last_day": t["o_orderdate"].cast(pa.int64()).to_numpy(zero_copy_only=False) // _DAY_US,
+        }))
+        return g.append_column("bucket", pa.array(_bucket_of(g["o_custkey"].to_numpy(), nb)))
 
     per_cust = (
         ds.map_batches(
             per_order, batch_format="pyarrow", batch_size=_COMBINE_BATCH
         )
         .groupby("bucket")
-        .map_groups(combine, batch_format="pandas")
+        .map_groups(combine, batch_format="pyarrow")
         .materialize()  # the fused frequency scan + assignment pass below
     )
 
@@ -10307,8 +10158,6 @@ _CB2_CHUNK = 256
 
 
 def q_corpus_build_v2(sf_dir: str):
-    from ray.data.aggregate import Min
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "n_chars"])
     # pass 0: exact p5/p95 length band — per-batch value-frequency partials
     # merged on the driver (bounded by distinct LENGTHS, the length_filter
@@ -10350,18 +10199,10 @@ def q_corpus_build_v2(sf_dir: str):
             [ws.sub(" ", (t or "").lower()).strip() for t in df["text"]]
         )
         packed = df["doc_id"].to_numpy(np.int64) * _CB2_PACK + lens
-        return pa.table(
-            {
-                "fp": pa.array(fps, pa.string()),
-                "packed": pa.array(packed),
-            }
-        )
+        return _partial({"fp": pa.array(fps, pa.string()), "packed": packed}, "fp", [],
+                        mins=["packed"])
 
-    surv = (
-        ds.map_batches(scan, batch_format="pandas")
-        .groupby("fp")
-        .aggregate(Min("packed", alias_name="packed"))
-    )
+    surv = _combine(ds, scan, "fp", [], mins=["packed"], batch_size=None, batch_format="pandas")
 
     def unpack(t: pa.Table) -> pa.Table:
         p = t["packed"].to_numpy(zero_copy_only=False)
@@ -14875,32 +14716,16 @@ def q_perplexity_buckets(sf_dir: str):
         b = np.where(
             r < head, r // max(q + 1, 1), rem + (r - head) // max(q, 1)
         ).astype(np.int64) + 1  # ntile is 1-based
-        p = (
-            pd.DataFrame({"bucket": b, "nll_e3": g["nll_e3"].to_numpy(np.int64)})
-            .groupby("bucket", as_index=False)
-            .agg(n_docs=("nll_e3", "size"), mn=("nll_e3", "min"),
-                 mx=("nll_e3", "max"))
-        )
-        p.insert(0, "lang", lang)
-        return p
+        nll = g["nll_e3"].to_numpy(np.int64)
+        return _partial({"lang": pa.array([lang] * len(g), pa.string()), "bucket": b,
+                         "n_docs": np.ones(len(g), np.int64), "min_nll_e3": nll,
+                         "max_nll_e3": nll}, ["lang", "bucket"], ["n_docs"],
+                        mins=["min_nll_e3"], maxs=["max_nll_e3"])
 
-    parts = (
-        scored.groupby("gkey")
-        .map_groups(bucketize, batch_format="pandas")
-        .to_pandas()
-    )
-    agg = parts.groupby(["lang", "bucket"], as_index=False).agg(
-        n_docs=("n_docs", "sum"), mn=("mn", "min"), mx=("mx", "max")
-    )
-    return pd.DataFrame(
-        {
-            "lang": agg["lang"].astype(object),
-            "bucket": agg["bucket"].to_numpy(np.int64),
-            "n_docs": agg["n_docs"].to_numpy(np.int64),
-            "min_nll_e3": agg["mn"].to_numpy(np.int64),
-            "max_nll_e3": agg["mx"].to_numpy(np.int64),
-        }
-    ).sort_values(["lang", "bucket"]).reset_index(drop=True)
+    return _fold(
+        scored.groupby("gkey").map_groups(bucketize, batch_format="pandas"),
+        ["lang", "bucket"], ["n_docs"], mins=["min_nll_e3"], maxs=["max_nll_e3"],
+    ).astype({c: "int64" for c in ("bucket", "n_docs", "min_nll_e3", "max_nll_e3")})
 
 
 SQL_PERPLEXITY_BUCKETS = f"""
@@ -15932,25 +15757,14 @@ def q_hll_register_state(sf_dir: str):
             idx[i] = hv >> wbits
             w = hv & wmask
             rank[i] = (wbits - w.bit_length() + 1) if w else (wbits + 1)
-        p = pd.DataFrame({"idx": idx, "rank": rank}).groupby(
-            "idx", as_index=False
-        )["rank"].max()
-        return pa.table(
-            {
-                "idx": pa.array(p["idx"].to_numpy(np.int64)),
-                "rank": pa.array(p["rank"].to_numpy(np.int64)),
-            }
-        )
+        return _partial({"idx": idx, "rank": rank}, "idx", [], maxs=["rank"])
 
-    parts = (
-        _read(sf_dir, "events", columns=["user_id"])
-        .map_batches(reg_part, batch_format="pyarrow")
-        .to_pandas()
+    agg = _fold(
+        _read(sf_dir, "events", columns=["user_id"]).map_batches(reg_part, batch_format="pyarrow"),
+        "idx", [], maxs=["rank"],
     )
     regs = np.zeros(m, np.int64)
-    if not parts.empty:
-        agg = parts.groupby("idx")["rank"].max()
-        regs[agg.index.to_numpy(np.int64)] = agg.to_numpy(np.int64)
+    regs[agg["idx"].to_numpy(np.int64)] = agg["rank"].to_numpy(np.int64)
     return pd.DataFrame(
         {"idx": np.arange(m, dtype=np.int64), "rank": regs}
     )
@@ -17772,10 +17586,12 @@ SQL_BOOTSTRAP_TYPE_COUNTS = _bootstrap_sql()
 # fine levels → bursty/spiky traffic; at coarse levels → slow drift). Every
 # coefficient is EXACT int64: day sums are e2 cents, and the unnormalized
 # Haar transform is pure pairwise add/subtract, so both engines produce
-# bit-identical integer energies. Same ONE type-keyed shuffle shape as
-# cume_dist_vals; the per-type series (≤ _HAAR_P days, asserted) folds on a
-# 64-slot numpy array. Level 0 row = the final approximation coefficient
-# squared (total mass); levels 1.._HAAR_LEVELS = detail energies fine→coarse.
+# bit-identical integer energies. Per-batch (type, day) sums fold on the
+# driver (≤ types × _HAAR_P rows; a NULL type is its own group, which Ray's
+# sort shuffle cannot order against strings); each type's series (≤ _HAAR_P
+# days, asserted) folds on a 64-slot numpy array. Level 0 row = the final
+# approximation coefficient squared (total mass); levels 1.._HAAR_LEVELS =
+# detail energies fine→coarse.
 # ---------------------------------------------------------------------------
 
 _HAAR_P = 64
@@ -17788,18 +17604,22 @@ def q_haar_energy(sf_dir: str):
     def partial(df: pd.DataFrame) -> pa.Table:
         v = df["value"].to_numpy(np.float64) * 100.0
         e2 = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
-        return _partial({"event_type": df["event_type"].astype(str),
-                         "day": df["ts"].dt.floor("D"), "s": e2}, ["event_type", "day"], ["s"])
+        return _partial({"event_type": df["event_type"], "day": df["ts"].dt.floor("D"),
+                         "s": e2}, ["event_type", "day"], ["s"])
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("day")["s"].sum().sort_index()
-        if len(m) > _HAAR_P:
+    out: dict[str, list] = {"event_type": [], "level": [], "energy": []}
+    sums = _fold(ds.map_batches(partial, batch_format="pandas", batch_size=_COMBINE_BATCH),
+                 ["event_type", "day"], ["s"])  # sorted by (type, day)
+    for _, g in sums.groupby("event_type", sort=False, dropna=False):
+        et = g["event_type"].iloc[0]
+        if len(g) > _HAAR_P:
             raise ValueError(
-                f"haar_energy: {len(m)} days exceeds the fixed transform "
+                f"haar_energy: {len(g)} days exceeds the fixed transform "
                 f"length {_HAAR_P}; raise _HAAR_P (and the SQL unroll)"
             )
         x = np.zeros(_HAAR_P, np.int64)
-        x[: len(m)] = m.to_numpy(np.int64)
+        if et is not None:  # the oracle joins the day sums on event_type =,
+            x[: len(g)] = g["s"].to_numpy(np.int64)  # which never matches NULL
         levels, energies = [], []
         for lvl in range(1, _HAAR_LEVELS + 1):
             d = x[0::2] - x[1::2]
@@ -17814,22 +17634,15 @@ def q_haar_energy(sf_dir: str):
         if any(e > (1 << 63) - 1 for e in energies):
             raise ValueError(
                 "haar_energy: an energy exceeds int64 (total corpus mass² "
-                f"≥ 2^63 for type {g['event_type'].iloc[0]!r}); re-quantize "
+                f"≥ 2^63 for type {et!r}); re-quantize "
                 "the day sums coarser than cents before the transform"
             )
-        return pd.DataFrame(
-            {
-                "event_type": [g["event_type"].iloc[0]] * len(levels),
-                "level": np.array(levels, np.int64),
-                "energy": np.array(energies, np.int64),
-            }
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=_COMBINE_BATCH)
-        .groupby("event_type")
-        .map_groups(fold, batch_format="pandas")
-    )
+        out["event_type"] += [et] * len(levels)
+        out["level"] += levels
+        out["energy"] += energies
+    return pd.DataFrame({"event_type": pd.Series(out["event_type"], dtype=object),
+                         "level": np.array(out["level"], np.int64),
+                         "energy": np.array(out["energy"], np.int64)})
 
 
 def _haar_sql(p: int = _HAAR_P, levels: int = _HAAR_LEVELS) -> str:

@@ -2023,6 +2023,39 @@ def test_lsh_recall_eval_no_candidates_null_parity(ray_session, tmp_path):
     pd.testing.assert_frame_equal(got, want)
 
 
+def _sf_copy(tmp_path, table: str, rewrite) -> str:
+    """sf0.001 with ``table`` replaced by ``rewrite(table)`` and every other
+    table linked in."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from ptt_spider_go_ray.oracle.duck import TABLES
+
+    for t in TABLES:
+        if t != table:
+            os.symlink(f"{SF}/{t}.parquet", tmp_path / f"{t}.parquet")
+    pq.write_table(rewrite(pq.read_table(f"{SF}/{table}.parquet")), tmp_path / f"{table}.parquet")
+    return str(tmp_path)
+
+
+def _null_every_10th(col: str):
+    def rewrite(t: pa.Table) -> pa.Table:
+        i = t.schema.get_field_index(col)
+        null = pa.array(np.arange(t.num_rows) % 10 == 0)
+        return t.set_column(i, t.schema.field(i),
+                            pc.if_else(null, pa.scalar(None, t.schema.field(i).type), t[col]))
+    return rewrite
+
+
+def _matches_duckdb(name: str, sf_dir: str) -> None:
+    import ptt_spider_go_ray.queries as Q
+
+    got = canon(to_pandas(getattr(Q, f"q_{name}")(sf_dir)))
+    want = canon(duck_result(getattr(Q, f"SQL_{name.upper()}"), sf_dir))
+    pd.testing.assert_frame_equal(got, want, check_dtype=True)
+
+
 @pytest.mark.parametrize("case", ["empty", "no_match"])
 @pytest.mark.parametrize("name", ["tpch_q6", "tpch_q17", "tpch_q19", "promo_revenue"])
 def test_keyless_sums_on_degenerate_lineitem(name, case, ray_session, tmp_path):
@@ -2030,54 +2063,56 @@ def test_keyless_sums_on_degenerate_lineitem(name, case, ray_session, tmp_path):
     and on one whose rows all miss q_tpch_q6's ship-date window: a SUM over
     no rows is NULL unless the SQL COALESCEs it, and so is x / 0."""
     import datetime
-    import os
-
-    import pyarrow.parquet as pq
 
     import ptt_spider_go_ray.queries as Q
-    from ptt_spider_go_ray.oracle.duck import TABLES
 
-    for t in TABLES:
-        if t != "lineitem":
-            os.symlink(f"{SF}/{t}.parquet", tmp_path / f"{t}.parquet")
-    li = pq.read_table(f"{SF}/lineitem.parquet")
-    if case == "empty":
-        li = li.slice(0, 0)
-    else:  # every ship date before both the q6 and the promo_revenue window
+    def rewrite(li: pa.Table) -> pa.Table:
+        if case == "empty":
+            return li.slice(0, 0)
+        # every ship date before both the q6 and the promo_revenue window
         ship = li.schema.get_field_index("l_shipdate")
-        li = li.set_column(ship, "l_shipdate", pc.subtract(
+        return li.set_column(ship, "l_shipdate", pc.subtract(
             li["l_shipdate"], pa.scalar(datetime.timedelta(days=20 * 365), pa.duration("us"))))
-    pq.write_table(li, tmp_path / "lineitem.parquet")
-    got = canon(to_pandas(getattr(Q, f"q_{name}")(str(tmp_path))))
-    want = canon(duck_result(getattr(Q, f"SQL_{name.upper()}"), str(tmp_path)))
-    assert len(want) == 1
-    pd.testing.assert_frame_equal(got, want)
+
+    sf_dir = _sf_copy(tmp_path, "lineitem", rewrite)
+    assert len(duck_result(getattr(Q, f"SQL_{name.upper()}"), sf_dir)) == 1
+    _matches_duckdb(name, sf_dir)
 
 
 @pytest.mark.parametrize("name", [
     "mode_per_type", "gini_per_type", "skew_per_type", "trend_per_type", "salted_agg",
     "zscore_norm", "mad_per_type", "winsorized_mean", "daily_type_corr",
+    "percent_rank", "haar_energy",
 ])
 def test_null_event_type_is_a_group(name, ray_session, tmp_path):
     """Every 10th event_type NULL: a NULL key is its own group in the
     combiner partials (``_partial``) as in DuckDB's GROUP BY, and the
     queries whose SQL joins USING (event_type) drop it as DuckDB does."""
-    import os
+    _matches_duckdb(name, _sf_copy(tmp_path, "events", _null_every_10th("event_type")))
 
-    import pyarrow.parquet as pq
 
-    import ptt_spider_go_ray.queries as Q
-    from ptt_spider_go_ray.oracle.duck import TABLES
+_DEGENERATE = {  # input → (table, rewrite of that sf0.001 table)
+    "null_event_type": ("events", _null_every_10th("event_type")),
+    "null_value": ("events", _null_every_10th("value")),
+    "empty_events": ("events", lambda t: t.slice(0, 0)),
+    "null_totalprice": ("orders", _null_every_10th("o_totalprice")),
+    "null_source": ("documents", _null_every_10th("source")),
+}
 
-    for t in TABLES:
-        if t != "events":
-            os.symlink(f"{SF}/{t}.parquet", tmp_path / f"{t}.parquet")
-    ev = pq.read_table(f"{SF}/events.parquet")
-    i = ev.schema.get_field_index("event_type")
-    null = pa.array(np.arange(ev.num_rows) % 10 == 0)
-    ev = ev.set_column(i, ev.schema.field(i),
-                       pc.if_else(null, pa.scalar(None, pa.string()), ev["event_type"]))
-    pq.write_table(ev, tmp_path / "events.parquet")
-    got = canon(to_pandas(getattr(Q, f"q_{name}")(str(tmp_path))))
-    want = canon(duck_result(getattr(Q, f"SQL_{name.upper()}"), str(tmp_path)))
-    pd.testing.assert_frame_equal(got, want)
+
+@pytest.mark.parametrize("name,case", [
+    ("value_extremes", "null_event_type"), ("json_extract_agg", "null_event_type"),
+    ("percentiles", "null_event_type"), ("value_histogram", "null_value"),
+    ("psi_drift", "null_value"), ("percentiles", "null_value"),
+    ("value_extremes", "empty_events"), ("json_extract_agg", "empty_events"),
+    ("psi_drift", "empty_events"), ("ols_outliers", "empty_events"),
+    ("profile_columns", "null_totalprice"), ("mixture_plan", "null_source"),
+])
+def test_degenerate_input_matches_duckdb(name, case, ray_session, tmp_path):
+    """Min/max folds on NULL keys, NULL values and an empty table: mins and
+    maxes skip NULL, a NULL key is its own group, an empty input folds to
+    DuckDB's typed result, and DuckDB's LEAST skips NULL (a NULL value is
+    in the top histogram bin). A NULL ``source`` gets its own ranks and
+    NULL weight-derived columns in ``mixture_plan``."""
+    table, rewrite = _DEGENERATE[case]
+    _matches_duckdb(name, _sf_copy(tmp_path, table, rewrite))

@@ -50,12 +50,32 @@ def _calls(node, name):
     )
 
 
+def _takes_all(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "take_all")
+
+
+def _extremes(node) -> bool:
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id in ("min", "max") for n in ast.walk(node))
+
+
+def _extreme_of_pull(node) -> bool:
+    """``min(… for r in ….take_all())`` (or ``max``, or over a list)."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("min", "max") and bool(node.args)
+            and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))
+            and any(_takes_all(g.iter) for g in node.args[0].generators))
+
+
 def _hand_fold_loop(loop: ast.For) -> bool:
-    """``for r in ….take_all():`` whose body only accumulates ``int(r[…])``
-    per key (a subscript store or ``setdefault``), with no other call."""
-    if not (isinstance(loop.iter, ast.Call) and isinstance(loop.iter.func, ast.Attribute)
-            and loop.iter.func.attr == "take_all" and isinstance(loop.target, ast.Name)):
+    """``for r in ….take_all():`` whose body takes a ``min``/``max``, or
+    only accumulates ``int(r[…])`` per key (a subscript store or
+    ``setdefault``), with no other call."""
+    if not (_takes_all(loop.iter) and isinstance(loop.target, ast.Name)):
         return False
+    if any(_extremes(s) for s in loop.body):
+        return True
     body = [n for s in loop.body for n in ast.walk(s)]
     calls = [n for n in body if isinstance(n, ast.Call)]
     only_folds = all(
@@ -79,8 +99,9 @@ def _hand_fold_loop(loop: ast.For) -> bool:
 
 def _pandas_merges(fn: ast.FunctionDef) -> list[int]:
     """Lines where a ``to_pandas()`` pull of partials (directly, or through a
-    name assigned from it) goes into ``.groupby(…)…sum()``. A pull of a Ray
-    ``aggregate`` is already merged and does not count."""
+    name assigned from it) goes into ``.groupby(…)`` and a sum, min or max
+    (or an ``.agg`` of only those). A pull of a Ray ``aggregate`` is already
+    merged and does not count."""
     assigned: dict[str, list] = {}
     for n in ast.walk(fn):
         if (isinstance(n, ast.Assign) and len(n.targets) == 1
@@ -89,7 +110,7 @@ def _pandas_merges(fn: ast.FunctionDef) -> list[int]:
     out = []
     for n in ast.walk(fn):
         if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-                and n.func.attr == "sum"):
+                and n.func.attr in ("sum", "min", "max", "agg") and _fold_only(n)):
             continue
         x = n.func.value
         while isinstance(x, (ast.Call, ast.Subscript, ast.Attribute)):
@@ -129,24 +150,24 @@ def _hand_probes(fn: ast.FunctionDef) -> list[int]:
     return out
 
 
-_SUM_AGGS = {"sum", "size", "count"}
+_FOLD_AGGS = {"sum", "size", "count", "min", "max"}
 
 
-def _sum_only(call: ast.Call) -> bool:
-    """A pandas ``.sum()``/``.size()``, or an ``.agg(…)`` whose every
-    aggregation is a sum or a count."""
+def _fold_only(call: ast.Call) -> bool:
+    """A pandas ``.sum()``/``.size()``/``.min()``/``.max()``, or an
+    ``.agg(…)`` whose every aggregation is a sum, count, min or max."""
     name = call.func.attr
     if name != "agg":
-        return name in _SUM_AGGS
+        return name in _FOLD_AGGS
     funcs = [a.value for a in call.args if isinstance(a, ast.Constant)] + [
         e.value for k in call.keywords if isinstance(k.value, ast.Tuple)
         for e in k.value.elts[1:] if isinstance(e, ast.Constant)]
-    return set(funcs) <= _SUM_AGGS
+    return set(funcs) <= _FOLD_AGGS
 
 
 def _grouped_sum(expr, assigned, seen=frozenset()) -> bool:
     """``expr`` (or a name it was assigned from) is a pandas ``groupby(…)``
-    whose aggregation only sums or counts."""
+    whose aggregation only sums, counts, or takes mins and maxes."""
     if isinstance(expr, ast.Name):
         seen |= {expr.id}
     for x in assigned.get(expr.id, []) if isinstance(expr, ast.Name) else [expr]:
@@ -154,7 +175,7 @@ def _grouped_sum(expr, assigned, seen=frozenset()) -> bool:
         while isinstance(x, (ast.Call, ast.Subscript, ast.Attribute)):
             if isinstance(x, ast.Call) and isinstance(x.func, ast.Attribute):
                 if x.func.attr == "groupby":
-                    if agg is not None and _sum_only(agg):
+                    if agg is not None and _fold_only(agg):
                         return True
                     break
                 agg = x
@@ -168,8 +189,8 @@ def _grouped_sum(expr, assigned, seen=frozenset()) -> bool:
 def _hand_partials(fn: ast.FunctionDef) -> list[int]:
     """Lines where a combiner partial is written by hand: a nested UDF
     returns ``_arrow_out(…)``/``pa.Table.from_pandas(…)`` of a pandas
-    groupby that only sums or counts, or an Arrow ``group_by(…).aggregate``
-    asks only for sums and counts."""
+    groupby that only sums, counts, or takes mins and maxes, or an Arrow
+    ``group_by(…).aggregate`` asks only for those."""
     out = []
     for sub in ast.walk(fn):
         if sub is fn or not isinstance(sub, ast.FunctionDef):
@@ -194,21 +215,28 @@ def _hand_partials(fn: ast.FunctionDef) -> list[int]:
             funcs = [e.elts[1].value for a in n.args if isinstance(a, ast.List)
                      for e in a.elts if isinstance(e, ast.Tuple) and len(e.elts) > 1
                      and isinstance(e.elts[1], ast.Constant)]
-            if set(funcs) <= _SUM_AGGS:
+            if set(funcs) <= _FOLD_AGGS:
                 out.append(n.lineno)
     return sorted(set(out))
 
 
+def _ray_extremes(fn: ast.FunctionDef) -> list[int]:
+    """Lines that build a Ray ``Min``/``Max`` aggregate."""
+    return [n.lineno for n in ast.walk(fn) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name) and n.func.id in ("Min", "Max")]
+
+
 def test_query_kernels_have_no_hand_copies():
     """The key-bucket tag, the Parquet footer row count, the per-batch
-    combiner partial, the merge of combiner partials and the sorted-key
-    probe each live in one kernel (``_by_key_bucket``, ``_rows``,
-    ``_partial``, ``_fold``, ``_probe``); no q_* writes its own copy. One
+    combiner partial (sums, counts, mins and maxes), the merge of combiner
+    partials, the Ray Min/Max aggregate and the sorted-key probe each live
+    in one kernel (``_by_key_bucket``, ``_rows``, ``_partial``, ``_fold``,
+    ``_combine``, ``_probe``); no q_* writes its own copy. One
     bound picks every broadcast-or-distributed plan: no ``broadcast_max``
     parameter anywhere, one ``*B*CAST_MAX*`` name, and no ``ray.ObjectRef``
     fork in a broadcast UDF."""
     tree = ast.parse(inspect.getsource(Q))
-    tags, footers, loops, merges, probes, forks, partials = [], [], [], [], [], [], []
+    tags, footers, loops, merges, probes, forks, partials, extremes = ([] for _ in range(8))
     bounds = [t.id for n in tree.body if isinstance(n, ast.Assign) for t in n.targets
               if isinstance(t, ast.Name) and fnmatch.fnmatchcase(t.id, "*B*CAST_MAX*")]
     assert bounds == ["_BROADCAST_MAX_BYTES"], bounds
@@ -227,10 +255,13 @@ def test_query_kernels_have_no_hand_copies():
             probes += [f"{fn.name}:{ln}" for ln in _hand_probes(fn)]
         if fn.name != "_partial":
             partials += [f"{fn.name}:{ln}" for ln in _hand_partials(fn)]
+        if fn.name != "_combine":
+            extremes += [f"{fn.name}:{ln}" for ln in _ray_extremes(fn)]
         forks += [f"{fn.name}:{n.lineno}" for n in ast.walk(fn)
                   if isinstance(n, ast.Attribute) and n.attr == "ObjectRef"]
         for n in ast.walk(fn):
-            if fn.name.startswith("q_") and isinstance(n, ast.For) and _hand_fold_loop(n):
+            if fn.name.startswith("q_") and (isinstance(n, ast.For) and _hand_fold_loop(n)
+                                             or _extreme_of_pull(n)):
                 loops.append(f"{fn.name}:{n.lineno}")
             if (fn.name.startswith("q_") and isinstance(n, ast.FunctionDef)
                     and n.name == "tag" and len(n.body) == 2
@@ -249,3 +280,4 @@ def test_query_kernels_have_no_hand_copies():
     assert probes == [], probes
     assert forks == [], forks
     assert partials == [], partials
+    assert extremes == [], extremes
