@@ -35,8 +35,13 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     """Columns sorted by name, rows by every scalar column. Nested columns
     (list<struct> spans from the crawl queries) are not orderable, so they
     do not take part in the row order (doc_id etc. are unique keys in those
-    frames, so the order stays deterministic)."""
+    frames, so the order stays deterministic). A NULL in an object column
+    is None on both sides: DuckDB gives NaN for a NULL boolean where Arrow
+    gives None."""
     df = df.reindex(sorted(df.columns), axis=1)
+    for c in df.columns:
+        if df[c].dtype == object:
+            df[c] = df[c].where(df[c].notna(), None)
     keys = [
         c for c in df.columns
         if not df[c].map(lambda v: isinstance(v, (np.ndarray, list, dict))).any()

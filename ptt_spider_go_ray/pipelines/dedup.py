@@ -51,6 +51,13 @@ def _bucket_of(keys: list[str] | np.ndarray, n_buckets: int) -> np.ndarray:
     )
 
 
+def _pairs_table(rows: list, schema: pa.Schema) -> pa.Table:
+    """Candidate pairs as a typed Arrow table, also when there are none: a
+    zero-row pandas object column has no type for Ray to size."""
+    return pa.Table.from_pandas(pd.DataFrame(rows, columns=schema.names), schema=schema,
+                                preserve_index=False)
+
+
 def _dedup_pairs(cand, pair_cols: tuple[str, str], n_buckets: int):
     """Distributed candidate-pair dedup: bucket on the pair key, then
     drop_duplicates per bucket. Duplicates of one pair always share a bucket,
@@ -58,24 +65,20 @@ def _dedup_pairs(cand, pair_cols: tuple[str, str], n_buckets: int):
     single-task ``repartition(1)`` tail)."""
     a, b = pair_cols
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if pd.api.types.is_integer_dtype(df[a]):
-            key = (
-                df[a].astype("int64") * np.int64(1_000_003) + df[b].astype("int64")
-            ).to_numpy()
+    def add_bucket(t: pa.Table) -> pa.Table:
+        ka, kb = (pd.Series(t[c].to_numpy(zero_copy_only=False)) for c in (a, b))
+        if pa.types.is_integer(t.schema.field(a).type):
+            key = (ka.astype("int64") * np.int64(1_000_003) + kb.astype("int64")).to_numpy()
         else:  # string ids (e.g. media refs): hash the joined pair key
-            key = (df[a].astype(str) + "|" + df[b].astype(str)).to_numpy(object)
-        df = df.copy()
-        df["pair_bucket"] = (pd.util.hash_array(key) % n_buckets).astype(
-            np.int64
-        )
-        return df
+            key = (ka.astype(str) + "|" + kb.astype(str)).to_numpy(object)
+        return t.append_column(
+            "pair_bucket", pa.array((pd.util.hash_array(key) % n_buckets).astype(np.int64)))
 
     def drop_dups(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(subset=[a, b]).drop(columns=["pair_bucket"])
 
     return (
-        cand.map_batches(add_bucket, batch_format="pandas")
+        cand.map_batches(add_bucket, batch_format="pyarrow")
         .groupby("pair_bucket")
         .map_groups(drop_dups, batch_format="pandas")
     )
@@ -123,7 +126,7 @@ def _lsh_candidates(sf_dir: str, n_perm: int, n_bands: int):
     # band_key: band keys are mostly singletons, and map_groups pays ~1 ms
     # of Python per group. Within a bucket, the vectorized duplicated()
     # pre-filter keeps the Python loop on collided keys only.
-    def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def pairs_in_bucket(g: pd.DataFrame) -> pa.Table:
         g = g[g.duplicated("band_key", keep=False)]
         rows = []
         for _, grp in g.groupby("band_key", sort=False):
@@ -133,12 +136,8 @@ def _lsh_candidates(sf_dir: str, n_perm: int, n_bands: int):
             for i in range(len(ids)):
                 for j in range(i + 1, len(ids)):
                     rows.append((ids[i], ids[j], minhash_jaccard(sig_list[i], sig_list[j])))
-        if not rows:
-            return pd.DataFrame(
-                {"doc_a": pd.Series(dtype="int64"), "doc_b": pd.Series(dtype="int64"),
-                 "est_jaccard": pd.Series(dtype="float64")}
-            )
-        return pd.DataFrame(rows, columns=["doc_a", "doc_b", "est_jaccard"])
+        return _pairs_table(rows, pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                                             ("est_jaccard", pa.float64())]))
 
     cand = banded.groupby("bucket").map_groups(pairs_in_bucket, batch_format="pandas")
     # same pair can surface from multiple bands → distributed pair dedup
@@ -215,7 +214,7 @@ def simhash_near_dups(sf_dir: str, max_hamming: int = 3):
         )
 
     # coarse-bucket shuffle + in-bucket pandas groupby (see minhash pipeline)
-    def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def pairs_in_bucket(g: pd.DataFrame) -> pa.Table:
         g = g[g.duplicated("block_key", keep=False)]
         rows = []
         for _, grp in g.groupby("block_key", sort=False):
@@ -228,12 +227,8 @@ def simhash_near_dups(sf_dir: str, max_hamming: int = 3):
                 for j in range(i + 1, len(ids))
                 if hamming64(hs[i], hs[j]) <= max_hamming
             )
-        if not rows:
-            return pd.DataFrame(
-                {"doc_a": pd.Series(dtype="int64"), "doc_b": pd.Series(dtype="int64"),
-                 "hamming": pd.Series(dtype="int64")}
-            )
-        return pd.DataFrame(rows, columns=["doc_a", "doc_b", "hamming"])
+        return _pairs_table(rows, pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                                             ("hamming", pa.int64())]))
 
     cand = sh.map_batches(explode, batch_format="pyarrow").groupby("bucket").map_groups(
         pairs_in_bucket, batch_format="pandas"
@@ -275,7 +270,7 @@ def ngram_jaccard_dups(sf_dir: str, threshold: float = 0.8, k: int = 3,
         batch_format="pyarrow",
     )
 
-    def verify_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def verify_in_bucket(g: pd.DataFrame) -> pa.Table:
         g = g[g.duplicated("band_key", keep=False)]
         rows = []
         for _, grp in g.groupby("band_key", sort=False):
@@ -287,12 +282,8 @@ def ngram_jaccard_dups(sf_dir: str, threshold: float = 0.8, k: int = 3,
                     jac = hashed_set_jaccard(sets[i], sets[j])
                     if jac >= threshold:
                         rows.append((ids[i], ids[j], jac))
-        if not rows:
-            return pd.DataFrame(
-                {"doc_a": pd.Series(dtype="int64"), "doc_b": pd.Series(dtype="int64"),
-                 "jaccard": pd.Series(dtype="float64")}
-            )
-        return pd.DataFrame(rows, columns=["doc_a", "doc_b", "jaccard"])
+        return _pairs_table(rows, pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                                             ("jaccard", pa.float64())]))
 
     cand = banded.groupby("bucket").map_groups(verify_in_bucket, batch_format="pandas")
     return _dedup_pairs(cand, ("doc_a", "doc_b"), n_pair_buckets)
@@ -899,7 +890,7 @@ def phash_near_dups(hashed, n_rows: int, max_hamming: int = 3):
             }
         )
 
-    def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def pairs_in_bucket(g: pd.DataFrame) -> pa.Table:
         g = g[g.duplicated("block_key", keep=False)]
         rows = []
         for _, grp in g.groupby("block_key", sort=False):
@@ -912,13 +903,8 @@ def phash_near_dups(hashed, n_rows: int, max_hamming: int = 3):
                 for j in range(i + 1, len(ids))
                 if ids[i] != ids[j] and hamming64(hs[i], hs[j]) <= max_hamming
             )
-        if not rows:
-            return pd.DataFrame(
-                {"ref_a": pd.Series(dtype="object"),
-                 "ref_b": pd.Series(dtype="object"),
-                 "hamming": pd.Series(dtype="int64")}
-            )
-        return pd.DataFrame(rows, columns=["ref_a", "ref_b", "hamming"])
+        return _pairs_table(rows, pa.schema([("ref_a", pa.string()), ("ref_b", pa.string()),
+                                             ("hamming", pa.int64())]))
 
     cand = (
         hashed.map_batches(explode, batch_format="pyarrow")
@@ -970,7 +956,7 @@ def containment_dups(sf_dir: str, threshold: float = 0.9, k: int = 3,
         batch_format="pyarrow",
     )
 
-    def verify_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def verify_in_bucket(g: pd.DataFrame) -> pa.Table:
         g = g[g.duplicated("band_key", keep=False)]
         rows = []
         for _, grp in g.groupby("band_key", sort=False):
@@ -989,16 +975,9 @@ def containment_dups(sf_dir: str, threshold: float = 0.9, k: int = 3,
                     if c >= threshold:
                         contained = ids[i] if a.size <= b.size else ids[j]
                         rows.append((ids[i], ids[j], c, contained))
-        if not rows:
-            return pd.DataFrame(
-                {"doc_a": pd.Series(dtype="int64"),
-                 "doc_b": pd.Series(dtype="int64"),
-                 "containment": pd.Series(dtype="float64"),
-                 "contained_id": pd.Series(dtype="int64")}
-            )
-        return pd.DataFrame(
-            rows, columns=["doc_a", "doc_b", "containment", "contained_id"]
-        )
+        return _pairs_table(rows, pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                                             ("containment", pa.float64()),
+                                             ("contained_id", pa.int64())]))
 
     cand = banded.groupby("bucket").map_groups(
         verify_in_bucket, batch_format="pandas"

@@ -4,8 +4,10 @@ tables, plus (where SQL-expressible) a DuckDB oracle with IDENTICAL column
 names and value semantics.
 
 Design rules for oracle safety:
-- aggregate money/float columns as exact integers (``round(x * 10^k)`` of
-  values that are exact at k decimals) so numpy and DuckDB sums match bit-for-bit;
+- aggregate money/float columns as exact integers, quantized by ``_fixed(x,
+  10^k)``: the oracles' ``CAST(round(x * 10^k) AS BIGINT)``, rounded half
+  away from zero as DuckDB rounds, with NULL kept NULL so each site states
+  whether its oracle skips it (sum, avg, count(x)) or propagates it;
 - every computed column explicitly named on both sides;
 - deterministic tie-breaks on every sort/top-k/window.
 """
@@ -108,6 +110,31 @@ def _partial(cols, keys, sums, *, mins=(), maxs=()) -> pa.Table:
                     + [g[f"{c}_{f}"] for c, f, _opt in aggs], keys + vals)
 
 
+def _fixed(x, scale) -> pa.Int64Array:
+    """The oracles' ``CAST(round(x * scale) AS BIGINT)``: ``x`` (an Arrow
+    array or chunked array, a pandas Series or a NumPy array) times
+    ``scale``, rounded half away from zero as DuckDB rounds, as int64. NULL
+    stays NULL, and so does NaN (pandas batches carry NULL as NaN), so a
+    site that drops to NumPy with ``.to_numpy()`` raises on a NULL it has
+    not handled."""
+    if isinstance(x, pa.ChunkedArray):
+        x = x.combine_chunks()
+    a = pc.cast(x if isinstance(x, pa.Array) else pa.array(x, from_pandas=True), pa.float64())
+    v = pc.multiply(pc.if_else(pc.is_nan(a), pa.scalar(None, pa.float64()), a), float(scale))
+    # rounded on |v|: Arrow's tie test misreads a negative value 2^-54 short
+    # of -0.5 (-0.49999999999999994 would round to -1, DuckDB gives 0)
+    return pc.cast(pc.multiply(pc.sign(v), pc.round(pc.abs(v), round_mode="half_towards_infinity")),
+                   pa.int64())
+
+
+def _revenue_e4(t: pa.Table) -> pa.Int64Array:
+    """TPC-H revenue of the lineitem rows of ``t`` in 1e-4 units, as the
+    oracles write it: ``round(l_extendedprice * 100) * (100 -
+    round(l_discount * 100))``."""
+    return pc.multiply_checked(_fixed(t["l_extendedprice"], 100),
+                               pc.subtract(100, _fixed(t["l_discount"], 100)))
+
+
 def _fold(parts, keys, sums, *, mins=(), maxs=()) -> pd.DataFrame:
     """Driver-side merge of per-batch partials: pull ``parts`` once and
     return one row per distinct ``keys`` (a NULL key is its own group, as
@@ -141,11 +168,11 @@ def _fold(parts, keys, sums, *, mins=(), maxs=()) -> pd.DataFrame:
 def _cents_hist(ds) -> pd.DataFrame:
     """The merged (event_type, c, n) histogram of ``ds``'s ``value`` in
     whole cents: one count partial per batch and one ``_fold``, so it is
-    sorted by (event_type, c) and a NULL type is its own group."""
+    sorted by (event_type, c), a NULL type is its own group, and a NULL
+    value is its own bin, last in its type (``c`` is then NaN)."""
     def hist(t: pa.Table) -> pa.Table:
-        c = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100).astype(np.int64)
-        return _partial({"event_type": t["event_type"], "c": c,
-                         "n": np.ones(len(c), np.int64)}, ["event_type", "c"], ["n"])
+        return _partial({"event_type": t["event_type"], "c": _fixed(t["value"], 100),
+                         "n": np.ones(t.num_rows, np.int64)}, ["event_type", "c"], ["n"])
 
     return _fold(ds.map_batches(hist, batch_format="pyarrow", batch_size=_COMBINE_BATCH),
                  ["event_type", "c"], ["n"])
@@ -572,18 +599,18 @@ def q_lineitem_agg(sf_dir: str):
         # so the groupby shuffle moves ~6 rows per batch instead of the
         # full projected table (exact-integer money encoding keeps partial
         # and final sums associative and bit-exact)
+        # NULL skips each sum, as SQL's sum does
         price = t["l_extendedprice"].to_numpy(zero_copy_only=False)
         disc = t["l_discount"].to_numpy(zero_copy_only=False)
-        qty = t["l_quantity"].to_numpy(zero_copy_only=False)
         return _partial(
             {
                 "l_returnflag": t["l_returnflag"],
                 "l_linestatus": t["l_linestatus"],
-                "sum_qty": np.rint(qty).astype(np.int64),
-                "sum_base_price_e2": np.rint(price * 100).astype(np.int64),
-                "sum_disc_price_e4": np.rint(price * (1 - disc) * 10000).astype(np.int64),
-                "sum_disc_e2": np.rint(disc * 100).astype(np.int64),
-                "count_order": np.ones(len(qty), dtype=np.int64),
+                "sum_qty": _fixed(t["l_quantity"], 1),
+                "sum_base_price_e2": _fixed(price, 100),
+                "sum_disc_price_e4": _fixed(price * (1 - disc), 10000),
+                "sum_disc_e2": _fixed(disc, 100),
+                "count_order": np.ones(t.num_rows, dtype=np.int64),
             },
             keys, sums,
         )
@@ -625,11 +652,10 @@ def q_region_rollup(sf_dir: str):
     def enrich(t: pa.Table) -> pa.Table:
         m = ray.get(lookup_ref)
         keys = t["c_nationkey"].to_numpy(zero_copy_only=False)
-        bal = t["c_acctbal"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "r_name": pa.array([m[int(k)] for k in keys], pa.string()),
-                "acctbal_e2": pa.array(np.rint(bal * 100).astype(np.int64)),
+                "acctbal_e2": _fixed(t["c_acctbal"], 100),  # NULL: Sum skips it
             }
         )
 
@@ -789,7 +815,7 @@ def q_ann_topk(sf_dir: str):
             {
                 "query_id": pa.array(np.repeat(ids, n_b), pa.int64()),
                 "neighbor_id": pa.array(np.tile(vids, n_q), pa.int64()),
-                "cos_e4": pa.array(np.rint(cos.T.reshape(-1) * 10000).astype(np.int64)),
+                "cos_e4": _fixed(cos.T.reshape(-1), 10000),
             }
         )
 
@@ -1319,11 +1345,7 @@ def q_recent_orders(sf_dir: str):
             {
                 "o_orderkey": t["o_orderkey"],
                 "o_orderdate": t["o_orderdate"],
-                "price_e2": pa.array(
-                    np.rint(t["o_totalprice"].to_numpy(zero_copy_only=False) * 100).astype(
-                        np.int64
-                    )
-                ),
+                "price_e2": _fixed(t["o_totalprice"], 100),  # NULL stays NULL
             }
         )
 
@@ -1367,9 +1389,8 @@ def q_join_native(sf_dir: str):
         lambda t: pa.table(
             {
                 "l_orderkey": t["l_orderkey"],
-                "qty": pa.array(
-                    np.rint(t["l_quantity"].to_numpy(zero_copy_only=False)).astype(np.int64)
-                ),
+                "qty": _fixed(t["l_quantity"], 1),  # NULL: Sum skips it
+
             }
         ),
         batch_format="pyarrow",
@@ -1921,8 +1942,9 @@ def q_percentiles(sf_dir: str):
             h = (n - 1) * q
             v0 = vals[(g, qi, 0)]
             v1 = vals[(g, qi, 1)]
-            col.append(np.rint((v0 + (h - np.floor(h)) * (v1 - v0)) * 10000))
-        out[f"p{int(q * 100)}_e4"] = np.array(col, np.int64)
+            col.append(v0 + (h - np.floor(h)) * (v1 - v0))
+        out[f"p{int(q * 100)}_e4"] = _fixed(np.array(col, np.float64), 10000).to_numpy()
+
     return pd.DataFrame(out)
 
 
@@ -2196,15 +2218,19 @@ def q_running_total(sf_dir: str):
 
     def running(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
-        cents = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
-        run = pd.Series(cents).groupby(g["user_id"].to_numpy(), sort=False).cumsum()
-        return pd.DataFrame(
+        # NULL: the window sum skips it, and is NULL until a value is seen
+        c, uid = _fixed(g["value"], 100), g["user_id"].to_numpy()
+        run = pd.Series(c.fill_null(0).to_numpy()).groupby(uid, sort=False).cumsum()
+        seen = pd.Series(c.is_valid().to_numpy(zero_copy_only=False)).groupby(
+            uid, sort=False).cummax()
+        return pa.table(
             {
-                "event_id": g["event_id"].astype("int64").to_numpy(),
-                "user_id": g["user_id"].astype("int64").to_numpy(),
-                "run_cents": run.to_numpy(),
+                "event_id": g["event_id"].to_numpy(np.int64),
+                "user_id": g["user_id"].to_numpy(np.int64),
+                "run_cents": pa.array(run.to_numpy(), mask=~seen.to_numpy()),
             }
         )
+
 
     return _by_key_bucket(ds, "user_id", running, ds.count())
 
@@ -2352,8 +2378,8 @@ def q_corr_qty_price(sf_dir: str):
     sums = ["n", "sx", "sy", "sxx", "syy", "sxy"]
 
     def moments(t: pa.Table) -> pa.Table:
-        x = np.rint(t["l_quantity"].to_numpy(zero_copy_only=False)).astype(np.int64)
-        y = np.rint(t["l_extendedprice"].to_numpy(zero_copy_only=False)).astype(np.int64)
+        x = _fixed(t["l_quantity"], 1).to_numpy()
+        y = _fixed(t["l_extendedprice"], 1).to_numpy()
         return _partial({"flag": t["l_returnflag"], "n": np.ones(len(x), np.int64),
                          "sx": x, "sy": y, "sxx": x * x, "syy": y * y, "sxy": x * y},
                         "flag", sums)
@@ -2368,7 +2394,7 @@ def q_corr_qty_price(sf_dir: str):
             (float(n) * float(sxx) - float(sx) * float(sx))
             * (float(n) * float(syy) - float(sy) * float(sy))
         )
-        corr.append(int(np.rint(num / den * 1_000_000)))
+        corr.append(round(num / den * 1_000_000))
     return pd.DataFrame(
         {"flag": m["flag"], "n": m["n"].astype(np.int64),
          "corr_e6": np.array(corr, np.int64)}
@@ -2659,7 +2685,7 @@ def q_nation_revenue(sf_dir: str):
     if _fits_broadcast(_rows(sf_dir, "customer"), 16):
         # Adaptive broadcast-map plan (the q_ship_delay pattern): the
         # customer→nation map ships ONCE via ray.put as sorted arrays, each
-        # orders block folds into a 25-slot bincount partial, and the driver
+        # orders block folds into a per-nation combiner partial, and the driver
         # merges O(blocks × nations) rows — ZERO shuffles. Past the
         # broadcast bound the else branch keeps the native hash-join plan.
         ct = pq.read_table(
@@ -2672,26 +2698,14 @@ def q_nation_revenue(sf_dir: str):
             np.int64,
         )
         cmap_ref = _broadcast(ct["c_custkey"].to_numpy(zero_copy_only=False), cn)
-        n_nations = len(nkeys)
 
         def rev_partial(t: pa.Table) -> pa.Table:
-            oc = t["o_custkey"].to_numpy(zero_copy_only=False)
-            price = np.rint(
-                t["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-            ).astype(np.int64)
-            hit, nid = _probe(ray.get(cmap_ref), oc)
-            ni = nid[hit]
-            rev = np.zeros(n_nations, np.int64)
-            np.add.at(rev, ni, price[hit])  # exact int64 (no float weights)
-            return pa.table(
-                {
-                    "nid": pa.array(np.arange(n_nations, dtype=np.int64)),
-                    "revenue_e2": pa.array(rev),
-                    "n_orders": pa.array(
-                        np.bincount(ni, minlength=n_nations).astype(np.int64)
-                    ),
-                }
-            )
+            hit, nid = _probe(ray.get(cmap_ref), t["o_custkey"].to_numpy(zero_copy_only=False))
+            # a NULL price: the sum skips it and the order still counts
+            return _partial({"nid": nid[hit],
+                             "revenue_e2": _fixed(t["o_totalprice"], 100).filter(pa.array(hit)),
+                             "n_orders": np.ones(int(hit.sum()), np.int64)},
+                            "nid", ["revenue_e2", "n_orders"])
 
         g = _fold(
             _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
@@ -2700,7 +2714,6 @@ def q_nation_revenue(sf_dir: str):
             ),
             "nid", ["revenue_e2", "n_orders"],
         )
-        g = g[g["n_orders"] > 0]  # inner-join semantics: only nations hit
         return pd.DataFrame(
             {
                 "n_name": pd.Series(
@@ -2717,16 +2730,13 @@ def q_nation_revenue(sf_dir: str):
         lambda t: pa.table(
             {
                 "o_custkey": t["o_custkey"],
-                "price_e2": pa.array(
-                    np.rint(
-                        t["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-                    ).astype(np.int64)
-                ),
+                "price_e2": _fixed(t["o_totalprice"], 100),  # NULL: Sum skips it
             }
         ),
         batch_format="pyarrow",
     )
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
+
     joined = od.join(
         cust, join_type="inner",
         num_partitions=_join_partitions(sf_dir, "orders", "customer"),
@@ -2833,12 +2843,10 @@ def q_tfidf_top_terms(sf_dir: str):
         g = g.sort_values(["doc_id", "tfidf", "term"],
                           ascending=[True, False, True], kind="mergesort")
         g = g[g.groupby("doc_id", sort=False).cumcount() < _TFIDF_K]
-        # positive scores: floor(x*1e6 + 0.5) ≡ DuckDB round-half-away
-        e6 = np.floor(g["tfidf"].to_numpy(np.float64) * 1e6 + 0.5).astype(np.int64)
         return pa.table(
             {"doc_id": pa.array(g["doc_id"].to_numpy(np.int64)),
              "term": pa.array(g["term"].astype(str)),
-             "tfidf_e6": pa.array(e6)}
+             "tfidf_e6": _fixed(g["tfidf"], 1e6)}
         )
 
     return ds.map_batches(score, batch_format="pandas", batch_size=_TEXT_COMBINE_BATCH)
@@ -2887,10 +2895,7 @@ def q_embedding_centroid(sf_dir: str):
     def partial(t: pa.Table) -> pa.Table:
         lab = t["label"].to_numpy(zero_copy_only=False)
         col = t["embedding"].combine_chunks()
-        flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
-        emb = flat.reshape(len(lab), _EMB_DIM) * 1e6
-        # DuckDB round() is half-away-from-zero (values span both signs)
-        e6 = (np.sign(emb) * np.floor(np.abs(emb) + 0.5)).astype(np.int64)
+        e6 = _fixed(col.flatten(), 1e6).to_numpy().reshape(len(lab), _EMB_DIM)
         df = pd.DataFrame(e6)
         df["label"] = lab.astype(np.int64)
         sums = df.groupby("label", sort=False).sum()
@@ -2947,16 +2952,18 @@ def q_moving_window(sf_dir: str):
     def window(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
         uid = g["user_id"].to_numpy()
-        cents = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
+        # NULL: the window sum skips it, and is NULL over a window of NULLs
+        c = _fixed(g["value"], 100)
         cc = pd.Series(1, index=g.index).groupby(uid, sort=False).cumcount().to_numpy()
         k = np.minimum(cc, _MW_ROWS - 1)
-        csum = np.concatenate([[0], np.cumsum(cents)])
+        csum = np.concatenate([[0], np.cumsum(c.fill_null(0).to_numpy())])
+        nv = np.concatenate([[0], np.cumsum(c.is_valid().to_numpy(zero_copy_only=False))])
         i = np.arange(len(g))
-        return pd.DataFrame(
+        return pa.table(
             {
-                "event_id": g["event_id"].astype("int64").to_numpy(),
+                "event_id": g["event_id"].to_numpy(np.int64),
                 "user_id": uid.astype(np.int64),
-                "win_cents": csum[i + 1] - csum[i - k],
+                "win_cents": pa.array(csum[i + 1] - csum[i - k], mask=nv[i + 1] == nv[i - k]),
                 "win_n": (k + 1).astype(np.int64),
             }
         )
@@ -2991,8 +2998,11 @@ def q_weighted_sample(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "value"])
 
     def prio(df: pd.DataFrame) -> pa.Table:
+        # a NULL weight's priority is NULL, last in DuckDB's descending order
+        df = df[df["value"].notna()]
         ids = df["event_id"].to_numpy().astype(np.int64)
-        w = np.abs(np.rint(df["value"].to_numpy() * 100).astype(np.int64)) % 2000 + 1
+
+        w = np.abs(_fixed(df["value"], 100).to_numpy()) % 2000 + 1
         u = (ids * _WS_MULT) % 4294967296
         out = pd.DataFrame(
             {
@@ -3039,9 +3049,10 @@ def q_zscore_norm(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "event_type", "value"])
 
     def moments(t: pa.Table) -> pa.Table:
-        c = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100).astype(np.int64)
+        # count(*) counts a NULL value; the sums skip it
+        c = _fixed(t["value"], 100)
         return _partial({"event_type": t["event_type"], "n": np.ones(len(c), np.int64),
-                         "s": c, "ss": c * c}, "event_type", ["n", "s", "ss"])
+                         "s": c, "ss": pc.multiply(c, c)}, "event_type", ["n", "s", "ss"])
 
     stats = {
         t: (float(s) / n, math.sqrt(float(ss) / n - (float(s) / n) * (float(s) / n)))
@@ -3052,16 +3063,17 @@ def q_zscore_norm(sf_dir: str):
 
     def z(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["event_type"].notna()]  # JOIN USING: a NULL type has no stats row
-        c = np.rint(df["value"].to_numpy() * 100).astype(np.int64).astype(np.float64)
+        c = _fixed(df["value"], 100).to_numpy(zero_copy_only=False)  # NULL → NaN → NULL z
         mean = df["event_type"].map({t: m for t, (m, _) in stats.items()}).to_numpy()
         sd = df["event_type"].map({t: s for t, (_, s) in stats.items()}).to_numpy()
-        return pd.DataFrame(
+        return pa.table(
             {
-                "event_id": df["event_id"].astype("int64").to_numpy(),
-                "event_type": df["event_type"].to_numpy(),
-                "z_e6": np.rint((c - mean) / sd * 1e6).astype(np.int64),
+                "event_id": df["event_id"].to_numpy(np.int64),
+                "event_type": pa.array(df["event_type"], pa.string()),
+                "z_e6": _fixed((c - mean) / sd, 1e6),
             }
         )
+
 
     return ds.map_batches(z, batch_format="pandas")
 
@@ -3094,13 +3106,14 @@ def q_mode_per_type(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
     # driver merge (bounded by blocks × the cents domain), then an argmax
     # per type via a (n desc, cents asc) sort + drop_duplicates
+    # (a NULL value is a bin of its own, ordered last as DuckDB orders it)
     g = _cents_hist(ds).sort_values(
         ["event_type", "n", "c"], ascending=[True, False, True]
     ).drop_duplicates("event_type")
-    return pd.DataFrame(
+    return pa.table(
         {
-            "event_type": g["event_type"].to_numpy(),
-            "mode_cents": g["c"].to_numpy().astype(np.int64),
+            "event_type": pa.array(g["event_type"], pa.string()),
+            "mode_cents": pa.array(g["c"], pa.int64()),
             "n": g["n"].to_numpy().astype(np.int64),
         }
     )
@@ -3182,26 +3195,25 @@ def q_percent_rank(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "event_type", "value"])
     # driver merge (bounded by blocks × the cents domain), sorted by
     # (type, cents), then per-type exclusive cumsums; a NULL type is its own
-    # group, keyed by the stored None (pandas' group key would be NaN)
+    # group, keyed by the stored None (pandas' group key would be NaN); a
+    # NULL value is the NaN bin last in its type and ranks after every value
     tables = {}
     for _, sub in _cents_hist(ds).groupby("event_type", sort=False, dropna=False):
         t = sub["event_type"].iloc[0]
-        cents = sub["c"].to_numpy().astype(np.int64)
+        cents = sub["c"].to_numpy().astype(np.float64)
         cnt = sub["n"].to_numpy().astype(np.int64)
         less = np.concatenate(([0], np.cumsum(cnt)[:-1]))
         tables[t] = (cents, less, int(cnt.sum()))
 
     def pr(df: pd.DataFrame) -> pd.DataFrame:
-        c = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
+        c = _fixed(df["value"], 100).to_numpy(zero_copy_only=False)  # NULL → NaN
         types = df["event_type"].to_numpy()
         out = np.zeros(len(df), dtype=np.int64)
         for t, (cents, less, n) in tables.items():
             m = types == t
             if n > 1 and m.any():
                 idx = np.searchsorted(cents, c[m], side="left")
-                # floor(x+0.5): DuckDB round() is half-away-from-zero, not
-                # banker's rounding; pr is non-negative so this matches.
-                out[m] = np.floor(less[idx] / (n - 1) * 1e6 + 0.5).astype(np.int64)
+                out[m] = _fixed(less[idx] / (n - 1), 1e6).to_numpy()
         return pd.DataFrame(
             {
                 "event_id": df["event_id"].astype("int64").to_numpy(),
@@ -3609,7 +3621,7 @@ def q_unpivot_measures(sf_dir: str):
         n = len(df)
         vals = np.concatenate(
             [
-                np.rint(df[f"l_{m}"].to_numpy() * 100).astype(np.int64)
+                _fixed(df[f"l_{m}"], 100).to_numpy()
                 for m in _UNPIVOT_MEASURES
             ]
         )
@@ -3776,13 +3788,7 @@ def q_tpch_q3(sf_dir: str):
             t = t.filter(keep)
             ok = t["l_orderkey"].to_numpy(zero_copy_only=False)
             hit, = _probe(ray.get(ord_ref)[:1], ok)
-            price_c = np.rint(
-                t["l_extendedprice"].to_numpy(zero_copy_only=False)[hit] * 100.0
-            ).astype(np.int64)
-            disc_pct = np.rint(
-                t["l_discount"].to_numpy(zero_copy_only=False)[hit] * 100.0
-            ).astype(np.int64)
-            g = _partial({"l_orderkey": ok[hit], "rev": price_c * (100 - disc_pct)},
+            g = _partial({"l_orderkey": ok[hit], "rev": _revenue_e4(t.filter(pa.array(hit)))},
                          "l_orderkey", ["rev"])
             return g.append_column(
                 "bucket", pa.array(_bucket_of(g["l_orderkey"].to_numpy(), nb)))
@@ -3828,13 +3834,7 @@ def q_tpch_q3(sf_dir: str):
     def li_partial(t: pa.Table) -> pa.Table:
         keep = pc.greater(t["l_shipdate"], pa.scalar(_Q3_CUTOFF, pa.timestamp("us")))
         t = t.filter(keep)
-        price_c = np.rint(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        disc_pct = np.rint(
-            t["l_discount"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        return _partial({"l_orderkey": t["l_orderkey"], "rev": price_c * (100 - disc_pct)},
+        return _partial({"l_orderkey": t["l_orderkey"], "rev": _revenue_e4(t)},
                         "l_orderkey", ["rev"])
 
     li = (
@@ -3903,15 +3903,13 @@ def q_salted_agg(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "event_type", "value"])
 
     def phase1(t: pa.Table) -> pa.Table:
-        val_c = np.floor(t["value"].to_numpy(zero_copy_only=False) * 100.0).astype(
-            np.int64
-        )
         return _partial(
             {
                 "event_type": t["event_type"],
                 "salt": (t["event_id"].to_numpy(zero_copy_only=False) % _SALT_FANOUT),
-                "n": np.ones(len(val_c), np.int64),
-                "sum_cents": val_c,
+                "n": np.ones(t.num_rows, np.int64),
+                # the oracle floors; the sum skips a NULL value and count(*) counts it
+                "sum_cents": pc.cast(pc.floor(pc.multiply(t["value"], 100.0)), pa.int64()),
             },
             ["event_type", "salt"], ["n", "sum_cents"],
         )
@@ -4011,11 +4009,9 @@ def q_ntile_quartiles(sf_dir: str):
             {
                 "event_id": t["event_id"],
                 "event_type": t["event_type"],
-                "c": pa.array(
-                    np.rint(t["value"].to_numpy(zero_copy_only=False) * 100.0).astype(
-                        np.int64
-                    )
-                ),
+                # a NULL value sorts last, as in DuckDB's ORDER BY; count(*)
+                # counts it and the sum skips it
+                "c": _fixed(t["value"], 100),
             }
         )
 
@@ -4260,31 +4256,23 @@ def q_left_join_rollup(sf_dir: str):
         )
 
     def o_side(t: pa.Table) -> pa.Table:
-        cents = np.rint(
-            t["o_totalprice"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        g = pd.DataFrame(
-            {
-                "c_custkey": t["o_custkey"].to_numpy(zero_copy_only=False),
-                "n_orders": np.int64(1),
-                "spend_cents": cents,
-            }
-        ).groupby("c_custkey", as_index=False).agg(
-            n_orders=("n_orders", "sum"), spend_cents=("spend_cents", "sum")
-        )
+        # a NULL price: the order counts and the sum skips it (a sum of only
+        # NULLs is 0, as the oracle's COALESCE makes it)
+        g = _partial({"c_custkey": t["o_custkey"], "n_orders": np.ones(t.num_rows, np.int64),
+                      "spend_cents": _fixed(t["o_totalprice"], 100)},
+                     "c_custkey", ["n_orders", "spend_cents"])
         k = g["c_custkey"].to_numpy()
         return pa.table(
             {
                 "bucket": pa.array(_bucket_of(k, nb)),
                 "c_custkey": pa.array(k.astype(np.int64)),
                 "c_mktsegment": pa.array([""] * len(k), pa.string()),
-                "n_orders": pa.array(g["n_orders"].to_numpy().astype(np.int64)),
-                "spend_cents": pa.array(
-                    g["spend_cents"].to_numpy().astype(np.int64)
-                ),
+                "n_orders": g["n_orders"],
+                "spend_cents": g["spend_cents"],
                 "is_cust": pa.array(np.zeros(len(k), dtype=np.int64)),
             }
         )
+
 
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]).map_batches(
         c_side, batch_format="pyarrow"
@@ -5095,8 +5083,10 @@ def q_pareto_front(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["user_id", "value"])
 
     def cents(t: pa.Table) -> pa.Table:
-        v = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100).astype(np.int64)
-        return pa.table({"user_id": t["user_id"], "cents": pa.array(v)})
+        # a NULL value: Sum skips it and Count counts it (a user whose values
+        # are all NULL has a NULL sum, and the skyline's int64 cast raises)
+        return pa.table({"user_id": t["user_id"], "cents": _fixed(t["value"], 100)})
+
 
     agg = (
         ds.map_batches(cents, batch_format="pyarrow")
@@ -5666,28 +5656,21 @@ def q_full_outer_rollup(sf_dir: str):
     n_buckets = _key_buckets(ev.count(), cu.count())
 
     def tag_events(t: pa.Table) -> pa.Table:
-        # per-batch combiner: (user, n, sum_cents) partials before the shuffle
-        u = t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        cents = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100).astype(
-            np.int64
-        )
-        g = (
-            pd.DataFrame({"key": u, "cents": cents})
-            .groupby("key", sort=False)
-            .agg(n_events=("cents", "size"), sum_cents=("cents", "sum"))
-            .reset_index()
-        )
-        keys = g["key"].to_numpy(dtype=np.int64)
+        # per-batch combiner: (user, n, sum_cents) partials before the shuffle;
+        # a NULL value counts and the sum skips it (all-NULL COALESCEs to 0)
+        g = _partial({"key": t["user_id"].cast(pa.int64()), "n_events": np.ones(t.num_rows, np.int64),
+                      "sum_cents": _fixed(t["value"], 100)}, "key", ["n_events", "sum_cents"])
         return pa.table(
             {
-                "bucket": pa.array(_bucket_of(keys, n_buckets)),
-                "key": pa.array(keys),
-                "side": pa.array(["e"] * len(g)),
-                "n_events": pa.array(g["n_events"].to_numpy(dtype=np.int64)),
-                "sum_cents": pa.array(g["sum_cents"].to_numpy(dtype=np.int64)),
-                "c_mktsegment": pa.nulls(len(g), pa.string()),
+                "bucket": pa.array(_bucket_of(g["key"].to_numpy(), n_buckets)),
+                "key": g["key"],
+                "side": pa.array(["e"] * g.num_rows, pa.string()),
+                "n_events": g["n_events"],
+                "sum_cents": g["sum_cents"],
+                "c_mktsegment": pa.nulls(g.num_rows, pa.string()),
             }
         )
+
 
     def tag_cust(t: pa.Table) -> pa.Table:
         keys = t["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -5761,8 +5744,10 @@ def q_time_weighted_value(sf_dir: str):
         g = g.sort_values(["user_id", "ts", "event_id"])
         u = g["user_id"].to_numpy()
         ts = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        cents = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
+        # a NULL value's interval adds its duration and no weight (sum skips NULL)
+        cents = _fixed(g["value"], 100).fill_null(0).to_numpy()
         if len(g) < 2:
+
             return pd.DataFrame(
                 {"user_id": [], "weight_sum": [], "dur_s": [], "twa_cents": []}
             ).astype(
@@ -6139,11 +6124,12 @@ def q_dense_topk_values(sf_dir: str):
     )
     keep = pd.MultiIndex.from_arrays([top["event_type"], top["value"]])
 
-    def flt(df: pd.DataFrame) -> pd.DataFrame:
-        mask = pd.MultiIndex.from_arrays([df["event_type"], df["value"]]).isin(keep)
-        return df.loc[mask, ["event_id", "event_type", "value"]]
+    def flt(t: pa.Table) -> pa.Table:  # typed output, also with no row kept
+        mask = pd.MultiIndex.from_arrays([t["event_type"].to_pandas(),
+                                          t["value"].to_pandas()]).isin(keep)
+        return t.select(["event_id", "event_type", "value"]).filter(pa.array(mask))
 
-    return ds.map_batches(flt, batch_format="pandas")
+    return ds.map_batches(flt, batch_format="pyarrow")
 
 
 SQL_DENSE_TOPK_VALUES = f"""
@@ -6225,18 +6211,19 @@ def q_above_avg_orders(sf_dir: str):
     ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice"])
 
     def pick(g: pd.DataFrame) -> pd.DataFrame:
-        cents = np.rint(g["o_totalprice"].to_numpy() * 100).astype(np.int64)
+        # a NULL price counts in n, adds nothing to s, and is never kept
+        c = _fixed(g["o_totalprice"], 100)
         df = pd.DataFrame(
             {
                 "o_orderkey": g["o_orderkey"].to_numpy(),
                 "o_custkey": g["o_custkey"].to_numpy(),
-                "cents": cents,
+                "cents": c.fill_null(0).to_numpy(),
             }
         )
         grp = df.groupby("o_custkey", sort=False)["cents"]
         n = grp.transform("size").to_numpy(dtype=np.int64)
         s = grp.transform("sum").to_numpy(dtype=np.int64)
-        keep = df["cents"].to_numpy() * n > s
+        keep = (df["cents"].to_numpy() * n > s) & c.is_valid().to_numpy(zero_copy_only=False)
         out = df[keep]
         return pd.DataFrame(
             {
@@ -6321,11 +6308,13 @@ def q_grouping_sets(sf_dir: str):
     )
 
     def partial(t: pa.Table) -> pa.Table:
-        cents = np.rint(t["o_totalprice"].to_numpy(zero_copy_only=False) * 100).astype(np.int64)
+        # a NULL price: count(*) counts it and the sum skips it
         return _partial({"o_orderstatus": t["o_orderstatus"],
                          "o_orderpriority": t["o_orderpriority"],
-                         "n": np.ones(len(cents), np.int64), "cents": cents},
+                         "n": np.ones(t.num_rows, np.int64),
+                         "cents": _fixed(t["o_totalprice"], 100)},
                         ["o_orderstatus", "o_orderpriority"], ["n", "cents"])
+
 
     fine = _fold(ds.map_batches(
         partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
@@ -6384,9 +6373,7 @@ def q_user_entropy(sf_dir: str):
         return pd.DataFrame(
             {
                 "user_id": out["user_id"].astype("int64").to_numpy(),
-                "entropy_e6": np.rint(out["t"].to_numpy() * 1e6).astype(
-                    np.int64
-                ),
+                "entropy_e6": _fixed(out["t"], 1e6).to_numpy(),
             }
         )
 
@@ -6423,9 +6410,9 @@ GROUP BY c.user_id
 def _median2_from_hist(merged: pd.DataFrame) -> dict[str, int]:
     """Per-type 2×median (exact int) from a merged (event_type, c, n)
     histogram sorted by (event_type, c): rank floor/ceil((n−1)/2) via
-    cumsum + searchsorted."""
+    cumsum + searchsorted. A NULL value's bin is skipped, as median does."""
     out: dict[str, int] = {}
-    for et, sub in merged.groupby("event_type"):
+    for et, sub in merged[merged["c"].notna()].groupby("event_type"):
         w = sub["n"].to_numpy()
         v = sub["c"].to_numpy()
         cum = np.cumsum(w)
@@ -6443,9 +6430,10 @@ def q_mad_per_type(sf_dir: str):
 
     def dev_partial(df: pd.DataFrame) -> pa.Table:
         df = df[df["event_type"].isin(med2)]  # JOIN USING: a NULL type has no median
-        c = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
-        m2 = df["event_type"].map(med2).to_numpy(dtype=np.int64)
-        return _partial({"event_type": df["event_type"], "c": np.abs(2 * c - m2),
+        c = _fixed(df["value"], 100)  # NULL → a NULL deviation, which median skips
+        m2 = pa.array(df["event_type"].map(med2).to_numpy(dtype=np.int64))
+        return _partial({"event_type": df["event_type"],
+                         "c": pc.abs(pc.subtract(pc.multiply(c, 2), m2)),
                          "n": np.ones(len(c), np.int64)}, ["event_type", "c"], ["n"])
 
     mad4 = _median2_from_hist(_fold(ds.map_batches(
@@ -6482,32 +6470,33 @@ SELECT event_type, median(dev) AS mad_cents FROM d GROUP BY event_type
 # ---------------------------------------------------------------------------
 
 
+def _deltas(t: pa.Table) -> pa.Table:
+    """Each event's interval [ts, ts + value s) as a +1 row at its start and
+    a −1 row at its end, keyed (event_type, t µs, d). A NULL value's end is
+    NULL and sorts after every point: the interval never closes, so it has
+    no end row."""
+    ts_us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
+    dur = _fixed(t["value"], 1e6)
+    end = dur.is_valid().to_numpy(zero_copy_only=False)
+    et = t["event_type"].to_pandas().to_numpy()
+    return pa.table(
+        {
+            "event_type": pa.array(np.concatenate([et, et[end]])),
+            "t": pa.array(np.concatenate([ts_us, ts_us[end] + dur.drop_null().to_numpy()])),
+            "d": pa.array(
+                np.concatenate([np.ones(len(et), np.int64), -np.ones(int(end.sum()), np.int64)])
+            ),
+        }
+    )
+
+
 def q_max_concurrency(sf_dir: str):
     import ray
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
 
-    def deltas(t: pa.Table) -> pa.Table:
-        ts_us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        dur = np.rint(
-            t["value"].to_numpy(zero_copy_only=False) * 1e6
-        ).astype(np.int64)
-        et = t["event_type"].to_pandas().to_numpy()
-        n = len(et)
-        return pa.table(
-            {
-                "event_type": pa.array(np.concatenate([et, et])),
-                "t": pa.array(np.concatenate([ts_us, ts_us + dur])),
-                "d": pa.array(
-                    np.concatenate(
-                        [np.ones(n, np.int64), -np.ones(n, np.int64)]
-                    )
-                ),
-            }
-        )
-
     dd = (
-        ds.map_batches(deltas, batch_format="pyarrow")
+        ds.map_batches(_deltas, batch_format="pyarrow")
         .sort(["event_type", "t", "d"])
         .materialize()
     )
@@ -6592,27 +6581,8 @@ def q_interval_coverage(sf_dir: str):
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
 
-    def deltas(t: pa.Table) -> pa.Table:
-        ts_us = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        dur = np.rint(
-            t["value"].to_numpy(zero_copy_only=False) * 1e6
-        ).astype(np.int64)
-        et = t["event_type"].to_pandas().to_numpy()
-        n = len(et)
-        return pa.table(
-            {
-                "event_type": pa.array(np.concatenate([et, et])),
-                "t": pa.array(np.concatenate([ts_us, ts_us + dur])),
-                "d": pa.array(
-                    np.concatenate(
-                        [np.ones(n, np.int64), -np.ones(n, np.int64)]
-                    )
-                ),
-            }
-        )
-
     dd = (
-        ds.map_batches(deltas, batch_format="pyarrow")
+        ds.map_batches(_deltas, batch_format="pyarrow")
         .sort(["event_type", "t", "d"])
         .materialize()
     )
@@ -6836,9 +6806,7 @@ def q_fertility_per_lang(sf_dir: str):
     ), "lang", ["n_docs", "n_tokens", "n_chars"]).astype(
         {"n_docs": "int64", "n_tokens": "int64", "n_chars": "int64"}
     )
-    out["fert_e6"] = np.rint(
-        out["n_tokens"].to_numpy() / out["n_chars"].to_numpy() * 1e6
-    ).astype(np.int64)
+    out["fert_e6"] = _fixed(out["n_tokens"].to_numpy() / out["n_chars"].to_numpy(), 1e6).to_numpy()
     out["lang"] = out["lang"].astype(object)
     return out
 
@@ -6990,7 +6958,7 @@ def q_charlm_score(sf_dir: str):
             {
                 "doc_id": df["doc_id"].to_numpy()[has].astype(np.int64),
                 "n_bigrams": nb[has].astype(np.int64),
-                "nll_e3": np.rint(sums / nb[has] * 1e3).astype(np.int64),
+                "nll_e3": _fixed(sums / nb[has], 1e3).to_numpy(),
             }
         )
 
@@ -7162,9 +7130,11 @@ def q_trend_per_type(sf_dir: str):
             df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
             // _DAY_US
         )
-        y = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
+        y = _fixed(df["value"], 100)  # count(*) and the x sums count a NULL y; y sums skip it
         return _partial({"event_type": df["event_type"], "n": np.ones(len(x), np.int64),
-                         "sx": x, "sy": y, "sxx": x * x, "sxy": x * y}, "event_type", sums)
+                         "sx": x, "sy": y, "sxx": x * x, "sxy": pc.multiply(pa.array(x), y)},
+                        "event_type", sums)
+
 
     m = _fold(ds.map_batches(
         moments, batch_format="pandas", batch_size=_COMBINE_BATCH
@@ -7212,10 +7182,11 @@ def q_overlap_pairs(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
 
     def count_overlaps(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("user_id", kind="mergesort")
+        # a NULL value's end is NULL, so its interval overlaps nothing
+        g = g[g["value"].notna()].sort_values("user_id", kind="mergesort")
         u = g["user_id"].to_numpy()
         s = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        e = s + np.rint(g["value"].to_numpy() * 1e6).astype(np.int64)
+        e = s + _fixed(g["value"], 1e6).to_numpy()
         out_u, out_n = [], []
         bounds = np.concatenate(
             [[0], np.nonzero(u[1:] != u[:-1])[0] + 1, [len(u)]]
@@ -7364,9 +7335,10 @@ def _disc_quantiles_from_hist(
     merged: pd.DataFrame, qs: tuple
 ) -> dict[str, tuple]:
     """Per-type discrete quantiles from a merged (event_type, c, n)
-    histogram sorted by (event_type, c)."""
+    histogram sorted by (event_type, c). A NULL value's bin is skipped, as
+    quantile_disc does."""
     out: dict[str, tuple] = {}
-    for et, sub in merged.groupby("event_type"):
+    for et, sub in merged[merged["c"].notna()].groupby("event_type"):
         w = sub["n"].to_numpy()
         v = sub["c"].to_numpy()
         cum = np.cumsum(w)
@@ -7386,12 +7358,15 @@ def q_winsorized_mean(sf_dir: str):
 
     def clip_partial(df: pd.DataFrame) -> pa.Table:
         df = df[df["event_type"].isin(bounds)]  # JOIN USING: a NULL type has no bounds
-        c = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
+        c = _fixed(df["value"], 100).to_numpy(zero_copy_only=False)  # NULL → NaN
         et = df["event_type"].to_numpy()
         lo = pd.Series(et).map({k: v[0] for k, v in bounds.items()}).to_numpy(np.int64)
         hi = pd.Series(et).map({k: v[1] for k, v in bounds.items()}).to_numpy(np.int64)
-        return _partial({"event_type": et, "s": np.clip(c, lo, hi),
+        # DuckDB's greatest/least skip NULL as np.fmax/np.fmin skip NaN, so
+        # a NULL value clips to lo; count(*) counts it
+        return _partial({"event_type": et, "s": np.fmin(np.fmax(c, lo), hi).astype(np.int64),
                          "n": np.ones(len(c), np.int64)}, "event_type", ["s", "n"])
+
 
     m = _fold(ds.map_batches(
         clip_partial, batch_format="pandas", batch_size=_COMBINE_BATCH
@@ -7436,9 +7411,11 @@ def q_gini_per_type(sf_dir: str):
 
     ets, ns, ginis = [], [], []
     for _, sub in _cents_hist(ds).groupby("event_type", dropna=False):
-        w = sub["n"].to_numpy()
-        v = sub["c"].to_numpy()
-        n = int(w.sum())
+        # count(*) counts a NULL value; it ranks last, so the sums skip it
+        n = int(sub["n"].sum())
+        w = sub["n"].to_numpy()[sub["c"].notna()]
+        v = sub["c"].dropna().to_numpy().astype(np.int64)
+
         sv = s1 = 0
         p = 0
         for wi, vi in zip(w.tolist(), v.tolist()):
@@ -7492,17 +7469,15 @@ def q_autocorr1(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "event_id", "value"])
 
     def keyed(t: pa.Table) -> pa.Table:
-        y = np.rint(
-            t["value"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
         return pa.table(
             {
                 "event_type": t["event_type"],
                 "ts": t["ts"],
                 "event_id": t["event_id"],
-                "y": pa.array(y),
+                "y": _fixed(t["value"], 100),
             }
         )
+
 
     dd = (
         ds.map_batches(keyed, batch_format="pyarrow")
@@ -7516,7 +7491,10 @@ def q_autocorr1(sf_dir: str):
         et = t["event_type"].to_pandas().to_numpy()
         if len(et) == 0:
             return []
-        y = t["y"].to_numpy(zero_copy_only=False)
+        # a pair counts when its second value is not NULL (the oracle's WHERE
+        # y2 IS NOT NULL); a NULL value adds nothing to the sums, which skip it
+        y = t["y"].fill_null(0).to_numpy()
+        ok = t["y"].is_valid().to_numpy()
         change = np.nonzero(et[1:] != et[:-1])[0] + 1
         bounds = np.concatenate([[0], change, [len(et)]]).astype(np.int64)
         out = []
@@ -7525,16 +7503,16 @@ def q_autocorr1(sf_dir: str):
             # int64 is exact here: per-block sums of cents products are
             # bounded by cents-domain² × block rows (~2.5e9 × 1e6 « 2^63);
             # the cross-block fold upgrades to Python bignums
-            a, b = y[lo:hi - 1], y[lo + 1:hi]
+            a, b, kb = y[lo:hi - 1], y[lo + 1:hi], ok[lo + 1:hi]
             out.append(
                 (
                     et[lo],
-                    int(y[lo]),
-                    int(y[hi - 1]),
-                    len(a),
-                    int(a.sum()),
+                    int(y[lo]) if ok[lo] else None,
+                    int(y[hi - 1]) if ok[hi - 1] else None,
+                    int(kb.sum()),
+                    int((a * kb).sum()),
                     int(b.sum()),
-                    int((a * a).sum()),
+                    int((a * a * kb).sum()),
                     int((b * b).sum()),
                     int((a * b).sum()),
                 )
@@ -7546,8 +7524,8 @@ def q_autocorr1(sf_dir: str):
     for runs in ray.get([run_partials.remote(r) for r in refs]):
         for et, first, last, n, sx, sy, sxx, syy, sxy in runs:
             m = acc.setdefault(et, [0, 0, 0, 0, 0, 0])
-            if prev is not None and prev[0] == et:
-                px = prev[1]  # boundary pair (prev_last, first)
+            if prev is not None and prev[0] == et and first is not None:
+                px = prev[1] or 0  # boundary pair (prev_last, first); NULL adds 0
                 m[0] += 1
                 m[1] += px
                 m[2] += first
@@ -7616,7 +7594,7 @@ def q_incremental_agg(sf_dir: str):
 
     def signed_partial(t: pa.Table, which: str) -> pa.Table:
         k = t["o_orderkey"].to_numpy(zero_copy_only=False)
-        cents = np.rint(t["o_totalprice"].to_numpy(zero_copy_only=False) * 100).astype(np.int64)
+        cents = _fixed(t["o_totalprice"], 100)  # NULL: the sum skips it, n counts it
         if which == "base":
             sel = k % 10 != 0
             sign = np.ones(len(k), np.int64)
@@ -7626,7 +7604,7 @@ def q_incremental_agg(sf_dir: str):
             sel = ins | ret
             sign = np.where(ins, 1, -1).astype(np.int64)
         return _partial({"o_orderstatus": t["o_orderstatus"].filter(pa.array(sel)),
-                         "n": sign[sel], "cents": sign[sel] * cents[sel]},
+                         "n": sign[sel], "cents": pc.multiply(sign[sel], cents.filter(pa.array(sel)))},
                         "o_orderstatus", ["n", "cents"])
 
     m = pd.concat([
@@ -7679,9 +7657,8 @@ def q_psi_drift(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["ts", "value"])
 
     def us_cents(t: pa.Table):
-        # epoch µs and whole cents (NaN for a NULL value)
-        return (t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False),
-                np.rint(t["value"].to_numpy(zero_copy_only=False) * 100))
+        # epoch µs and whole cents (NULL for a NULL value)
+        return t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False), _fixed(t["value"], 100)
 
     def lims_partial(t: pa.Table) -> pa.Table:
         us, c = us_cents(t)
@@ -7697,7 +7674,8 @@ def q_psi_drift(sf_dir: str):
 
     def hist_partial(t: pa.Table) -> pa.Table:
         us, c = us_cents(t)
-        # DuckDB's least() skips NULL: a NULL value is in the top bin
+        # DuckDB's least() skips NULL: a NULL value (NaN here) is in the top bin
+        c = c.to_numpy(zero_copy_only=False)
         bins = np.fmin(c * _PSI_BINS // (vmax + 1), _PSI_BINS - 1).astype(np.int64)
         return _partial({"half": np.where(2 * us < mid2, "ref", "cur"), "bin": bins,
                          "n": np.ones(len(bins), np.int64)}, ["half", "bin"], ["n"])
@@ -7766,7 +7744,7 @@ def q_profile_columns(sf_dir: str):
                       "min_v": pc.cast(v, pa.int64()), "max_v": pc.cast(v, pa.int64())},
                      "column", ["n", "n_null"], mins=["min_v"], maxs=["max_v"])
             for c, v in (("o_custkey", t["o_custkey"]),
-                         ("o_totalprice", pc.round(pc.multiply(t["o_totalprice"], 100))),
+                         ("o_totalprice", _fixed(t["o_totalprice"], 100)),
                          ("o_orderdate", t["o_orderdate"]))
         )
 
@@ -7827,9 +7805,9 @@ def q_ols_outliers(sf_dir: str):
             // _DAY_US
             - d0
         )
-        y = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
+        y = _fixed(df["value"], 100)  # count(*) and the x sums count a NULL y; y sums skip it
         return _partial({"event_type": df["event_type"], "n": np.ones(len(x), np.int64),
-                         "sx": x, "sy": y, "sxx": x * x, "sxy": x * y},
+                         "sx": x, "sy": y, "sxx": x * x, "sxy": pc.multiply(pa.array(x), y)},
                         "event_type", ["n", "sx", "sy", "sxx", "sxy"])
 
     coef = {}
@@ -7844,12 +7822,16 @@ def q_ols_outliers(sf_dir: str):
             raise OverflowError("ols_outliers: residual magnitude exceeds int64")
 
     def topk_partial(df: pd.DataFrame) -> pa.Table:
+        # a NULL y has a NULL residual, ranked after every value (DESC NULLS
+        # LAST): only a type with fewer than _OLS_TOPK values would keep it
+        df = df[df["value"].notna()]
         x = (
+
             df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
             // _DAY_US
             - d0
         )
-        y = np.rint(df["value"].to_numpy() * 100).astype(np.int64)
+        y = _fixed(df["value"], 100).to_numpy()
         et = df["event_type"].to_numpy()
         den = pd.Series(et).map({k: v[0] for k, v in coef.items()}).to_numpy(np.int64)
         ia = pd.Series(et).map({k: v[1] for k, v in coef.items()}).to_numpy(np.int64)
@@ -8003,7 +7985,6 @@ def q_tpch_q5(sf_dir: str):
         ord_ref = _broadcast(
             odf["o_orderkey"].to_numpy(), odf["c_nat"].to_numpy().astype(np.int64)
         )
-        n_nat = len(nat_keys)
 
         def li_zero(t: pa.Table) -> pa.Table:
             hit, s_nat = _probe(
@@ -8015,22 +7996,9 @@ def q_tpch_q5(sf_dir: str):
                 ray.get(ord_ref), t["l_orderkey"].to_numpy(zero_copy_only=False)
             )
             same = ohit & (onat == s_nat)
-            price_c = np.rint(
-                t["l_extendedprice"].to_numpy(zero_copy_only=False)[same] * 100.0
-            ).astype(np.int64)
-            disc_pct = np.rint(
-                t["l_discount"].to_numpy(zero_copy_only=False)[same] * 100.0
-            ).astype(np.int64)
-            nid = np.searchsorted(nat_keys, s_nat[same])
-            rev = np.zeros(n_nat, np.int64)
-            np.add.at(rev, nid, price_c * (100 - disc_pct))
-            return pa.table(
-                {
-                    "nid": pa.array(np.arange(n_nat, dtype=np.int64)),
-                    "revenue_e4": pa.array(rev),
-                    "n": pa.array(np.bincount(nid, minlength=n_nat).astype(np.int64)),
-                }
-            )
+            return _partial({"nid": np.searchsorted(nat_keys, s_nat[same]),
+                             "revenue_e4": _revenue_e4(t.filter(pa.array(same)))},
+                            "nid", ["revenue_e4"])
 
         g = _fold(
             _read(
@@ -8042,9 +8010,8 @@ def q_tpch_q5(sf_dir: str):
             ).map_batches(
                 li_zero, batch_format="pyarrow", batch_size=_COMBINE_BATCH
             ),
-            "nid", ["revenue_e4", "n"],
+            "nid", ["revenue_e4"],
         )
-        g = g[g["n"] > 0]  # inner-join semantics: only nations with rows
         return pd.DataFrame(
             {
                 "n_name": pd.Series(
@@ -8091,14 +8058,9 @@ def q_tpch_q5(sf_dir: str):
         )
         s_nat = s_nat[hit].astype(np.int64)
         t = t.filter(pa.array(hit))
-        price_c = np.rint(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        disc_pct = np.rint(
-            t["l_discount"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
         return _partial({"l_orderkey": t["l_orderkey"], "s_nat": s_nat,
-                         "rev": price_c * (100 - disc_pct)}, ["l_orderkey", "s_nat"], ["rev"])
+                         "rev": _revenue_e4(t)}, ["l_orderkey", "s_nat"], ["rev"])
+
 
     li = _read(
         sf_dir,
@@ -8241,9 +8203,9 @@ def q_tpch_q18(sf_dir: str):
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
 
     def qty_partial(t: pa.Table) -> pa.Table:
-        qty_c = np.rint(t["l_quantity"].to_numpy(zero_copy_only=False) * 100).astype(np.int64)
-        return _partial({"l_orderkey": t["l_orderkey"], "sum_qty_c": qty_c},
-                        "l_orderkey", ["sum_qty_c"])
+        return _partial({"l_orderkey": t["l_orderkey"], "sum_qty_c": _fixed(t["l_quantity"], 100)},
+                        "l_orderkey", ["sum_qty_c"])  # the sum skips a NULL quantity
+
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("l_orderkey", as_index=False)["sum_qty_c"].sum()
@@ -8273,24 +8235,20 @@ def q_tpch_q18(sf_dir: str):
         np.asarray(cust["c_name"].to_pylist(), dtype=object),
     )
 
+    # typed: an empty object column would come out null
+    schema = pa.schema([("c_name", pa.string()), ("c_custkey", pa.int64()),
+                        ("o_orderkey", pa.int64()), ("o_total_c", pa.int64()),
+                        ("sum_qty_c", pa.int64())])
+
     def join_orders(t: pa.Table) -> pa.Table:
         ok = t["o_orderkey"].to_numpy(zero_copy_only=False)
         hit, qty = _probe(ray.get(hot_ref), ok)
-        if not hit.any():  # typed: an empty object column would come out null
-            return pa.table(
-                {
-                    "c_name": pa.array([], pa.string()),
-                    "c_custkey": pa.array([], pa.int64()),
-                    "o_orderkey": pa.array([], pa.int64()),
-                    "o_total_c": pa.array([], pa.int64()),
-                    "sum_qty_c": pa.array([], pa.int64()),
-                }
-            )
+        if not hit.any():
+            return schema.empty_table()
         okeys = ok[hit]
         custk = t["o_custkey"].to_numpy(zero_copy_only=False)[hit]
-        total_c = np.rint(
-            t["o_totalprice"].to_numpy(zero_copy_only=False)[hit] * 100
-        ).astype(np.int64)
+        # a NULL total is NaN here, sorted last as DESC NULLS LAST sorts it
+        total_c = _fixed(t["o_totalprice"], 100).filter(pa.array(hit))
         # custkeys are FK-complete; the lookup always hits
         _, names = _probe(ray.get(cust_ref), custk)
         out = pd.DataFrame(
@@ -8298,7 +8256,7 @@ def q_tpch_q18(sf_dir: str):
                 "c_name": names,
                 "c_custkey": custk,
                 "o_orderkey": okeys,
-                "o_total_c": total_c,
+                "o_total_c": total_c.to_numpy(zero_copy_only=False),
                 "sum_qty_c": qty[hit],
             }
         )
@@ -8308,7 +8266,7 @@ def q_tpch_q18(sf_dir: str):
             ascending=[False, True],
             kind="mergesort",
         ).head(_Q18_TOPK)
-        return _arrow_out(out)
+        return pa.Table.from_pandas(out, schema=schema, preserve_index=False)
 
     parts = (
         _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice"])
@@ -8362,8 +8320,10 @@ def q_skew_per_type(sf_dir: str):
     sums = ["n", "s1", "s2", "s3q", "s3r"]
 
     def moments(t: pa.Table) -> pa.Table:
-        y = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100).astype(np.int64)
+        # count(*) counts a NULL value; as 0 it adds nothing to the sums, which skip it
+        y = _fixed(t["value"], 100).fill_null(0).to_numpy()
         y3 = y * y * y
+
         return _partial({"event_type": t["event_type"], "n": np.ones(len(y), np.int64),
                          "s1": y, "s2": y * y, "s3q": y3 // _S3_SPLIT, "s3r": y3 % _S3_SPLIT},
                         "event_type", sums)
@@ -8413,8 +8373,13 @@ def q_drawdown(sf_dir: str):
 
     def dd(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        y = np.rint(g["value"].to_numpy() * 100).astype(np.int64)
+        # a NULL value leaves the running sum as it was (or NULL before the
+        # user's first value), so its row adds no drawdown; a user whose
+        # values are all NULL has no row here where the oracle has a NULL one
+        g = g[g["value"].notna()]
+        y = _fixed(g["value"], 100).to_numpy()
         u = g["user_id"].to_numpy()
+
         df = pd.DataFrame({"user_id": u, "y": y})
         grp = df.groupby("user_id", sort=False)
         cum = grp["y"].cumsum()
@@ -8539,15 +8504,12 @@ def q_changepoint(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "event_id", "value"])
 
     def keyed(t: pa.Table) -> pa.Table:
-        y = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100).astype(
-            np.int64
-        )
         return pa.table(
             {
                 "event_type": t["event_type"],
                 "ts": t["ts"],
                 "event_id": t["event_id"],
-                "y": pa.array(y),
+                "y": _fixed(t["value"], 100),
             }
         )
 
@@ -8563,7 +8525,10 @@ def q_changepoint(sf_dir: str):
         et = t["event_type"].to_pandas().to_numpy()
         if len(et) == 0:
             return []
-        y = t["y"].to_numpy(zero_copy_only=False)
+        # a NULL y counts in k and n, adds nothing to the sums, and sk is
+        # NULL (no objective) until the type's first value
+        y = t["y"].fill_null(0).to_numpy()
+        nv = t["y"].is_valid().to_numpy()
         change = np.nonzero(et[1:] != et[:-1])[0] + 1
         bounds = np.concatenate([[0], change, [len(et)]]).astype(np.int64)
         return [
@@ -8571,30 +8536,33 @@ def q_changepoint(sf_dir: str):
                 et[bounds[i]],
                 int(bounds[i + 1] - bounds[i]),
                 int(y[bounds[i]:bounds[i + 1]].sum()),
+                int(nv[bounds[i]:bounds[i + 1]].sum()),
             )
             for i in range(len(bounds) - 1)
         ]
 
     summaries = ray.get([run_sums.remote(r) for r in refs])
-    totals: dict[str, list[int]] = {}  # type → [n, S]
-    offsets: list[list[tuple[int, int]]] = []  # per block: (k0, s0) per run
+    totals: dict[str, list[int]] = {}  # type → [n, S, values]
+    offsets: list[list[tuple[int, int, int]]] = []  # per block: (k0, s0, v0) per run
     for segs in summaries:
         offs = []
-        for et, n_run, s_run in segs:
-            tot = totals.setdefault(et, [0, 0])
-            offs.append((tot[0], tot[1]))
+        for et, n_run, s_run, v_run in segs:
+            tot = totals.setdefault(et, [0, 0, 0])
+            offs.append(tuple(tot))
             tot[0] += n_run
             tot[1] += s_run
+            tot[2] += v_run
         offsets.append(offs)
 
     tot_ref = ray.put({k: (v[0], v[1]) for k, v in totals.items()})
 
     @ray.remote
-    def best_split(t: pa.Table, offs: list[tuple[int, int]]) -> list[tuple]:
+    def best_split(t: pa.Table, offs: list[tuple[int, int, int]]) -> list[tuple]:
         et = t["event_type"].to_pandas().to_numpy()
         if len(et) == 0:
             return []
-        y = t["y"].to_numpy(zero_copy_only=False)
+        y = t["y"].fill_null(0).to_numpy()
+        nv = t["y"].is_valid().to_numpy()
         tots = ray.get(tot_ref)
         change = np.nonzero(et[1:] != et[:-1])[0] + 1
         bounds = np.concatenate([[0], change, [len(et)]]).astype(np.int64)
@@ -8602,10 +8570,10 @@ def q_changepoint(sf_dir: str):
         for i in range(len(bounds) - 1):
             lo, hi = int(bounds[i]), int(bounds[i + 1])
             n, s = tots[et[lo]]
-            k0, s0 = offs[i]
+            k0, s0, v0 = offs[i]
             k = k0 + np.arange(1, hi - lo + 1, dtype=np.int64)
             sk = s0 + np.cumsum(y[lo:hi])
-            valid = k < n  # both sides non-empty
+            valid = (k < n) & (v0 + np.cumsum(nv[lo:hi]) > 0)  # both sides non-empty
             if not valid.any():
                 continue
             k, sk = k[valid], sk[valid]
@@ -8884,12 +8852,8 @@ def q_weighted_median(sf_dir: str):
         return pd.DataFrame(
             {
                 "f": df["l_returnflag"].to_numpy(),
-                "v": np.rint(df["l_extendedprice"].to_numpy() * 100).astype(
-                    np.int64
-                ),
-                "w": np.rint(df["l_quantity"].to_numpy() * 100).astype(
-                    np.int64
-                ),
+                "v": _fixed(df["l_extendedprice"], 100).to_numpy(),
+                "w": _fixed(df["l_quantity"], 100).to_numpy(),
             }
         )
 
@@ -9051,11 +9015,10 @@ def q_daily_type_corr(sf_dir: str):
 
     def day_partial(t: pa.Table) -> pa.Table:
         day = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) // _DAY_US
-        y = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100).astype(
-            np.int64
-        )
-        return _partial({"event_type": t["event_type"], "day": day, "s": y},
+        return _partial({"event_type": t["event_type"], "day": day,
+                         "s": _fixed(t["value"], 100)},  # the day sum skips a NULL value
                         ["event_type", "day"], ["s"])
+
 
     g = _fold(ds.map_batches(
         day_partial, batch_format="pyarrow", batch_size=_COMBINE_BATCH
@@ -9337,9 +9300,8 @@ def q_hhi_per_day(sf_dir: str):
 
     def partials(t: pa.Table) -> pa.Table:
         day = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) // _DAY_US
-        v = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100).astype(
-            np.int64
-        )
+        # count(*) counts a NULL value; as 0 it adds nothing to the sums, which skip it
+        v = _fixed(t["value"], 100).fill_null(0).to_numpy()
         return _partial({"day": day, "sv": v, "svv": v * v, "n": np.ones(len(v), np.int64)},
                         "day", ["sv", "svv", "n"])
 
@@ -9388,10 +9350,8 @@ def q_anomaly_days(sf_dir: str):
 
     def partials(t: pa.Table) -> pa.Table:
         day = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) // _DAY_US
-        v = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100).astype(
-            np.int64
-        )
-        return _partial({"day": day, "sv": v}, "day", ["sv"])
+        return _partial({"day": day, "sv": _fixed(t["value"], 100)},  # the sum skips a NULL
+                        "day", ["sv"])
 
     g = _fold(ds.map_batches(
         partials, batch_format="pyarrow", batch_size=_COMBINE_BATCH
@@ -9512,18 +9472,9 @@ def q_tpch_q10(sf_dir: str):
         hit, cust = _probe(
             ray.get(omap_ref), t["l_orderkey"].to_numpy(zero_copy_only=False)
         )
-        rev = (
-            np.rint(
-                t["l_extendedprice"].to_numpy(zero_copy_only=False)[hit] * 100
-            ).astype(np.int64)
-            * (
-                100
-                - np.rint(
-                    t["l_discount"].to_numpy(zero_copy_only=False)[hit] * 100
-                ).astype(np.int64)
-            )
-        )
-        return _partial({"c_custkey": cust[hit], "revenue_e4": rev}, "c_custkey", ["revenue_e4"])
+        return _partial({"c_custkey": cust[hit], "revenue_e4": _revenue_e4(t.filter(pa.array(hit)))},
+                        "c_custkey", ["revenue_e4"])
+
 
     per_cust = _combine(li, rev_partial, "c_custkey", ["revenue_e4"])
 
@@ -10032,8 +9983,7 @@ def q_rfm_cells(sf_dir: str):
         # finishes the per-customer rollup in ``combine``
         g = combine(pa.table({
             "o_custkey": t["o_custkey"], "n_orders": np.ones(t.num_rows, np.int64),
-            "cents": np.rint(t["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-                             ).astype(np.int64),
+            "cents": _fixed(t["o_totalprice"], 100),  # the sum skips a NULL, count(*) counts it
             "last_day": t["o_orderdate"].cast(pa.int64()).to_numpy(zero_copy_only=False) // _DAY_US,
         }))
         return g.append_column("bucket", pa.array(_bucket_of(g["o_custkey"].to_numpy(), nb)))
@@ -10269,16 +10219,16 @@ def q_ks_weekend(sf_dir: str):
     def side_counts(t: pa.Table) -> pa.Table:
         day = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) // _DAY_US
         we = (day % 7 >= 5).astype(np.int64)
-        v = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100).astype(
-            np.int64
-        )
-        return _partial({"we": we, "v": v, "c": np.ones(len(v), np.int64)}, ["we", "v"], ["c"])
+        return _partial({"we": we, "v": _fixed(t["value"], 100), "c": np.ones(len(we), np.int64)},
+                        ["we", "v"], ["c"])
 
     g = _fold(ds.map_batches(
         side_counts, batch_format="pyarrow", batch_size=_COMBINE_BATCH
     ), ["we", "v"], ["c"])
     acc = dict(zip(zip(g["we"], g["v"]), g["c"]))
-    support = sorted(set(g["v"]))
+    # a NULL value counts in n1/n2 and sorts last, where both CDFs reach 1
+    support = sorted(set(g["v"].dropna()))
+
     n1 = sum(c for (w, _v), c in acc.items() if w == 0)
     n2 = sum(c for (w, _v), c in acc.items() if w == 1)
     d = 0.0
@@ -10336,13 +10286,12 @@ def q_benford_orders(sf_dir: str):
     ds = _read(sf_dir, "orders", columns=["o_totalprice"])
 
     def digit_counts(t: pa.Table) -> pa.Table:
-        cents = np.rint(
-            t["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        first = np.array(
-            [int(str(c)[0]) for c in cents], np.int64
-        )  # cents ≥ 100 in TPC-H-ish data; str()[0] is the leading digit
+        # cents ≥ 100 in TPC-H-ish data; str()[0] is the leading digit. A
+        # NULL price has a NULL digit: it counts in n and in no digit's cell
+        first = pa.array([None if c is None else int(str(c)[0])
+                          for c in _fixed(t["o_totalprice"], 100).to_pylist()], pa.int64())
         return _partial({"d": first, "c": np.ones(len(first), np.int64)}, "d", ["c"])
+
 
     g = _fold(ds.map_batches(
         digit_counts, batch_format="pyarrow", batch_size=_COMBINE_BATCH
@@ -10706,23 +10655,13 @@ def q_promo_revenue(sf_dir: str):
             pc.less(t["l_shipdate"], pa.scalar(_Q14_HI, pa.timestamp("us"))),
         )
         t = t.filter(keep)
-        price_c = np.rint(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        disc_pct = np.rint(
-            t["l_discount"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        rev = price_c * (100 - disc_pct)
+        rev = _revenue_e4(t)
         is_promo, = _probe(
             ray.get(keys_ref), t["l_partkey"].to_numpy(zero_copy_only=False)
         )
-        return pa.table(
-            {
-                "promo_e4": pa.array([int(rev[is_promo].sum())], pa.int64()),
-                "total_e4": pa.array([int(rev.sum())], pa.int64()),
-                "n": pa.array([len(rev)], pa.int64()),
-            }
-        )
+        return _partial({"promo_e4": pc.if_else(pa.array(is_promo), rev, 0), "total_e4": rev,
+                         "n": np.ones(t.num_rows, np.int64)}, [], ["promo_e4", "total_e4", "n"])
+
 
     g = _fold(
         _read(
@@ -12734,12 +12673,8 @@ def q_tpch_q6(sf_dir: str):
     def part(t: pa.Table) -> pa.Table:
         ship = t["l_shipdate"].to_numpy(zero_copy_only=False).astype("datetime64[us]")
         qty = t["l_quantity"].to_numpy(zero_copy_only=False)
-        disc_e2 = np.rint(
-            t["l_discount"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        price_e2 = np.rint(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
+        disc_e2 = _fixed(t["l_discount"], 100).to_numpy()
+        price_e2 = _fixed(t["l_extendedprice"], 100).to_numpy()
         m = (
             (ship >= lo)
             & (ship < hi)
@@ -12930,21 +12865,9 @@ def q_tpch_q17(sf_dir: str, brand: str | None = None):
 
     def qty_part(t: pa.Table) -> pa.Table:
         lp = t["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        q_e2 = np.rint(
-            t["l_quantity"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
         m, = _probe(ray.get(bkeys_ref), lp)
-        uniq, inv = np.unique(lp[m], return_inverse=True)
-        sq = np.zeros(len(uniq), np.int64)
-        np.add.at(sq, inv, q_e2[m])
-        cnt = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
-        return pa.table(
-            {
-                "p": pa.array(uniq),
-                "sq": pa.array(sq),
-                "cnt": pa.array(cnt),
-            }
-        )
+        return _partial({"p": lp[m], "sq": _fixed(t["l_quantity"], 100).filter(pa.array(m)),
+                         "cnt": np.ones(int(m.sum()), np.int64)}, "p", ["sq", "cnt"])
 
     agg = _fold(li.map_batches(qty_part, batch_format="pyarrow"), "p", ["sq", "cnt"])
     avg_ref = _broadcast(*(agg[c].to_numpy(np.int64) for c in ("p", "sq", "cnt")))
@@ -12955,20 +12878,11 @@ def q_tpch_q17(sf_dir: str, brand: str | None = None):
 
     def rev_part(t: pa.Table) -> pa.Table:
         lp = t["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        q_e2 = np.rint(
-            t["l_quantity"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        price_e2 = np.rint(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
         hit, sq, cnt = _probe(ray.get(avg_ref), lp)
-        m = hit & (5 * q_e2 * cnt < sq)
-        return pa.table(
-            {
-                "revenue_e2": pa.array([int(price_e2[m].sum())], pa.int64()),
-                "n_rows": pa.array([int(m.sum())], pa.int64()),
-            }
-        )
+        m = hit & (5 * _fixed(t["l_quantity"], 100).to_numpy() * cnt < sq)
+        return _partial({"revenue_e2": _fixed(t["l_extendedprice"], 100).filter(pa.array(m)),
+                         "n_rows": np.ones(int(m.sum()), np.int64)}, [], ["revenue_e2", "n_rows"])
+
 
     return _fold(
         li2.map_batches(rev_part, batch_format="pyarrow"), [], ["revenue_e2", "n_rows"]
@@ -13571,33 +13485,19 @@ def q_tpch_q7(sf_dir: str):
     hi = np.datetime64(_Q7_HI)
 
     def vol_part(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"code": pa.array([], pa.int64()), "rev_e4": pa.array([], pa.int64())}
-        )
         d = t["l_shipdate"].to_numpy(zero_copy_only=False)
         m = (d >= lo) & (d < hi)
-        if not m.any():
-            return empty
-        ls = t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)[m]
-        lok = t["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)[m]
-        shit, snat = _probe(ray.get(supp_ref), ls)
-        ohit, cnat = _probe(ray.get(ord_ref), lok)
+        t = t.filter(pa.array(m))
+        shit, snat = _probe(ray.get(supp_ref),
+                            t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64))
+        ohit, cnat = _probe(ray.get(ord_ref),
+                            t["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64))
         keep = shit & ohit & (snat != cnat)
-        if not keep.any():
-            return empty
         year = d[m][keep].astype("datetime64[Y]").astype(np.int64) + 1970
-        price_e2 = np.rint(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)[m][keep] * 100
-        ).astype(np.int64)
-        disc_e2 = np.rint(
-            t["l_discount"].to_numpy(zero_copy_only=False)[m][keep] * 100
-        ).astype(np.int64)
-        rev = price_e2 * (100 - disc_e2)
         code = (snat[keep] == k2).astype(np.int64) * 10000 + year
-        uniq, inv = np.unique(code, return_inverse=True)
-        sums = np.zeros(len(uniq), np.int64)
-        np.add.at(sums, inv, rev)
-        return pa.table({"code": pa.array(uniq), "rev_e4": pa.array(sums)})
+        return _partial({"code": code, "rev_e4": _revenue_e4(t.filter(pa.array(keep)))},
+                        "code", ["rev_e4"])
+
 
     li = _read(
         sf_dir,
@@ -13746,43 +13646,18 @@ def q_tpch_q8(sf_dir: str):
     ord_ref = _broadcast(odf["okey"].to_numpy(np.int64), odf["oyear"].to_numpy(np.int64))
 
     def vol_part(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "oyear": pa.array([], pa.int64()),
-                "num_e4": pa.array([], pa.int64()),
-                "den_e4": pa.array([], pa.int64()),
-            }
-        )
         lp = t["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         phit, = _probe(ray.get(part_ref), lp)
-        if not phit.any():
-            return empty
-        lok = t["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)[phit]
-        ohit, oyear = _probe(ray.get(ord_ref), lok)
-        if not ohit.any():
-            return empty
-        ls = t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)[phit][ohit]
-        shit, = _probe(ray.get(n3keys_ref), ls)
-        price_e2 = np.rint(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)[phit][ohit] * 100
-        ).astype(np.int64)
-        disc_e2 = np.rint(
-            t["l_discount"].to_numpy(zero_copy_only=False)[phit][ohit] * 100
-        ).astype(np.int64)
-        rev = price_e2 * (100 - disc_e2)
-        yr = oyear[ohit]
-        uniq, inv = np.unique(yr, return_inverse=True)
-        num = np.zeros(len(uniq), np.int64)
-        den = np.zeros(len(uniq), np.int64)
-        np.add.at(den, inv, rev)
-        np.add.at(num, inv, np.where(shit, rev, 0))
-        return pa.table(
-            {
-                "oyear": pa.array(uniq),
-                "num_e4": pa.array(num),
-                "den_e4": pa.array(den),
-            }
-        )
+        t = t.filter(pa.array(phit))
+        ohit, oyear = _probe(ray.get(ord_ref),
+                             t["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64))
+        t = t.filter(pa.array(ohit))
+        shit, = _probe(ray.get(n3keys_ref),
+                       t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64))
+        rev = _revenue_e4(t)
+        return _partial({"oyear": oyear[ohit], "num_e4": pc.if_else(pa.array(shit), rev, 0),
+                         "den_e4": rev}, "oyear", ["num_e4", "den_e4"])
+
 
     li = _read(
         sf_dir,
@@ -13895,32 +13770,18 @@ def q_tpch_q9(sf_dir: str):
     ord_ref = _broadcast(odf["okey"].to_numpy(np.int64), odf["oyear"].to_numpy(np.int64))
 
     def profit_part(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"code": pa.array([], pa.int64()), "profit_e4": pa.array([], pa.int64())}
-        )
         lp = t["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         phit, = _probe(ray.get(pkeys_ref), lp)
-        if not phit.any():
-            return empty
-        ls = t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)[phit]
-        lok = t["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)[phit]
-        shit, snat = _probe(ray.get(supp_ref), ls)
-        ohit, oyear = _probe(ray.get(ord_ref), lok)
+        t = t.filter(pa.array(phit))
+        shit, snat = _probe(ray.get(supp_ref),
+                            t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64))
+        ohit, oyear = _probe(ray.get(ord_ref),
+                             t["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64))
         keep = shit & ohit
-        if not keep.any():
-            return empty
-        price_e2 = np.rint(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)[phit][keep] * 100
-        ).astype(np.int64)
-        disc_e2 = np.rint(
-            t["l_discount"].to_numpy(zero_copy_only=False)[phit][keep] * 100
-        ).astype(np.int64)
-        rev = price_e2 * (100 - disc_e2)
-        code = snat[keep] * 10000 + oyear[keep]
-        uniq, inv = np.unique(code, return_inverse=True)
-        sums = np.zeros(len(uniq), np.int64)
-        np.add.at(sums, inv, rev)
-        return pa.table({"code": pa.array(uniq), "profit_e4": pa.array(sums)})
+        return _partial({"code": snat[keep] * 10000 + oyear[keep],
+                         "profit_e4": _revenue_e4(t.filter(pa.array(keep)))},
+                        "code", ["profit_e4"])
+
 
     li = _read(
         sf_dir,
@@ -13986,15 +13847,9 @@ def q_tpch_q22(sf_dir: str):
     cust_cols = ["c_custkey", "c_mktsegment", "c_acctbal"]
 
     def pos_part(t: pa.Table) -> pa.Table:
-        bal = t["c_acctbal"].to_numpy(zero_copy_only=False)
-        pos = bal > 0.0
-        e2 = np.rint(bal[pos] * 100).astype(np.int64)
-        return pa.table(
-            {
-                "n": pa.array([int(pos.sum())], pa.int64()),
-                "s": pa.array([int(e2.sum())], pa.int64()),
-            }
-        )
+        t = t.filter(pc.greater(t["c_acctbal"], 0.0))  # drops a NULL balance, as WHERE does
+        return _partial({"n": np.ones(t.num_rows, np.int64), "s": _fixed(t["c_acctbal"], 100)},
+                        [], ["n", "s"])
 
     pos = _fold(
         _read(sf_dir, "customer", columns=["c_acctbal"])
@@ -14025,33 +13880,17 @@ def q_tpch_q22(sf_dir: str):
     have_orders_ref = _broadcast(np.unique(okeys["k"].to_numpy(np.int64)))
 
     def seg_part(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "c_mktsegment": pa.array([], pa.string()),
-                "numcust": pa.array([], pa.int64()),
-                "tot_e2": pa.array([], pa.int64()),
-            }
-        )
-        bal = t["c_acctbal"].to_numpy(zero_copy_only=False)
-        e2 = np.rint(bal * 100).astype(np.int64)
+        e2 = _fixed(t["c_acctbal"], 100)
         ck = t["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         hit, = _probe(ray.get(have_orders_ref), ck)
-        # bal_e2 × n_pos stays in int64 up to ~9e12 positive customers
-        keep = (e2 * n_pos > sum_pos) & ~hit
-        if not keep.any():
-            return empty
-        seg = np.asarray(t["c_mktsegment"].to_pylist(), dtype=object)[keep]
-        uniq, inv = np.unique(seg, return_inverse=True)
-        cnt = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
-        tot = np.zeros(len(uniq), np.int64)
-        np.add.at(tot, inv, e2[keep])
-        return pa.table(
-            {
-                "c_mktsegment": pa.array(uniq.tolist(), pa.string()),
-                "numcust": pa.array(cnt),
-                "tot_e2": pa.array(tot),
-            }
-        )
+        # bal_e2 × n_pos stays in int64 up to ~9e12 positive customers; a
+        # NULL balance fails the comparison
+        keep = ((e2.fill_null(0).to_numpy() * n_pos > sum_pos) & ~hit
+                & e2.is_valid().to_numpy(zero_copy_only=False))
+        return _partial({"c_mktsegment": t["c_mktsegment"].filter(pa.array(keep)),
+                         "numcust": np.ones(int(keep.sum()), np.int64),
+                         "tot_e2": e2.filter(pa.array(keep))}, "c_mktsegment", ["numcust", "tot_e2"])
+
 
     agg = _fold(
         _read(sf_dir, "customer", columns=cust_cols)
@@ -14301,19 +14140,9 @@ def q_tpch_q19(sf_dir: str):
             & (sz >= slo[ci]) & (sz <= shi[ci])
             & (qty >= qlo[ci]) & (qty <= qhi[ci])
         )
-        price_e2 = np.rint(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)[m] * 100
-        ).astype(np.int64)
-        disc_e2 = np.rint(
-            t["l_discount"].to_numpy(zero_copy_only=False)[m] * 100
-        ).astype(np.int64)
-        rev = price_e2 * (100 - disc_e2)
-        return pa.table(
-            {
-                "revenue_e4": pa.array([int(rev.sum())], pa.int64()),
-                "n_items": pa.array([int(m.sum())], pa.int64()),
-            }
-        )
+        return _partial({"revenue_e4": _revenue_e4(t.filter(pa.array(m))),
+                         "n_items": np.ones(int(m.sum()), np.int64)}, [], ["revenue_e4", "n_items"])
+
 
     return _fold(
         _read(
@@ -14393,7 +14222,7 @@ def q_knn_graph_degree(sf_dir: str):
                 "query_id": pa.array(np.repeat(ids, n_b), pa.int64()),
                 "neighbor_id": pa.array(np.tile(vids, n_q), pa.int64()),
                 "cos_e4": pa.array(
-                    np.rint(cos.T.reshape(-1) * 10000).astype(np.int64)
+                    _fixed(cos.T.reshape(-1), 10000).to_numpy()
                 ),
             }
         )
@@ -14658,7 +14487,7 @@ def q_perplexity_buckets(sf_dir: str):
         starts = np.zeros(len(df), np.int64)
         starts[1:] = np.cumsum(nb)[:-1]
         sums = np.add.reduceat(nll, starts[has]) if has.any() else np.empty(0)
-        nll_e3 = np.rint(sums / nb[has] * 1e3).astype(np.int64)
+        nll_e3 = _fixed(sums / nb[has], 1e3).to_numpy()
         lang = df["lang"].to_numpy(object)[has]
         band = nll_e3 // _PPLB_BAND
         gkey = np.char.add(
@@ -14756,10 +14585,8 @@ FROM b GROUP BY 1, 2 ORDER BY 1, 2
 
 def q_hist2d_qty_discount(sf_dir: str):
     def grid_part(t: pa.Table) -> pa.Table:
-        qty = np.rint(t["l_quantity"].to_numpy(zero_copy_only=False)).astype(np.int64)
-        de2 = np.rint(t["l_discount"].to_numpy(zero_copy_only=False) * 100).astype(
-            np.int64
-        )
+        qty = _fixed(t["l_quantity"], 1).to_numpy()
+        de2 = _fixed(t["l_discount"], 100).to_numpy()
         code = qty * 1000 + de2
         uniq, cnt = np.unique(code, return_counts=True)
         return pa.table(
@@ -14878,23 +14705,9 @@ def q_tpch_q15(sf_dir: str):
 
     def rev_part(t: pa.Table) -> pa.Table:
         d = t["l_shipdate"].to_numpy(zero_copy_only=False)
-        m = (d >= lo) & (d < hi)
-        if not m.any():
-            return pa.table(
-                {"sk": pa.array([], pa.int64()), "rev": pa.array([], pa.int64())}
-            )
-        sk = t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)[m]
-        price_e2 = np.rint(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)[m] * 100
-        ).astype(np.int64)
-        disc_e2 = np.rint(
-            t["l_discount"].to_numpy(zero_copy_only=False)[m] * 100
-        ).astype(np.int64)
-        rev = price_e2 * (100 - disc_e2)
-        uniq, inv = np.unique(sk, return_inverse=True)
-        sums = np.zeros(len(uniq), np.int64)
-        np.add.at(sums, inv, rev)
-        return pa.table({"sk": pa.array(uniq), "rev": pa.array(sums)})
+        t = t.filter(pa.array((d >= lo) & (d < hi)))
+        return _partial({"sk": t["l_suppkey"].cast(pa.int64()), "rev": _revenue_e4(t)},
+                        "sk", ["rev"])
 
     agg = _fold(
         _read(
@@ -15279,30 +15092,12 @@ def q_tpch_q12(sf_dir: str):
     def late_part(t: pa.Table) -> pa.Table:
         ship = t["l_shipdate"].to_numpy(zero_copy_only=False).astype(np.int64)
         m = (ship >= lo) & (ship < hi)
-        empty = pa.table(
-            {
-                "sc": pa.array([], pa.int64()),
-                "hi_n": pa.array([], pa.int64()),
-                "lo_n": pa.array([], pa.int64()),
-            }
-        )
-        if not m.any():
-            return empty
         lok = t["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)[m]
         hit, od, high, stat = _probe(ray.get(ord_ref), lok)
         late = hit & (ship[m] > od + late_us)
-        if not late.any():
-            return empty
-        sc = stat[late]
-        hi_flag = high[late]
-        uniq, inv = np.unique(sc, return_inverse=True)
-        hi_n = np.zeros(len(uniq), np.int64)
-        lo_n = np.zeros(len(uniq), np.int64)
-        np.add.at(hi_n, inv, hi_flag)
-        np.add.at(lo_n, inv, 1 - hi_flag)
-        return pa.table(
-            {"sc": pa.array(uniq), "hi_n": pa.array(hi_n), "lo_n": pa.array(lo_n)}
-        )
+        return _partial({"sc": stat[late], "hi_n": high[late], "lo_n": 1 - high[late]},
+                        "sc", ["hi_n", "lo_n"])
+
 
     agg = _fold(
         _read(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
@@ -15539,14 +15334,10 @@ FROM hp a JOIN hp b ON a.tail_fp = b.head_fp AND a.doc_id != b.doc_id
 
 def q_pareto_8020(sf_dir: str):
     def rev_part(t: pa.Table) -> pa.Table:
-        ck = t["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        e2 = np.rint(
-            t["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        uniq, inv = np.unique(ck, return_inverse=True)
-        sums = np.zeros(len(uniq), np.int64)
-        np.add.at(sums, inv, e2)
-        return pa.table({"ck": pa.array(uniq), "rev": pa.array(sums)})
+        # the per-customer sum skips a NULL price
+        return _partial({"ck": t["o_custkey"].cast(pa.int64()),
+                         "rev": _fixed(t["o_totalprice"], 100)}, "ck", ["rev"])
+
 
     agg = _fold(
         _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
@@ -17138,10 +16929,7 @@ def q_dim_variance_topk(sf_dir: str):
     ds = _read(sf_dir, "embeddings", columns=["embedding"])
 
     def partial(t: pa.Table) -> pa.Table:
-        col = t["embedding"].combine_chunks()
-        flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
-        emb = flat.reshape(-1, _EMB_DIM) * 1e3
-        e3 = (np.sign(emb) * np.floor(np.abs(emb) + 0.5)).astype(np.int64)
+        e3 = _fixed(t["embedding"].combine_chunks().flatten(), 1e3).to_numpy().reshape(-1, _EMB_DIM)
         return pa.table(
             {
                 "dim": pa.array(np.arange(1, _EMB_DIM + 1, dtype=np.int64)),
@@ -17211,12 +16999,8 @@ def q_embedding_source_join(sf_dir: str):
 
     def emb_partial(t: pa.Table) -> pa.Table:
         ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        flat = (
-            t["embedding"].combine_chunks().flatten()
-            .to_numpy(zero_copy_only=False).astype(np.float64)
-        )
-        emb = flat.reshape(len(ids), _EMB_DIM) * 1e3
-        e3 = (np.sign(emb) * np.floor(np.abs(emb) + 0.5)).astype(np.int64)
+        e3 = _fixed(t["embedding"].combine_chunks().flatten(), 1e3).to_numpy().reshape(
+            len(ids), _EMB_DIM)
         return pa.table(
             {
                 "key": pa.array(ids),
@@ -17308,12 +17092,8 @@ def q_ann_range_search(sf_dir: str):
 
     def to_e3(tbl: pa.Table) -> tuple:
         ids = tbl["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        flat = (
-            tbl["embedding"].combine_chunks().flatten()
-            .to_numpy(zero_copy_only=False).astype(np.float64)
-        )
-        emb = flat.reshape(len(ids), _EMB_DIM) * 1e3
-        return ids, (np.sign(emb) * np.floor(np.abs(emb) + 0.5)).astype(np.int64)
+        return ids, _fixed(tbl["embedding"].combine_chunks().flatten(), 1e3).to_numpy().reshape(
+            len(ids), _EMB_DIM)
 
     def probe_filter(t: pa.Table) -> pa.Table:
         ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -17326,8 +17106,8 @@ def q_ann_range_search(sf_dir: str):
         .to_pandas()
     )  # ≤ NQ rows — bounded driver pull, broadcast in the scan closure
     q_ids = probes["vec_id"].to_numpy(np.int64)
-    q_emb = np.stack(probes["embedding"].to_numpy()).astype(np.float64) * 1e3
-    q_e3 = (np.sign(q_emb) * np.floor(np.abs(q_emb) + 0.5)).astype(np.int64)
+    q_e3 = _fixed(np.stack(probes["embedding"].to_numpy()).ravel(), 1e3).to_numpy().reshape(
+        len(q_ids), _EMB_DIM)
 
     def scan(t: pa.Table) -> pa.Table:
         ids, x = to_e3(t)
@@ -17602,10 +17382,10 @@ def q_haar_energy(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
 
     def partial(df: pd.DataFrame) -> pa.Table:
-        v = df["value"].to_numpy(np.float64) * 100.0
-        e2 = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
         return _partial({"event_type": df["event_type"], "day": df["ts"].dt.floor("D"),
-                         "s": e2}, ["event_type", "day"], ["s"])
+                         "s": _fixed(df["value"], 100)},  # the day sum skips a NULL
+                        ["event_type", "day"], ["s"])
+
 
     out: dict[str, list] = {"event_type": [], "level": [], "energy": []}
     sums = _fold(ds.map_batches(partial, batch_format="pandas", batch_size=_COMBINE_BATCH),

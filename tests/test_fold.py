@@ -3,17 +3,20 @@ exact past int64, mins and maxes that skip NULL, a NULL key is its own
 group, the output is sorted by the keys, and an all-empty input gives a
 zero-row frame with every column. ``queries._partial``, the one per-batch
 combiner partial, agrees with a dict reference for sums, mins and maxes
-(no Ray), and so do both kernels chained."""
+(no Ray), and so do both kernels chained. ``queries._fixed``, the one
+fixed-point quantizer, equals DuckDB's ``CAST(round(x * s) AS BIGINT)``
+and keeps NULL as NULL."""
 
 import datetime
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ptt_spider_go_ray.queries import _fold, _partial
+from ptt_spider_go_ray.queries import _fixed, _fold, _partial
 
 
 def _parts(*tables):
@@ -227,3 +230,63 @@ def test_partial_without_keys_is_one_row():
     empty = _partial({"n": np.array([], np.int64), "lo": np.array([], np.float64)}, [], ["n"],
                      mins=["lo"])
     assert empty.to_pydict() == {"n": [0], "lo": [None]}
+
+
+# every scale the oracles quantize at, as the number and as their SQL literal
+_SCALES = [(1, "1"), (100, "100"), (1e3, "1000"), (1e4, "10000"), (1e6, "1000000")]
+_TIES = [0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.49999999999999994, -0.49999999999999994, 0.0, -0.0]
+_FLOATS = st.one_of(
+    st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False),
+    st.integers(-10**9, 10**9).map(lambda c: c / 100),  # exact at 2 decimals
+    st.integers(-10**6, 10**6).map(lambda k: k + 0.5),  # ±k.5 ties
+    st.sampled_from(_TIES),
+)
+
+
+def _duck_fixed(xs, lit: str) -> list:
+    """DuckDB's own ``CAST(round(x * lit) AS BIGINT)`` over a DOUBLE column."""
+    import duckdb
+
+    con = duckdb.connect()
+    con.register("t", pa.table({"x": pa.array(xs, pa.float64())}))
+    return con.sql(f"SELECT CAST(round(x * {lit}) AS BIGINT) AS v FROM t").arrow()["v"].to_pylist()
+
+
+def _kinds(xs):
+    """The four input kinds ``_fixed`` accepts, each holding ``xs``."""
+    a = pa.array(xs, pa.float64())
+    return [a, pa.chunked_array([a[:len(xs) // 2], a[len(xs) // 2:]], pa.float64()),
+            pd.Series(a.to_pandas(), dtype=np.float64), a.to_numpy(zero_copy_only=False)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.none(), _FLOATS), max_size=30), st.sampled_from(_SCALES))
+def test_fixed_is_duckdb_round(xs, scale):
+    s, lit = scale
+    want = _duck_fixed(xs, lit)
+    for x in _kinds(xs):
+        got = _fixed(x, s)
+        assert type(got) is pa.Int64Array
+        assert got.to_pylist() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_FLOATS, max_size=30), st.sampled_from(_SCALES))
+def test_fixed_equals_rint_off_ties(xs, scale):
+    """Off the exact .5 ties, half-away and half-even rounding agree, so
+    every non-tie value quantizes as the engine's former ``np.rint`` did."""
+    s, _lit = scale
+    v = np.array(xs, np.float64) * s
+    assume(not (np.abs(v - np.trunc(v)) == 0.5).any())
+    assert _fixed(np.array(xs, np.float64), s).to_pylist() == np.rint(v).astype(np.int64).tolist()
+
+
+def test_fixed_ties_nan_null_and_empty():
+    assert _fixed(np.array(_TIES), 1).to_pylist() == [1, -1, 2, -2, 3, -3, 0, 0, 0, 0]
+    assert _fixed(np.array([2.675, -2.675]), 100).to_pylist() == [268, -268]
+    assert _fixed(pd.Series([1.25, np.nan, None]), 100).to_pylist() == [125, None, None]
+    assert _fixed(pa.array([np.nan, None, 0.125]), 1e3).to_pylist() == [None, None, 125]
+    for x in _kinds([]):
+        assert _fixed(x, 100).to_pylist() == [] and _fixed(x, 100).type == pa.int64()
+    with pytest.raises(pa.ArrowInvalid):  # an unhandled NULL cannot become a number
+        _fixed(np.array([1.0, np.nan]), 100).to_numpy()

@@ -2107,12 +2107,27 @@ _DEGENERATE = {  # input → (table, rewrite of that sf0.001 table)
     ("value_extremes", "empty_events"), ("json_extract_agg", "empty_events"),
     ("psi_drift", "empty_events"), ("ols_outliers", "empty_events"),
     ("profile_columns", "null_totalprice"), ("mixture_plan", "null_source"),
+    *((n, "null_totalprice") for n in (
+        "recent_orders", "nation_revenue", "left_join_rollup", "above_avg_orders",
+        "grouping_sets", "tpch_q18", "rfm_cells", "benford_orders", "pareto_8020",
+        "incremental_agg")),
+    *((n, "null_value") for n in (
+        "changepoint", "haar_energy", "ols_outliers", "pareto_front", "skew_per_type",
+        "trend_per_type", "zscore_norm", "anomaly_days", "autocorr1", "daily_type_corr", "drawdown",
+        "full_outer_rollup", "gini_per_type", "hhi_per_day", "interval_coverage",
+        "ks_weekend", "mad_per_type", "max_concurrency", "mode_per_type", "moving_window",
+        "ntile_quartiles", "overlap_pairs", "percent_rank", "running_total", "salted_agg",
+        "time_weighted_value", "winsorized_mean")),
 ])
+@pytest.mark.filterwarnings("error:Mismatched null-like values:FutureWarning")
 def test_degenerate_input_matches_duckdb(name, case, ray_session, tmp_path):
     """Min/max folds on NULL keys, NULL values and an empty table: mins and
     maxes skip NULL, a NULL key is its own group, an empty input folds to
     DuckDB's typed result, and DuckDB's LEAST skips NULL (a NULL value is
     in the top histogram bin). A NULL ``source`` gets its own ranks and
-    NULL weight-derived columns in ``mixture_plan``."""
+    NULL weight-derived columns in ``mixture_plan``. A NULL price or value
+    quantizes to NULL (``_fixed``): SQL's sums and averages skip it,
+    ``count(*)`` counts it, an ORDER BY puts it last, and a row expression
+    of it is NULL."""
     table, rewrite = _DEGENERATE[case]
     _matches_duckdb(name, _sf_copy(tmp_path, table, rewrite))

@@ -226,17 +226,58 @@ def _ray_extremes(fn: ast.FunctionDef) -> list[int]:
             and isinstance(n.func, ast.Name) and n.func.id in ("Min", "Max")]
 
 
+def _np_or_pc(n, *names) -> bool:
+    """``n`` is ``np.<name>`` or ``pc.<name>`` for one of ``names``."""
+    return (isinstance(n, ast.Attribute) and f"{getattr(n.value, 'id', '')}.{n.attr}" in names)
+
+
+def _hand_rounds(fn: ast.FunctionDef) -> list[int]:
+    """Lines that quantize by hand instead of through ``_fixed`` and
+    ``_revenue_e4``: an ``np.rint``/``np.round``/``pc.round`` call, a
+    ``np.sign(v) * np.floor(np.abs(v) + 0.5)`` product, or the TPC-H revenue
+    factor ``(100 - disc)`` (``pc.subtract(100, disc)``)."""
+    out = []
+    for n in ast.walk(fn):
+        if isinstance(n, ast.Call) and _np_or_pc(n.func, "np.rint", "np.round", "pc.round"):
+            out.append(n.lineno)
+        if isinstance(n, ast.Call) and _np_or_pc(n.func, "pc.subtract") and n.args and (
+                isinstance(n.args[0], ast.Constant) and n.args[0].value == 100):
+            out.append(n.lineno)
+        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult):
+            calls = [s.func for s in (n.left, n.right) if isinstance(s, ast.Call)]
+            if (any(_np_or_pc(f, "np.sign") for f in calls)
+                    and any(_np_or_pc(f, "np.floor") for f in calls)):
+                out.append(n.lineno)
+            if any(isinstance(s, ast.BinOp) and isinstance(s.op, ast.Sub)
+                   and isinstance(s.left, ast.Constant) and s.left.value == 100
+                   for s in (n.left, n.right)):
+                out.append(n.lineno)
+    return sorted(set(out))
+
+
+# the np.add.at sums that stay outside _partial, each with its reason; a new
+# one fails the pin, and one that goes must leave this list with it
+_ADD_AT_ALLOWED = {
+    "_simhash_batch": "scatters ±1 bit votes into a docs × 64 matrix, not a group sum",
+    "q_label_centroid_dist": "sums one 64-dim vector per label, a matrix row per group",
+}
+
+
 def test_query_kernels_have_no_hand_copies():
     """The key-bucket tag, the Parquet footer row count, the per-batch
     combiner partial (sums, counts, mins and maxes), the merge of combiner
     partials, the Ray Min/Max aggregate and the sorted-key probe each live
     in one kernel (``_by_key_bucket``, ``_rows``, ``_partial``, ``_fold``,
-    ``_combine``, ``_probe``); no q_* writes its own copy. One
+    ``_combine``, ``_probe``); no q_* writes its own copy. Every
+    ``CAST(round(x * s) AS BIGINT)`` goes through ``_fixed`` and every TPC-H
+    revenue through ``_revenue_e4``, and the ``np.add.at`` group sums left
+    are the named ones. One
     bound picks every broadcast-or-distributed plan: no ``broadcast_max``
     parameter anywhere, one ``*B*CAST_MAX*`` name, and no ``ray.ObjectRef``
     fork in a broadcast UDF."""
     tree = ast.parse(inspect.getsource(Q))
     tags, footers, loops, merges, probes, forks, partials, extremes = ([] for _ in range(8))
+    rounds, add_ats = [], set()
     bounds = [t.id for n in tree.body if isinstance(n, ast.Assign) for t in n.targets
               if isinstance(t, ast.Name) and fnmatch.fnmatchcase(t.id, "*B*CAST_MAX*")]
     assert bounds == ["_BROADCAST_MAX_BYTES"], bounds
@@ -257,6 +298,11 @@ def test_query_kernels_have_no_hand_copies():
             partials += [f"{fn.name}:{ln}" for ln in _hand_partials(fn)]
         if fn.name != "_combine":
             extremes += [f"{fn.name}:{ln}" for ln in _ray_extremes(fn)]
+        if fn.name not in ("_fixed", "_revenue_e4"):
+            rounds += [f"{fn.name}:{ln}" for ln in _hand_rounds(fn)]
+        if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "at"
+               and _np_or_pc(n.func.value, "np.add") for n in ast.walk(fn)):
+            add_ats.add(fn.name)
         forks += [f"{fn.name}:{n.lineno}" for n in ast.walk(fn)
                   if isinstance(n, ast.Attribute) and n.attr == "ObjectRef"]
         for n in ast.walk(fn):
@@ -281,3 +327,5 @@ def test_query_kernels_have_no_hand_copies():
     assert forks == [], forks
     assert partials == [], partials
     assert extremes == [], extremes
+    assert rounds == [], rounds
+    assert sorted(add_ats) == sorted(_ADD_AT_ALLOWED), add_ats
