@@ -4,7 +4,7 @@ Reference parity (file:line cites are into /root/reference, twtrubiks/ptt-spider
 
 - ``decode_push_rate``      -> ptt/parser_impl.go:48-60
 - ``parse_board_html``      -> ptt/parser_impl.go:24-71   (P1)
-- ``parse_article_html``    -> ptt/parser_impl.go:74-113  (P3)
+- ``parse_article_spans``   -> ptt/parser_impl.go:74-113  (P3, as spans)
 - ``parse_max_page``        -> ptt/parser_impl.go:116-139 (S3; returns n+1)
 - ``normalize_img_href``    -> ptt/parser_impl.go:92-110  (P4)
 - ``clean_file_name``       -> crawler/crawler.go:36,639-642 (P5)
@@ -15,17 +15,20 @@ Reference parity (file:line cites are into /root/reference, twtrubiks/ptt-spider
 - ``determine_final_title`` -> crawler/crawler.go:535-541 (P8)
 - ``is_seed_line``          -> crawler/crawler.go:812     (S2 filter)
 
-Everything here is plain Python over strings — no Ray, no I/O — so it is
-directly unit-testable and safely callable inside vectorized ``map_batches``
-batch functions.
+The three page parsers share one scanner (see "HTML scanning" below): a
+compiled regex tokenizer and an open-element stack, one pass per page, with
+no DOM. Everything here is plain Python over strings — no Ray, no I/O — so
+it is directly unit-testable and safely callable inside vectorized
+``map_batches`` batch functions.
 """
 
 from __future__ import annotations
 
+import functools
 import posixpath
 import re
-from dataclasses import dataclass, field
-from html.parser import HTMLParser
+import string
+from html import unescape
 from urllib.parse import urlparse
 
 PTT_BASE_URL = "https://www.ptt.cc"  # constants/constants.go
@@ -190,86 +193,355 @@ def unique_dir_names(rows: list[tuple[str, str]]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# HTML parsing (stdlib html.parser stand-in for goquery)
+# HTML scanning (the reference reads pages with goquery)
 # ---------------------------------------------------------------------------
-
-
-def _has_class(attrs: dict[str, str | None], cls: str) -> bool:
-    return cls in (attrs.get("class") or "").split()
-
-
-@dataclass
-class _Node:
-    tag: str
-    attrs: dict[str, str | None]
-    parent: "_Node | None"
-    children: list = field(default_factory=list)  # _Node | str interleaved
-
-    # Both walks are pre-order over a reversed stack: push a node's children
-    # last-first, so popping yields them in document order ("first match"
-    # semantics of titles, anchors and authors depend on it), in O(nodes).
-    def text(self) -> str:
-        out: list[str] = []
-        stack: list = self.children[::-1]
-        while stack:
-            n = stack.pop()
-            if isinstance(n, str):
-                out.append(n)
-            else:
-                stack.extend(reversed(n.children))
-        return "".join(out)
-
-    def find_all(self, pred) -> list["_Node"]:
-        found: list[_Node] = []
-        stack: list = self.children[::-1]
-        while stack:
-            n = stack.pop()
-            if isinstance(n, str):
-                continue
-            if pred(n):
-                found.append(n)
-            stack.extend(reversed(n.children))
-        return found
-
+#
+# One pass over the page string: a compiled regex tokenizer plus an
+# open-element stack. Tokens are read as Python's ``HTMLParser`` reads them
+# (``convert_charrefs=True``, the whole page fed, then closed), and elements
+# nest as a minimal DOM builder nests them:
+#
+# - tag and attribute names are lowercased; character references are
+#   unescaped in text and in attribute values; comments, doctype, processing
+#   instructions and marked sections are dropped;
+# - ``script``/``style`` content is raw text up to its end tag;
+# - void tags and self-closing (``<x/>``) tags are not opened;
+# - an end tag closes the nearest open element of its name, with everything
+#   opened inside it, or is ignored;
+# - markup still incomplete at the end of the page becomes text, as
+#   ``HTMLParser.close()`` makes it.
+#
+# The result lists the elements in document order (pre-order), each with its
+# subtree as an index range and its text as a range of text chunks, so the
+# "first match in document order" reads below need no tree. The DOM builder
+# itself lives on in the tests, as the oracle the scanner must equal.
 
 _VOID_TAGS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
 )
+_ASCII_LETTERS = frozenset(string.ascii_letters)
+
+# Well-formed tokens, which is all a PTT page holds: a text run, an end tag,
+# a start tag whose attributes are ``name``, ``name="v"`` or ``name='v'``
+# after ASCII whitespace, and a comment. The general rules below read each of
+# these the same way; anything else at a "<" goes to them.
+_TOKEN = re.compile(
+    r"([^<]+)"
+    r"|</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>"
+    r"|<([a-zA-Z][a-zA-Z0-9]*)"
+    r"((?:[ \t\n\r\f]+[a-zA-Z_:][-a-zA-Z0-9_:.]*"
+    r"(?:[ \t\n\r\f]*=[ \t\n\r\f]*(?:\"[^\"]*\"|'[^']*'))?)*)"
+    r"[ \t\n\r\f]*(/?)>"
+    r"|(?s:(<!--.*?--\s*>))"
+    r"|(<)"
+)
+_TEXT, _END, _START, _OTHER = 1, 2, 5, 7  # ``lastindex``; a comment (6) is dropped
+_SIMPLE_ATTR = re.compile(
+    r"([a-zA-Z_:][-a-zA-Z0-9_:.]*)"
+    r"(?:[ \t\n\r\f]*(=)[ \t\n\r\f]*(?:\"([^\"]*)\"|'([^']*)'))?"
+)
+_NO_ATTRS: dict[str, str | None] = {}
+
+# The general rules: HTMLParser's own patterns.
+_TAG_NAME = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")
+_ATTR = re.compile(
+    r"((?<=['\"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*"
+    r"('[^']*'|\"[^\"]*\"|(?!['\"])[^>\s]*))?(?:\s|/(?!>))*"
+)
+_START_TAG_EXTENT = re.compile(r"""
+  <[a-zA-Z][^\t\n\r\f />\x00]*
+  (?:[\s/]*
+    (?:(?<=['"\s/])[^\s/>][^\s/=>]*
+      (?:\s*=+\s*
+        (?:'[^']*'
+          |"[^"]*"
+          |(?!['"])[^>\s]*
+         )
+        \s*
+       )?(?:\s|/(?!>))*
+     )*
+   )?
+  \s*
+""", re.VERBOSE)
+_END_TAG = re.compile(r"</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>")
+_COMMENT_CLOSE = re.compile(r"--\s*>")
+_DECL_NAME = re.compile(r"[a-zA-Z][-_.a-zA-Z0-9]*\s*")
+_MARKED_SECTION_CLOSE = {
+    **dict.fromkeys(("temp", "cdata", "ignore", "include", "rcdata"),
+                    re.compile(r"]\s*]\s*>")),
+    **dict.fromkeys(("if", "else", "endif"), re.compile(r"]\s*>")),
+}
+_RAW_TEXT_END = {t: re.compile(rf"</\s*{t}\s*>", re.I) for t in ("script", "style")}
 
 
-class _DomBuilder(HTMLParser):
-    """Minimal DOM tree builder sufficient for PTT-shaped HTML."""
+class _Page:
+    """A scanned page. Element ``e`` (numbered in document order) has tag
+    ``tags[e]`` and attributes ``attrs(e)``; its descendants are the
+    elements ``e+1 … end[e]-1`` and its text is ``texts[t0[e]:t1[e]]``."""
+
+    __slots__ = ("tags", "raw_attrs", "end", "t0", "t1", "texts", "stack")
 
     def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.root = _Node("", {}, None)
-        self.cur = self.root
+        self.tags: list[str] = []
+        # a dict, or the attribute source of a well-formed tag, read on use
+        self.raw_attrs: list[dict[str, str | None] | str] = []
+        self.end: list[int] = []
+        self.t0: list[int] = []
+        self.t1: list[int] = []
+        self.texts: list[str] = []
+        self.stack: list[int] = []  # open elements, innermost last
 
-    def handle_starttag(self, tag, attrs):
-        node = _Node(tag, dict(attrs), self.cur)
-        self.cur.children.append(node)
-        if tag not in _VOID_TAGS:
-            self.cur = node
+    def start(self, tag: str, attrs: dict | str, self_closing: bool) -> None:
+        e = len(self.tags)
+        self.tags.append(tag)
+        self.raw_attrs.append(attrs)
+        self.t0.append(len(self.texts))
+        if self_closing or tag in _VOID_TAGS:
+            self.end.append(e + 1)
+            self.t1.append(len(self.texts))
+        else:
+            self.end.append(0)
+            self.t1.append(0)
+            self.stack.append(e)
 
-    def handle_startendtag(self, tag, attrs):
-        self.cur.children.append(_Node(tag, dict(attrs), self.cur))
+    def close(self, tag: str) -> None:
+        stack = self.stack
+        for d in range(len(stack) - 1, -1, -1):
+            if self.tags[stack[d]] == tag:
+                self.close_from(d)
+                return
 
-    def handle_endtag(self, tag):
-        n = self.cur
-        while n is not self.root and n.tag != tag:
-            n = n.parent
-        if n is not self.root:
-            self.cur = n.parent
+    def close_from(self, d: int) -> None:
+        """Close the open elements from stack depth ``d`` up."""
+        n_e, n_t = len(self.tags), len(self.texts)
+        for e in self.stack[d:]:
+            self.end[e] = n_e
+            self.t1[e] = n_t
+        del self.stack[d:]
 
-    def handle_data(self, data):
-        self.cur.children.append(data)
+    def attrs(self, e: int) -> dict[str, str | None]:
+        a = self.raw_attrs[e]
+        if a.__class__ is str:
+            a = self.raw_attrs[e] = _simple_attrs(a)
+        return a
+
+    def classes(self, e: int) -> list[str]:
+        c = self.attrs(e).get("class")
+        return c.split() if c else []
+
+    def find(self, e: int = -1, tag: str | None = None, cls: str | None = None,
+             id: str | None = None):
+        """Elements of ``e``'s subtree (of the page for -1) in document
+        order, with tag ``tag``, class ``cls`` and id ``id`` where given."""
+        lo, hi = (0, len(self.tags)) if e < 0 else (e + 1, self.end[e])
+        tags, raw_attrs = self.tags, self.raw_attrs
+        word = cls or id
+        for k in range(lo, hi):
+            if tag is not None and tags[k] != tag:
+                continue
+            if word is not None:
+                a = raw_attrs[k]
+                if a.__class__ is str and word not in a and "&" not in a:
+                    continue  # unread source without the word: no match
+                a = self.attrs(k)
+                if cls is not None:
+                    c = a.get("class")
+                    if not c or cls not in c or cls not in c.split():
+                        continue
+                if id is not None and a.get("id") != id:
+                    continue
+            yield k
+
+    def first(self, e: int = -1, tag: str | None = None, cls: str | None = None,
+              id: str | None = None) -> int:
+        """The first of :meth:`find`, or -1."""
+        return next(self.find(e, tag, cls, id), -1)
+
+    def text(self, e: int) -> str:
+        return "".join(self.texts[self.t0[e]:self.t1[e]])
+
+    def parent(self, e: int) -> int:
+        """The innermost element holding ``e``, or -1."""
+        return next((p for p in range(e - 1, -1, -1) if self.end[p] > e), -1)
 
 
-def parse_dom(html: str) -> _Node:
-    b = _DomBuilder()
-    b.feed(html)
-    b.close()
-    return b.root
+@functools.lru_cache(maxsize=1024)
+def _simple_attrs(raw: str) -> dict[str, str | None]:
+    """The attributes of a well-formed tag's source (``_TOKEN``); shared
+    between pages, so never modified."""
+    attrs: dict[str, str | None] = {}
+    for name, eq, v, v1 in _SIMPLE_ATTR.findall(raw):
+        v = (v or v1) if eq else None
+        attrs[name.lower()] = unescape(v) if v and "&" in v else v
+    return attrs
+
+
+def _scan(html: str) -> _Page:
+    page = _Page()
+    tags, raw_attrs, texts, stack = page.tags, page.raw_attrs, page.texts, page.stack
+    t0, end, t1 = page.t0, page.end, page.t1
+    n = len(html)
+    i = 0
+    while i < n:
+        for m in _TOKEN.finditer(html, i):
+            kind = m.lastindex
+            if kind == _TEXT:
+                text = m[1]
+                texts.append(unescape(text) if "&" in text else text)
+            elif kind == _END:
+                tag = m[2].lower()
+                if stack and tags[stack[-1]] == tag:
+                    e = stack.pop()
+                    end[e] = len(tags)
+                    t1[e] = len(texts)
+                else:
+                    page.close(tag)
+            elif kind == _START:  # page.start, inlined
+                tag = m[3].lower()
+                e = len(tags)
+                tags.append(tag)
+                raw_attrs.append(m[4] or _NO_ATTRS)
+                t0.append(len(texts))
+                if m[5] or tag in _VOID_TAGS:
+                    end.append(e + 1)
+                    t1.append(len(texts))
+                else:
+                    end.append(0)
+                    t1.append(0)
+                    stack.append(e)
+                    if tag in _RAW_TEXT_END:
+                        i = _raw_text(html, m.end(), tag, page)
+                        break
+            elif kind == _OTHER:
+                i = _markup(html, m.start(), page)
+                break
+        else:
+            break
+    page.close_from(0)
+    return page
+
+
+def _raw_text(html: str, i: int, tag: str, page: _Page) -> int:
+    """``script``/``style`` content from ``i``: raw text up to the end tag,
+    which closes the element. Without one the rest of the page is dropped,
+    as ``HTMLParser`` keeps it buffered."""
+    pattern = _RAW_TEXT_END[tag]
+    while True:
+        m = pattern.search(html, i)
+        if m is None:
+            return len(html)
+        j, k = m.start(), m.end()
+        if i < j:
+            page.texts.append(html[i:j])
+        end = _END_TAG.match(html, j)
+        if end is not None and end.group(1).lower() == tag:
+            page.close(tag)
+            return k
+        page.texts.append(html[j:k])  # case-folded look-alike, e.g. "ſ"
+        i = k
+
+
+def _markup(html: str, i: int, page: _Page) -> int:
+    """Reads the markup at ``html[i] == "<"`` by HTMLParser's general rules
+    and returns the position after it."""
+    nxt = html[i + 1:i + 2]
+    if nxt in _ASCII_LETTERS:
+        k = _start_tag(html, i, page)
+    elif nxt == "/":
+        k = _end_tag(html, i, page)
+    elif html.startswith("<!--", i):
+        m = _COMMENT_CLOSE.search(html, i + 4)
+        k = m.end() if m else -1
+    elif nxt == "?":
+        k = html.find(">", i + 2)
+        k = k + 1 if k >= 0 else -1
+    elif nxt == "!":
+        k = _declaration(html, i)
+    else:
+        page.texts.append("<")
+        return i + 1
+    if k >= 0:
+        return k
+    # incomplete at the end of the page: text up to the next ">" or "<"
+    k = html.find(">", i + 1)
+    if k >= 0:
+        k += 1
+    else:
+        k = html.find("<", i + 1)
+        if k < 0:
+            k = i + 1
+    page.texts.append(unescape(html[i:k]))
+    return k
+
+
+def _start_tag(html: str, i: int, page: _Page) -> int:
+    j = _START_TAG_EXTENT.match(html, i).end()
+    nxt = html[j:j + 1]
+    if nxt == ">":
+        endpos = j + 1
+    elif nxt == "/" and html.startswith("/>", j):
+        endpos = j + 2
+    elif nxt == "" or nxt == "/" or nxt == "=" or nxt in _ASCII_LETTERS:
+        return -1
+    else:
+        endpos = j
+    name = _TAG_NAME.match(html, i + 1)
+    tag = name.group(1).lower()
+    k = name.end()
+    attrs: dict[str, str | None] = {}
+    while k < endpos:
+        m = _ATTR.match(html, k)
+        if m is None:
+            break
+        attr, rest, v = m.group(1, 2, 3)
+        if not rest:
+            v = None
+        elif v[:1] == "'" == v[-1:] or v[:1] == '"' == v[-1:]:
+            v = v[1:-1]
+        attrs[attr.lower()] = unescape(v) if v else v
+        k = m.end()
+    end = html[k:endpos].strip()
+    if end not in (">", "/>"):
+        page.texts.append(html[i:endpos])
+        return endpos
+    closed = end == "/>"
+    page.start(tag, attrs, closed)
+    if not closed and tag in _RAW_TEXT_END:
+        return _raw_text(html, endpos, tag, page)
+    return endpos
+
+
+def _end_tag(html: str, i: int, page: _Page) -> int:
+    gt = html.find(">", i + 1)
+    if gt < 0:
+        return -1
+    m = _END_TAG.match(html, i)
+    if m is not None:
+        page.close(m.group(1).lower())
+        return gt + 1
+    name = _TAG_NAME.match(html, i + 2)
+    if name is None:
+        # "</>" is dropped, any other "</…>" is a comment
+        return i + 3 if html.startswith("</>", i) else gt + 1
+    page.close(name.group(1).lower())
+    return html.find(">", name.end()) + 1
+
+
+def _declaration(html: str, i: int) -> int:
+    """``<!…`` that is not a comment: a marked section, a doctype or a
+    bogus comment, all dropped."""
+    if html.startswith("<![", i):
+        j = i + 3
+        m = _DECL_NAME.match(html, j)
+        if j == len(html) or (m is not None and m.end() == len(html)):
+            return -1
+        close = _MARKED_SECTION_CLOSE.get(m.group().strip().lower()) if m else None
+        if close is None:
+            raise ParseError(f"unknown marked section {html[i:i + 20]!r}")
+        m = close.search(html, j)
+        return m.end() if m else -1
+    gt = html.find(">", i + 9 if html[i:i + 9].lower() == "<!doctype" else i + 2)
+    return gt + 1 if gt >= 0 else -1
 
 
 def parse_board_html(html: str) -> list[dict]:
@@ -280,147 +552,120 @@ def parse_board_html(html: str) -> list[dict]:
     ``.meta .author``; push rate decoded from ``.nrec span``; URL
     absolutized with the PTT base.
     """
-    root = parse_dom(html)
+    page = _scan(html)
+    tags, end = page.tags, page.end
     out: list[dict] = []
-    for rent in root.find_all(lambda n: _has_class(n.attrs, "r-ent")):
-        titles = rent.find_all(lambda n: _has_class(n.attrs, "title"))
-        anchor = None
-        for t in titles:
-            links = t.find_all(lambda n: n.tag == "a")
-            if links:
-                anchor = links[0]
-                break
-        if anchor is None:
+    for rent in page.find(cls="r-ent"):
+        # One pass over the row, first matches in document order: the
+        # first <a> inside a .title, the first .author inside the first
+        # .meta, the first <span> inside the first .nrec.
+        anchor = meta = author = nrec = span = -1
+        title_end = 0  # elements before it lie inside a .title of the row
+        for k in range(rent + 1, end[rent]):
+            tag = tags[k]
+            if tag == "a" and anchor < 0 and k < title_end:
+                anchor = k
+            if tag == "span" and span < 0 and nrec >= 0 and k < end[nrec]:
+                span = k
+            cls = page.classes(k)
+            if not cls:
+                continue
+            if "title" in cls:
+                title_end = max(title_end, end[k])
+            if author < 0 and meta >= 0 and k < end[meta] and "author" in cls:
+                author = k
+            if meta < 0 and "meta" in cls:
+                meta = k
+            if nrec < 0 and "nrec" in cls:
+                nrec = k
+        if anchor < 0:
             continue  # deleted article
-        title = anchor.text().strip()
+        title = page.text(anchor).strip()
         if "公告" in title:
             continue
-        href = anchor.attrs.get("href") or ""
-        author = ""
-        for meta in rent.find_all(lambda n: _has_class(n.attrs, "meta")):
-            for a in meta.find_all(lambda n: _has_class(n.attrs, "author")):
-                author = a.text().strip()
-                break
-            break
-        push_str = ""
-        for nrec in rent.find_all(lambda n: _has_class(n.attrs, "nrec")):
-            for sp in nrec.find_all(lambda n: n.tag == "span"):
-                push_str = sp.text().strip()
-                break
-            break
         out.append(
             {
                 "title": title,
-                "url": PTT_BASE_URL + href,
-                "author": author,
-                "push_rate": decode_push_rate(push_str),
+                "url": PTT_BASE_URL + (page.attrs(anchor).get("href") or ""),
+                "author": page.text(author).strip() if author >= 0 else "",
+                "push_rate": decode_push_rate(page.text(span) if span >= 0 else ""),
             }
         )
     return out
 
 
-def parse_article_html(html: str) -> tuple[str, list[str]]:
-    """Article page → (title, ordered image URLs), per ptt/parser_impl.go:74-113.
+def parse_article_spans(html: str) -> tuple[str, list[dict]]:
+    """Article page → (title, interleaved text+media spans), per
+    ptt/parser_impl.go:74-113.
 
-    Title: see :func:`_article_title`. Images: every ``<a href>`` in
-    document order, classified by :func:`normalize_img_href`. No dedup here —
+    Title: the text of the element that follows the first
+    ``.article-meta-tag`` whose text is 標題, or "". Spans generalize the
+    reference's ordered image-URL list (input_hint schema): walking
+    ``#main-content`` (the page when there is none) in document order,
+    every ``<a href>`` that :func:`normalize_img_href` classifies as an image
+    becomes a ``kind="media"`` span and the text between them
+    ``kind="text"`` spans (other anchors count as text, whatever they
+    hold); ``offset`` is the strictly increasing position. No dedup here —
     the caller applies :func:`unique_stable` (crawler.go:458-460).
     """
-    root = parse_dom(html)
-    return _article_title(root), _image_urls(root)
+    page = _scan(html)
+    texts = page.texts
+    main = page.first(id="main-content")
+    if main >= 0:
+        e, e_end, t, t_end = main + 1, page.end[main], page.t0[main], page.t1[main]
+    else:
+        e, e_end, t, t_end = 0, len(page.tags), 0, len(texts)
+
+    spans: list[dict] = []
+    buf: list[str] = []
+    while e < e_end:
+        buf.extend(texts[t:page.t0[e]])
+        href = page.attrs(e).get("href") if page.tags[e] == "a" else None
+        if href is None:  # descend
+            t, e = page.t0[e], e + 1
+            continue
+        norm = normalize_img_href(href)
+        if norm is None:
+            buf.extend(texts[page.t0[e]:page.t1[e]])
+        else:
+            _flush_text(buf, spans)
+            spans.append({"kind": "media", "text": "", "media_ref": norm})
+        t, e = page.t1[e], page.end[e]
+    buf.extend(texts[t:t_end])
+    _flush_text(buf, spans)
+    for i, s in enumerate(spans):
+        s["offset"] = i
+    return _article_title(page), spans
 
 
-def _article_title(root: _Node) -> str:
-    """Text of the node following the first ``.article-meta-tag`` whose
-    text == 標題 (first match then break), or "" when there is none."""
-    for tag_node in root.find_all(lambda n: _has_class(n.attrs, "article-meta-tag")):
-        if tag_node.text().strip() == "標題":
-            parent = tag_node.parent
-            if parent is not None:
-                sibs = [c for c in parent.children if isinstance(c, _Node)]
-                idx = sibs.index(tag_node)
-                if idx + 1 < len(sibs):
-                    return sibs[idx + 1].text().strip()
+def _flush_text(buf: list[str], spans: list[dict]) -> None:
+    text = "".join(buf).strip()
+    buf.clear()
+    if text:
+        spans.append({"kind": "text", "text": text, "media_ref": ""})
+
+
+def _article_title(page: _Page) -> str:
+    for e in page.find(cls="article-meta-tag"):
+        if page.text(e).strip() == "標題":
+            sib = page.end[e]
+            parent = page.parent(e)
+            if sib < len(page.tags) and (parent < 0 or page.end[parent] > sib):
+                return page.text(sib).strip()
             break
     return ""
 
 
-def _image_urls(root: _Node) -> list[str]:
-    """Every ``<a href>`` under ``root`` that classifies as an image, in
-    document order, normalized."""
-    img_urls: list[str] = []
-    for a in root.find_all(lambda n: n.tag == "a"):
-        href = a.attrs.get("href")
-        if href is None:
-            continue
-        norm = normalize_img_href(href)
-        if norm is not None:
-            img_urls.append(norm)
-    return img_urls
-
-
-def parse_article_spans(html: str) -> tuple[str, list[dict]]:
-    """Article page → (title, interleaved text+media spans).
-
-    Generalizes the reference's ordered image-URL list (input_hint schema):
-    walking the main content in document order, anchors classified as images
-    become ``kind="media"`` spans and the interstitial text becomes
-    ``kind="text"`` spans; ``offset`` is the strictly-increasing position.
-    The media_ref subsequence equals ``parse_article_html(html)[1]`` exactly
-    (reference parity, ptt/parser_impl.go:92-110 DOM order).
-    """
-    root = parse_dom(html)
-    title = _article_title(root)
-
-    mains = root.find_all(lambda n: attr_id(n) == "main-content")
-    scope = mains[0] if mains else root
-
-    spans: list[dict] = []
-    buf: list[str] = []
-
-    def flush() -> None:
-        text = "".join(buf).strip()
-        buf.clear()
-        if text:
-            spans.append({"kind": "text", "text": text, "media_ref": ""})
-
-    def walk(node: _Node) -> None:
-        for c in node.children:
-            if isinstance(c, str):
-                buf.append(c)
-                continue
-            if c.tag == "a" and c.attrs.get("href") is not None:
-                norm = normalize_img_href(c.attrs["href"])
-                if norm is not None:
-                    flush()
-                    spans.append({"kind": "media", "text": "", "media_ref": norm})
-                    continue
-                buf.append(c.text())
-                continue
-            walk(c)
-
-    walk(scope)
-    flush()
-    for i, s in enumerate(spans):
-        s["offset"] = i
-    return title, spans
-
-
-def attr_id(n: _Node) -> str | None:
-    return n.attrs.get("id")
-
-
 def parse_max_page(html: str) -> int:
     """Prev-page (‹ 上頁) href → index number + 1. ptt/parser_impl.go:116-139."""
-    root = parse_dom(html)
+    page = _scan(html)
     href = None
-    for grp in root.find_all(lambda n: _has_class(n.attrs, "btn-group-paging")):
-        for a in grp.find_all(lambda n: n.tag == "a"):
-            if "‹ 上頁" in a.text():
-                href = a.attrs.get("href")
+    for grp in page.find(cls="btn-group-paging"):
+        prev = next((a for a in page.find(grp, tag="a") if "‹ 上頁" in page.text(a)), -1)
+        if prev >= 0:
+            href = page.attrs(prev).get("href")
+            if href is not None:
                 break
-        if href is not None:
-            break
     if href is None:
         raise ParseError("prev-page button not found")
     trimmed = href[: -len(".html")] if href.endswith(".html") else href

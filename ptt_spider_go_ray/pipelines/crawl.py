@@ -9,14 +9,22 @@ Per round:
         fetch_batch_task               # parser_count pages / workers media
                                        # in flight at once, T1/T2/T3/S4
         → ParseStage                   # P1-P9, union output
-        → _process_block               # split: candidates → buffered offers
-                                       # to their shards; docs/media →
-                                       # per-round partitioned Parquet
-                                       # (resumable output) or returned
-                                       # tables (tests)
-    → drain: ray.get the slice results, then commit_offers on every shard
-      (applied in (priority, seq) order, first-wins dedup D2), then the
-      ledger, a due checkpoint and the harvest of the round's outputs.
+        → _process_block               # split: docs/media → per-round
+                                       # partitioned Parquet (resumable
+                                       # output) or returned tables (tests);
+                                       # candidates → grouped by shard
+      and returning 1 + n_shards values: the slice's metadata, then its
+      candidate rows for each shard
+    → drain: ray.get the round's metadata, hand each shard its candidate
+      refs in one offer_buffered call (the driver never reads them), then
+      commit_offers on every shard (applied in (priority, seq) order,
+      first-wins dedup D2), then the ledger, a due checkpoint and the
+      harvest of the round's outputs.
+
+The slice task calls no actor: its work after the fetch is parsing and
+splitting, and a commit applies exactly the offers of the round that
+drains. A slice task that dies and is retried by Ray offers nothing twice,
+since only the returns of the attempt that finished reach the shards.
 
 A round is a bounded batch of plain tasks rather than a streaming Dataset:
 there is no backpressure to buy. Each slice's rows travel once, as Arrow
@@ -45,8 +53,8 @@ each shard's heap + cuckoo segment + lineage/metrics are written to Parquet
 together with the driver ledger; ``run_crawl(resume=True)`` reloads the
 latest epoch and continues without refetching or duplicating URLs. A round
 still in flight is not waited for: its rows go into the snapshot as pending
-and its uncommitted offers stay out, so the snapshot is the frontier as it
-stood when the checkpointed round drained.
+and its candidates, which no shard has seen yet, stay out, so the snapshot
+is the frontier as it stood when the checkpointed round drained.
 
 Shard actors stay pure Python: every Arrow conversion of frontier rows (the
 round table, the checkpoint's heap IPC bytes) happens here, on the driver.
@@ -109,20 +117,20 @@ def _process_block(tbl: pa.Table, out_dir: str, epoch: int, part: int,
                    shards=None, n_shards: int = 0, max_depth: int = 0) -> dict:
     """Worker-side round-output processing: split one union block by
     row_type, write doc/media rows to ``out_dir`` (when set) from the worker,
-    and route discovered candidates DIRECTLY to their owning frontier shards
-    (``offer_buffered``; applied in deterministic order by the
-    ``commit_offers`` at the round's drain). The driver receives only doc/media
-    metadata (or full tables in test mode) and error counts — no per-URL
-    Python ever crosses one driver thread. Runs inside the slice task that
-    fetched and parsed the block, so span payloads, media bodies and
-    candidate rows never funnel through the driver in production.
+    and group the discovered candidates within ``max_depth`` by their owning
+    frontier shard. Runs inside the slice task that fetched and parsed the
+    block, so span payloads and media bodies never funnel through the driver
+    in production; it calls no actor.
+
+    Returns ``cands``, one row list per shard (``n_shards`` of them; none
+    for 0), their total ``n_cand``, the doc/media tables (metadata only when
+    ``out_dir`` is set, full tables in test mode) and error counts.
+    ``shards`` is accepted for callers that still pass it and is not used.
 
     Raises ``RuntimeError`` when ``ParseStage`` marked the slice as holding
     no row of a discovering kind but it yielded candidates: the crawl loop
     takes the next round before such a slice's round drains, so its offers
     would be committed behind a take that never saw them."""
-    import ray
-
     discovers = (tbl.schema.metadata or {}).get(DISCOVERS_KEY) != b"0"
     tbl = tbl.replace_schema_metadata(None)
 
@@ -140,19 +148,11 @@ def _process_block(tbl: pa.Table, out_dir: str, epoch: int, part: int,
     media = split("media_result", ["spans"])
     err = split("fetch_err", ["body", "spans"])
 
-    n_cand = 0
-    if cand is not None and shards is not None:
-        cand_rows = [
-            {k: c[k] for k in FRONTIER_SCHEMA.names} for c in cand.to_pylist()
-        ]
-        cand_rows = [r for r in cand_rows if r["depth"] <= max_depth]
-        n_cand = len(cand_rows)
-        by_shard: dict[int, list[dict]] = {}
-        for r in cand_rows:
-            by_shard.setdefault(shard_for(r, n_shards), []).append(r)
-        # ack before returning: once the driver has gathered every
-        # _process_block result, all of the round's offers are buffered
-        ray.get([shards[i].offer_buffered.remote(rs) for i, rs in by_shard.items()])
+    cands: list[list[dict]] = [[] for _ in range(n_shards)]
+    if cand is not None and n_shards:
+        for c in cand.select(FRONTIER_SCHEMA.names).to_pylist():
+            if c["depth"] <= max_depth:
+                cands[shard_for(c, n_shards)].append(c)
 
     doc_out = media_out = None
     if doc is not None:
@@ -179,7 +179,8 @@ def _process_block(tbl: pa.Table, out_dir: str, epoch: int, part: int,
             if msg and msg.startswith("still 429"):
                 hosts_429.add(url_host(u))
     return {
-        "n_cand": n_cand,
+        "n_cand": sum(map(len, cands)),
+        "cands": cands,
         "doc": doc_out,
         "media": media_out,
         "n_err": err.num_rows if err is not None else 0,
@@ -189,15 +190,20 @@ def _process_block(tbl: pa.Table, out_dir: str, epoch: int, part: int,
 
 
 def _exec_slice(rows_ipc: bytes, fetch, parse, process, fetch_kwargs: dict,
-                out_dir: str, epoch: int, part: int, shards, n_shards: int,
-                max_depth: int) -> dict:
+                out_dir: str, epoch: int, part: int, n_shards: int,
+                max_depth: int) -> tuple:
     """One round slice, fused into one task: fetch its rows (concurrently,
-    see ``fetch_batch_task``), parse them, then split/write/offer the union
-    block. The three stages arrive as arguments, resolved by the driver.
-    The slice and the returned doc/media tables are Arrow IPC bytes."""
+    see ``fetch_batch_task``), parse them, then split/write the union block.
+    The three stages arrive as arguments, resolved by the driver. Returns
+    ``1 + n_shards`` values: the slice's metadata (the doc/media tables as
+    Arrow IPC bytes), then its candidate rows for each shard, which the
+    driver passes on to the shard at the round's drain without reading
+    them. The slice itself arrives as Arrow IPC bytes."""
     out = process(parse(fetch(_from_ipc(rows_ipc), **fetch_kwargs)), out_dir,
-                  epoch, part, shards=shards, n_shards=n_shards, max_depth=max_depth)
-    return {**out, "doc": _to_ipc(out["doc"]), "media": _to_ipc(out["media"])}
+                  epoch, part, n_shards=n_shards, max_depth=max_depth)
+    cands = out.pop("cands")
+    return ({**out, "doc": _to_ipc(out["doc"]), "media": _to_ipc(out["media"])},
+            *cands)
 
 
 def seed_rows_board(transport, board: str, pages: int, seed_offset: int = 0) -> list[dict]:
@@ -408,8 +414,8 @@ def run_crawl(
             max_mem_rows=cc.frontier_max_mem_rows,
             spill_dir=spill_dir,
             # robots gating lives in the shards (≤ SALT_K robots.txt fetches
-            # per host across the crawl) — worker-side offers are gated where
-            # they land, with no driver round-trip
+            # per host across the crawl) — candidates are gated where they
+            # land, and the driver never reads them
             robots_factory=transport_factory if cc.robots else None,
         )
         for i in range(n_shards)
@@ -478,7 +484,7 @@ def run_crawl(
         "page_cap": cc.parser_count,
         "media_cap": cc.workers,
     }
-    exec_slice = ray.remote(num_cpus=1)(_exec_slice)
+    exec_slice = ray.remote(num_cpus=1, num_returns=1 + n_shards)(_exec_slice)
 
     docs_tables: list[pa.Table] = []
     media_tables: list[pa.Table] = []
@@ -488,7 +494,8 @@ def run_crawl(
     finished = True
 
     def _submit_round(tbl: pa.Table, round_epoch: int) -> list:
-        """Launch one round's slice tasks; returns their refs unwaited. Span
+        """Launch one round's slice tasks; returns each task's refs
+        (metadata, then one candidate chunk per shard) unwaited. Span
         payloads and media bodies (≤50 MB each) come back to the driver ONLY
         in test mode (out_dir="") — production driver memory stays
         O(round metadata)."""
@@ -496,7 +503,7 @@ def run_crawl(
         return [
             exec_slice.remote(
                 _to_ipc(tbl.slice(start, bs)), fetch, parse_stage, process, fetch_kwargs,
-                out_dir, round_epoch, part, shards, n_shards, cc.max_depth,
+                out_dir, round_epoch, part, n_shards, cc.max_depth,
             )
             for part, start in enumerate(range(0, tbl.num_rows, bs))
         ]
@@ -575,7 +582,7 @@ def run_crawl(
     # that can discover runs alone, so the commit at its drain applies
     # exactly its offers.
     depth = pipeline_depth if relaxed_ordering else 2 if deterministic else 1
-    inflight: deque = deque()  # (slice refs, tbl, round number)
+    inflight: deque = deque()  # (per-slice return refs, tbl, round number)
     lookahead_rounds = 0
     every = max(1, cc.checkpoint_every)
 
@@ -583,11 +590,13 @@ def run_crawl(
         nonlocal dispatched, epoch
         refs, round_tbl, round_no = inflight.popleft()
         outs = [{**o, "doc": _from_ipc(o["doc"]), "media": _from_ipc(o["media"])}
-                for o in ray.get(refs)]
-        # every slice of the round has buffered its offers (acked inside
-        # _process_block before it returns) — apply them in deterministic
-        # (priority, seq) order. One tiny RPC per shard; the driver never
-        # touches a candidate row.
+                for o in ray.get([r[0] for r in refs])]
+        # Hand each shard the round's candidate chunks as the refs the slice
+        # tasks returned (the driver never reads a candidate row), then
+        # apply them in deterministic (priority, seq) order. A shard runs
+        # one caller's calls in order, so waiting on the commits is enough.
+        for i, s in enumerate(shards):
+            s.offer_buffered.remote(*[r[1 + i] for r in refs])
         ray.get([s.commit_offers.remote() for s in shards])
         round_ledger = list(zip(round_tbl["priority"].to_pylist(),
                                 round_tbl["seq"].to_pylist(),
@@ -601,9 +610,8 @@ def run_crawl(
         if ckpt_dir and epoch % every == 0:
             # Rounds still in flight are taken but not drained: their rows
             # go into the snapshot as pending, on the shard that handed them
-            # out, so a resume dispatches them again. (A relaxed round's
-            # offers that an earlier commit already applied are offered
-            # again by that re-run and deduplicated.)
+            # out, so a resume dispatches them again. None of their offers
+            # has reached a shard yet.
             held: dict[int, list[dict]] = {}
             for _, t, _ in inflight:
                 for r in t.to_pylist():

@@ -259,10 +259,13 @@ def q_push_decode(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "value"])
 
     def enc_dec(t: pa.Table) -> pa.Table:
-        v = t["value"].to_numpy(zero_copy_only=False)
-        fl = np.floor(v).astype(np.int64)
-        enc = ["爆" if x >= 300.0 else (f"X{f}" if x < 10.0 else str(f)) for x, f in zip(v, fl)]
-        dec = [decode_push_rate(e) for e in enc]
+        v = t["value"].to_numpy(zero_copy_only=False)  # NULL → NaN
+        null = np.isnan(v)
+        fl = np.floor(np.where(null, 0.0, v)).astype(np.int64)
+        # a NULL value has a NULL nrec, which decodes to 0 (the CASE's ELSE)
+        enc = [None if n else "爆" if x >= 300.0 else (f"X{f}" if x < 10.0 else str(f))
+               for x, f, n in zip(v, fl, null)]
+        dec = [0 if e is None else decode_push_rate(e) for e in enc]
         return pa.table(
             {
                 "event_id": t["event_id"],

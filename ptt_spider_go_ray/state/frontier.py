@@ -97,8 +97,8 @@ class FrontierShard:
                  robots_factory=None):
         self.shard_id = shard_id
         self.heap: list[tuple] = []  # (priority, seq, row_dict)
-        # robots gating lives IN the shard (worker-side offers must not
-        # round-trip through a driver cache): ``robots_factory`` is a
+        # robots gating lives IN the shard (offers reach it unread by the
+        # driver, so a driver cache could not gate them): ``robots_factory`` is a
         # picklable zero-arg transport factory; the cache is built lazily so
         # a robots-off shard pays nothing. A host's URLs land on ≤ SALT_K
         # shards, so the whole crawl fetches each host's robots.txt ≤ SALT_K
@@ -111,10 +111,10 @@ class FrontierShard:
         self._politeness_rate = politeness_rate
         self._politeness_n_shards = politeness_n_shards
         self._delay_hosts: set[str] = set()
-        # worker-side offers buffer here (offer_buffered) and are applied in
-        # deterministic (priority, seq) order when the round drains
-        # (commit_offers) — first-wins dedup then matches the plain-Python
-        # oracle's sorted-offer rule regardless of block arrival order
+        # a drained round's candidates buffer here (offer_buffered) and are
+        # applied in deterministic (priority, seq) order (commit_offers) —
+        # first-wins dedup then matches the plain-Python oracle's
+        # sorted-offer rule regardless of slice order
         self._offer_buf: list[dict] = []
         # rows of a round still in flight at the next checkpoint
         # (hold_for_checkpoint); snapshotted as pending, then dropped
@@ -252,13 +252,14 @@ class FrontierShard:
 
     # -- offer / take -------------------------------------------------------
 
-    def offer_buffered(self, rows: list[dict]) -> int:
-        """Stage rows for the next ``commit_offers`` (called by worker-side
-        _process_block tasks mid-round). Cheap append; dedup/robots/enqueue
-        happen at commit so cross-block arrival order cannot affect the
-        outcome."""
-        self._offer_buf.extend(rows)
-        return len(rows)
+    def offer_buffered(self, *chunks: list[dict]) -> int:
+        """Stage row chunks for the next ``commit_offers``: at a round's
+        drain the crawl driver passes each shard its candidate chunk from
+        every slice task of the round. Cheap append; dedup/robots/enqueue
+        happen at commit so chunk order cannot affect the outcome."""
+        for rows in chunks:
+            self._offer_buf.extend(rows)
+        return sum(map(len, chunks))
 
     def commit_offers(self) -> int:
         """Apply all buffered rows in (priority, seq) order. Per-shard

@@ -699,6 +699,52 @@ def test_process_block_rejects_candidates_from_non_discovering_slice():
         _process_block(bad, "", 0, 0)
 
 
+def _process_block_dying_once(tbl, out_dir, epoch, part, shards=None, n_shards=0,
+                              max_depth=0, *, marker):
+    """``_process_block``, except that the first call to yield candidates
+    (an index slice) runs it, then kills its worker process."""
+    import os
+
+    from ptt_spider_go_ray.pipelines.crawl import _process_block
+
+    out = _process_block(tbl, out_dir, epoch, part, shards=shards, n_shards=n_shards,
+                         max_depth=max_depth)
+    if out["n_cand"]:
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return out
+        os._exit(1)
+    return out
+
+
+def test_killed_slice_task_offers_its_candidates_once(ray_session, tmp_path, monkeypatch):
+    """A slice task whose worker dies after processing an index slice is
+    retried by Ray. Only the retry's candidates reach the shards: ledger and
+    seen set equal the oracle's, and the duplicate count equals an
+    uninterrupted run's (a killed attempt that had already offered its
+    candidates would count each of them once more as a duplicate)."""
+    from ptt_spider_go_ray.pipelines import crawl as crawl_mod
+
+    factory = functools.partial(make_transport, SPEC)
+
+    def crawl():
+        return run_crawl(cfg_small(), transport_factory=factory, board="Beauty",
+                         pages=3, push_threshold=0, fetch_media=False)
+
+    whole = crawl()
+    marker = tmp_path / "killed"
+    monkeypatch.setattr(crawl_mod, "_process_block",
+                        functools.partial(_process_block_dying_once, marker=str(marker)))
+    killed = crawl()
+    want = oracle_crawl(SyntheticSite(SPEC), "Beauty", 3, push_threshold=0,
+                        batch_urls=16, fetch_media=False)
+    assert marker.exists()
+    assert killed.ledger == want["ledger"] == whole.ledger
+    assert killed.seen_set == want["seen"]
+    assert killed.metrics["total_duplicates"] == whole.metrics["total_duplicates"]
+
+
 def _checkpoint_ledger(ckpt_dir):
     """The dispatch ledger as the checkpoint files record it."""
     import pyarrow.parquet as pq

@@ -1,11 +1,14 @@
 """Pure-parser unit tests mirroring the reference's test strategy
 (ptt/ptt_test.go, ptt/parser_impl_test.go, crawler/crawler_test.go,
-internal/fileutil/filename_test.go). No Ray needed."""
+internal/fileutil/filename_test.go), and the page scanner held equal to the
+DOM parser in ``dom_oracle``. No Ray needed."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dom_oracle as D
+import fixtures_html
 from ptt_spider_go_ray.functions import parse as P
 from ptt_spider_go_ray.sources.synthetic import SiteSpec, SyntheticSite
 
@@ -51,7 +54,7 @@ def test_parse_board_html():
 # --- article content parse (P3/P4) -----------------------------------------
 
 def test_parse_article_html():
-    title, imgs = P.parse_article_html(ARTICLE_CONTENT)
+    title, imgs = D.parse_article_html(ARTICLE_CONTENT)
     assert title == ARTICLE_CONTENT_TITLE
     assert imgs == ARTICLE_CONTENT_IMAGES  # document order, all 4 rules
 
@@ -75,7 +78,7 @@ def test_normalize_img_href(href, want):
 
 
 def test_article_dedup_is_callers_job():
-    _, imgs = P.parse_article_html(ARTICLE_WITH_DUP_IMAGES)
+    _, imgs = D.parse_article_html(ARTICLE_WITH_DUP_IMAGES)
     assert imgs == [
         "https://i.imgur.com/x.jpg",
         "https://i.imgur.com/y.png",
@@ -108,54 +111,13 @@ def test_parse_article_spans_interleaving():
             assert s["text"] == "" and s["media_ref"] != ""
 
 
-# --- one DOM build per article, same title and images -----------------------
-
-def _synthetic_articles(seeds=(1, 7, 42, 99), pages=10) -> list[str]:
-    out = []
-    for seed in seeds:
-        site = SyntheticSite(SiteSpec(boards={"B": pages}, seed=seed))
-        for page in range(1, pages + 1):
-            for slot in range(site.spec.articles_per_page):
-                status, body = site.html_for(site.article_url("B", page, slot))
-                assert status == 200
-                out.append(body.decode())
-    return out
-
-
-ARTICLE_PAGES = [ARTICLE_CONTENT, ARTICLE_WITH_DUP_IMAGES] + _synthetic_articles()
-
-
-def test_article_spans_match_article_html_with_one_dom_build(monkeypatch):
-    """``parse_article_spans`` builds the DOM once and gives the title and
-    media refs ``parse_article_html`` gives, on every fixture article and
-    240 synthetic ones."""
-    assert len(ARTICLE_PAGES) >= 200
-    builds = []
-    parse_dom = P.parse_dom
-
-    def counted(html):
-        builds.append(html)
-        return parse_dom(html)
-
-    for html in ARTICLE_PAGES:
-        want_title, want_imgs = P.parse_article_html(html)
-        monkeypatch.setattr(P, "parse_dom", counted)
-        builds.clear()
-        title, spans = P.parse_article_spans(html)
-        assert len(builds) == 1
-        monkeypatch.setattr(P, "parse_dom", parse_dom)
-        assert title == want_title
-        assert [s["media_ref"] for s in spans if s["kind"] == "media"] == want_imgs
-    assert any(P.parse_article_html(h)[1] for h in ARTICLE_PAGES)
-
-
-# --- DOM walks: document order in linear time --------------------------------
+# --- DOM walks (the oracle's tree): document order in linear time -----------
 
 def _ref_find_all(node, pred) -> list:
     """Recursive pre-order reference for ``_Node.find_all``."""
     out = []
     for c in node.children:
-        if isinstance(c, P._Node):
+        if isinstance(c, D._Node):
             if pred(c):
                 out.append(c)
             out.extend(_ref_find_all(c, pred))
@@ -170,11 +132,11 @@ def _ref_text(node) -> str:
 _TAGS = ("a", "div", "span")
 _subtrees = st.recursive(
     st.text(max_size=3),
-    lambda kids: st.builds(lambda tag, ch: P._Node(tag, {}, None, ch),
+    lambda kids: st.builds(lambda tag, ch: D._Node(tag, {}, None, ch),
                            st.sampled_from(_TAGS), st.lists(kids, max_size=5)),
     max_leaves=60,
 )
-_roots = st.builds(lambda ch: P._Node("", {}, None, ch), st.lists(_subtrees, max_size=6))
+_roots = st.builds(lambda ch: D._Node("", {}, None, ch), st.lists(_subtrees, max_size=6))
 
 
 @settings(deadline=None, max_examples=300)
@@ -185,6 +147,193 @@ def test_dom_walks_match_recursive_preorder(root, tag):
     assert [id(n) for n in root.find_all(lambda n: True)] == \
         [id(n) for n in _ref_find_all(root, lambda n: True)]
     assert root.text() == _ref_text(root)
+
+
+# --- the scanner equals the DOM parser ----------------------------------------
+
+_PARSERS = ("parse_board_html", "parse_article_spans", "parse_max_page")
+
+
+def _outcome(parse, html):
+    """What ``parse`` makes of ``html``: ("ok", value) or ("error", None).
+    The DOM raises AssertionError on a malformed marked section where the
+    scanner raises ParseError, so an error counts without its type."""
+    try:
+        return "ok", parse(html)
+    except (AssertionError, ValueError):
+        return "error", None
+
+
+def _assert_scanner_matches_dom(html: str) -> None:
+    for name in _PARSERS:
+        assert _outcome(getattr(P, name), html) == _outcome(getattr(D, name), html), name
+
+
+def _synthetic_pages(seeds=range(1, 31), pages=10) -> tuple[list[str], list[str]]:
+    """(index pages, article pages) of a one-board ``SyntheticSite`` per seed."""
+    index, articles = [], []
+    for seed in seeds:
+        site = SyntheticSite(SiteSpec(boards={"B": pages}, seed=seed))
+        for page in range(1, pages + 1):
+            index.append(site.html_for(site.index_url("B", page))[1].decode())
+            for slot in range(site.spec.articles_per_page):
+                status, body = site.html_for(site.article_url("B", page, slot))
+                assert status == 200
+                articles.append(body.decode())
+    return index, articles
+
+
+FIXTURE_PAGES = [v for k, v in vars(fixtures_html).items()
+                 if k.isupper() and isinstance(v, str)]
+SYNTHETIC_INDEX, SYNTHETIC_ARTICLES = _synthetic_pages()
+ARTICLE_PAGES = [ARTICLE_CONTENT, ARTICLE_WITH_DUP_IMAGES] + SYNTHETIC_ARTICLES
+
+
+def test_scanner_matches_dom_on_fixture_and_synthetic_pages():
+    """Every fixture page and every page of the synthetic site for seeds
+    1-30 parses the same with the scanner and the DOM parser; on the
+    article pages the media spans are the page's image links in order."""
+    assert len(FIXTURE_PAGES) >= 5 and len(SYNTHETIC_INDEX) == 300
+    assert len(SYNTHETIC_ARTICLES) == 1800
+    for html in FIXTURE_PAGES + SYNTHETIC_INDEX + SYNTHETIC_ARTICLES:
+        _assert_scanner_matches_dom(html)
+    for html in ARTICLE_PAGES:
+        title, spans = P.parse_article_spans(html)
+        assert (title, [s["media_ref"] for s in spans if s["kind"] == "media"]) == \
+            D.parse_article_html(html)
+    assert all(P.parse_board_html(h) for h in SYNTHETIC_INDEX[:10])
+    assert any(D.parse_article_html(h)[1] for h in ARTICLE_PAGES)
+
+
+# Generated PTT markup: the index rows, paging buttons and article parts the
+# parsers read, each perturbed the way real or broken pages are.
+_CLASS_NOISE = st.lists(st.sampled_from(["x", "hl", "f1", "btn", "r-ent-x"]), max_size=2)
+_TEXT = st.lists(st.sampled_from([
+    "", " ", "\n  ", "文章", "[正妹] 標題", "公告", "標題", "爆", "X5", "X", "12", "-3",
+    "&amp;", "&lt;b&gt;", "&#20844;&#21578;", "&nbsp;", "&lsaquo; 上頁", "‹ 上頁",
+    "a & b", "&notin", "&#x41", "&bogus;", "'", '"', "=", "/", ">",
+]), max_size=4).map("".join)
+_HREF = st.sampled_from([
+    "/bbs/B/M.1700000001.A.AAA.html", "/bbs/B/index41.html", "/bbs/B/index.html",
+    "/bbs/B/indexx.html", "https://i.imgur.com/a.jpg", "//cdn.example.com/b.png",
+    "http://pics.example.com/c.gif", "https://imgur.com/abc", "https://imgur.com/a/alb",
+    "https://example.com/d.pdf", "https://example.com/e.jpg?w=1", "x&amp;y.jpeg",
+    "/bbs/B/index&#51;.html", "",
+])
+_NOISE = st.sampled_from([
+    "<!-- comment <div class=\"r-ent\"> -->", "<!---->", "<!DOCTYPE html>", "<?xml v?>",
+    "<![CDATA[<a href='z.jpg'>]]>", "<!bogus>", "<script>var s = '<div class=\"title\">';</script>",
+    "<style>a > b {}</style>", "<SCRIPT type='t'>x</SCRIPT >", "<br>", "<br/>", "<img src='a.jpg'>",
+    "<span/>", "<div/>", "<a/>", "</div>", "</span>", "</a>", "</p>", "</ div>", "</div x>",
+    "</>", "</3>", "<p>", "< b", "<3", "a<b", "<a href>", "<a href=''>", "<a name=x>",
+    "<input disabled>", "<x:y a:b='c'>", "&", "\r\n", "<div\u3000class='title'>",
+])
+
+
+@st.composite
+def _start(draw, tag, classes=(), attrs=()):
+    """A start tag: random name case, extra classes, any attribute order,
+    quoting and spacing, entity-encoded values, sometimes self-closing."""
+    items = list(attrs)
+    if classes:
+        cls = list(classes) + draw(_CLASS_NOISE)
+        items.append(("class", " ".join(draw(st.permutations(cls)))))
+    items += draw(st.lists(st.sampled_from([("title", "t"), ("data-x", "1"), ("id", "x"),
+                                            ("class", "other"), ("disabled", None)]),
+                           max_size=2))
+    items = draw(st.permutations(items))
+    out = draw(st.sampled_from([tag, tag.upper(), tag.capitalize()]))
+    for name, value in items:
+        out += draw(st.sampled_from([" ", "  ", "\n", "\t"]))
+        out += draw(st.sampled_from([name, name.upper()]))
+        if value is None:
+            continue
+        if draw(st.booleans()):
+            value = value.replace("-", "&#45;").replace("/", "&#x2F;")
+        quote = draw(st.sampled_from(['"', "'", ""]))
+        if not quote and (not value or any(c in value for c in " \"'=<>`")):
+            quote = '"'
+        out += draw(st.sampled_from(["=", " = ", "=\n"])) + quote + value + quote
+    return "<" + out + draw(st.sampled_from([">", ">", " >", "/>"]))
+
+
+def _end(draw, tag):
+    """An end tag, sometimes missing, uppercase or spaced."""
+    return draw(st.sampled_from([f"</{tag}>", f"</{tag}>", f"</{tag.upper()}>",
+                                 f"</{tag} >", ""]))
+
+
+@st.composite
+def _anchor(draw):
+    return (draw(_start("a", attrs=[("href", draw(_HREF))])) + draw(_TEXT)
+            + _end(draw, "a"))
+
+
+@st.composite
+def _row(draw, depth=0):
+    """One ``.r-ent`` index row; parts may be missing, and a row may nest."""
+    out = draw(_start("div", ["r-ent"]))
+    if draw(st.booleans()):
+        out += draw(_start("div", ["nrec"]))
+        if draw(st.booleans()):
+            out += draw(_start("span", ["hl"])) + draw(_TEXT) + _end(draw, "span")
+        out += _end(draw, "div")
+    if draw(st.integers(0, 4)):
+        out += draw(_start("div", ["title"]))
+        out += draw(_anchor()) if draw(st.booleans()) else draw(_TEXT)
+        out += _end(draw, "div")
+    if draw(st.booleans()):
+        out += draw(_start("div", ["meta"])) + draw(_start("div", ["author"]))
+        out += draw(_TEXT) + _end(draw, "div") + _end(draw, "div")
+    if depth < 1 and not draw(st.integers(0, 5)):
+        out += draw(_row(depth + 1))
+    return out + draw(st.one_of(_NOISE, st.just(""))) + _end(draw, "div")
+
+
+@st.composite
+def _paging(draw):
+    out = draw(_start("div", ["btn-group", "btn-group-paging"]))
+    out += "".join(draw(st.lists(_anchor(), max_size=3)))
+    return out + _end(draw, "div")
+
+
+@st.composite
+def _metaline(draw):
+    out = draw(_start("div", ["article-metaline"]))
+    out += draw(_start("span", ["article-meta-tag"]))
+    out += draw(st.sampled_from(["標題", " 標題 ", "作者", "標&#38988;"])) + _end(draw, "span")
+    if draw(st.booleans()):
+        out += draw(_start("span", ["article-meta-value"])) + draw(_TEXT) + _end(draw, "span")
+    return out + _end(draw, "div")
+
+
+@st.composite
+def _article(draw):
+    parts = draw(st.lists(st.one_of(_metaline(), _anchor(), _TEXT, _NOISE), max_size=8))
+    return (draw(_start("div", attrs=[("id", "main-content")])) + "".join(parts)
+            + _end(draw, "div"))
+
+
+@st.composite
+def _page(draw):
+    parts = draw(st.lists(st.one_of(_row(), _paging(), _article(), _anchor(), _TEXT, _NOISE),
+                          max_size=8))
+    html = draw(st.sampled_from(["", "<!DOCTYPE html>\n"])) + "<html><body>"
+    html += "".join(parts) + draw(st.sampled_from(["</body></html>", ""]))
+    if draw(st.booleans()):
+        html = html[:draw(st.integers(0, len(html)))]
+    return html
+
+
+@settings(deadline=None, max_examples=1000)
+@given(_page())
+def test_scanner_matches_dom_on_generated_pages(html):
+    """Generated index, article and paging markup, perturbed (extra
+    classes, any attribute quoting, entities, CJK, comments, scripts, void
+    and self-closing tags, stray or missing end tags, nested rows, missing
+    parts, uppercase tags) and cut at any offset, parses the same with the
+    scanner and the DOM parser."""
+    _assert_scanner_matches_dom(html)
 
 
 # --- max page (S3) ----------------------------------------------------------

@@ -2107,6 +2107,7 @@ _DEGENERATE = {  # input → (table, rewrite of that sf0.001 table)
     ("value_extremes", "empty_events"), ("json_extract_agg", "empty_events"),
     ("psi_drift", "empty_events"), ("ols_outliers", "empty_events"),
     ("profile_columns", "null_totalprice"), ("mixture_plan", "null_source"),
+    ("push_decode", "null_value"),
     *((n, "null_totalprice") for n in (
         "recent_orders", "nation_revenue", "left_join_rollup", "above_avg_orders",
         "grouping_sets", "tpch_q18", "rfm_cells", "benford_orders", "pareto_8020",
@@ -2128,6 +2129,6 @@ def test_degenerate_input_matches_duckdb(name, case, ray_session, tmp_path):
     NULL weight-derived columns in ``mixture_plan``. A NULL price or value
     quantizes to NULL (``_fixed``): SQL's sums and averages skip it,
     ``count(*)`` counts it, an ORDER BY puts it last, and a row expression
-    of it is NULL."""
+    of it is NULL; a NULL value's push string is NULL and decodes to 0."""
     table, rewrite = _DEGENERATE[case]
     _matches_duckdb(name, _sf_copy(tmp_path, table, rewrite))
